@@ -115,17 +115,19 @@ smoke-tune: build
 	done
 	@echo "smoke-tune: /tmp/bench-tune.json ok"
 
-# Perf-regression smoke (~10 s): rerun the recorder microbench and the
+# Perf-regression smoke (~12 s): rerun the recorder microbench, the
+# measured GEMM points (native BRGEMM, 1 and 2 threads) and the
 # serve-level chaos harness, then gate against the committed baseline
-# (bench/baselines/smoke.json) with per-metric tolerances — exact match
-# on correctness counters (violations, mismatched, numeric_errors),
-# a 1.5x band on timing metrics, presence for the rest. The recorder
-# bench itself also hard-fails if trace-lane emits cost more than 10%
-# over dense-lane emits. Regenerate the baseline on an intentional
-# perf change with:
-#   dune exec bench/main.exe -- recorder --chaos --json bench/baselines/smoke.json
+# (bench/baselines/smoke.json), matching entries by name and config,
+# with per-metric tolerances — exact match on correctness counters
+# (violations, mismatched, numeric_errors), a 1.5x band on timing and
+# rate metrics (so a GEMM that fell back to a kernel many times slower
+# fails), presence for the rest. The recorder bench itself also
+# hard-fails if trace-lane emits cost more than 10% over dense-lane
+# emits. Regenerate the baseline on an intentional perf change with:
+#   dune exec bench/main.exe -- recorder gemm --chaos --json bench/baselines/smoke.json
 smoke-regress: build
-	dune exec bench/main.exe -- recorder --chaos --compare bench/baselines/smoke.json
+	dune exec bench/main.exe -- recorder gemm --chaos --compare bench/baselines/smoke.json
 	@echo "smoke-regress: baseline bench/baselines/smoke.json held"
 
 # Causal-tracing smoke (~3 s): a 3-replica disaggregated serve under

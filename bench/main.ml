@@ -121,15 +121,16 @@ let write_bench_json path =
 (* ---- perf-regression gate (--compare BASELINE.json) ----
 
    Reads a committed bench JSON (any parlooper-bench/N schema) and
-   compares this run's entries against it with per-metric tolerances:
+   compares this run's entries against it, matching each by its name and
+   config, with per-metric tolerances:
 
    - correctness counters (violations, mismatched, double_released,
      numeric_errors) must match the baseline exactly — these are not
      performance numbers and have no noise band;
-   - lower-is-better rates (..._ms, ..._ns, ..._pct) may grow at most
-     1.5x over the baseline;
-   - higher-is-better rates (tokens_per_s, events_per_s, ..._gflops)
-     may shrink to at worst 1/1.5 of the baseline;
+   - lower-is-better times (seconds, ..._s, ..._ms, ..._ns, ..._pct) may
+     grow at most 1.5x over the baseline;
+   - higher-is-better rates (gflops, tokens_per_s, events_per_s,
+     ..._gflops) may shrink to at worst 1/1.5 of the baseline;
    - everything else is presence-only: the key must still be reported
      (a silently dropped metric is a regression of the bench itself).
 
@@ -293,8 +294,17 @@ let parse_json (s : string) : json =
   if !pos <> n then fail "trailing bytes after value";
   v
 
-(* baseline entry name -> metric name -> value *)
-let baseline_metrics (j : json) : (string * (string * float) list) list =
+(* An entry is identified by its name and its config: the "gemm"
+   experiment records several entries under one name, one per shape and
+   thread count. *)
+let entry_key name config =
+  String.concat " "
+    (name
+    :: List.map (fun (k, v) -> k ^ "=" ^ v) (List.sort compare config))
+
+(* baseline entries: name, config, metric name -> value *)
+let baseline_metrics (j : json) :
+    (string * (string * string) list * (string * float) list) list =
   let obj = function Jobj kv -> kv | _ -> raise (Bad_json "expected object") in
   let benches =
     match List.assoc_opt "benches" (obj j) with
@@ -309,6 +319,14 @@ let baseline_metrics (j : json) : (string * (string * float) list) list =
         | Some (Jstr s) -> s
         | _ -> raise (Bad_json "bench entry without a name")
       in
+      let config =
+        match List.assoc_opt "config" kv with
+        | Some (Jobj cs) ->
+          List.filter_map
+            (fun (k, v) -> match v with Jstr s -> Some (k, s) | _ -> None)
+            cs
+        | _ -> []
+      in
       let metrics =
         match List.assoc_opt "metrics" kv with
         | Some (Jobj ms) ->
@@ -317,7 +335,7 @@ let baseline_metrics (j : json) : (string * (string * float) list) list =
             ms
         | _ -> []
       in
-      (name, metrics))
+      (name, config, metrics))
     benches
 
 type tolerance =
@@ -336,7 +354,8 @@ let tolerance_of metric =
   match metric with
   | "violations" | "mismatched" | "double_released" | "numeric_errors" ->
     Exact
-  | "tokens_per_s" | "events_per_s" -> Higher_better perf_band
+  | "tokens_per_s" | "events_per_s" | "gflops" -> Higher_better perf_band
+  | "seconds" -> Lower_better perf_band
   | _ when suffix "_gflops" -> Higher_better perf_band
   | _ when suffix "_ms" || suffix "_ns" || suffix "_pct" || suffix "_s" ->
     Lower_better perf_band
@@ -360,7 +379,9 @@ let compare_with_baseline path =
       exit 1
   in
   let current =
-    List.map (fun e -> (e.bname, e.metrics)) (List.rev !bench_entries)
+    List.map
+      (fun e -> (entry_key e.bname e.config, e.metrics))
+      (List.rev !bench_entries)
   in
   let failures = ref 0 in
   let fail_line fmt =
@@ -372,8 +393,15 @@ let compare_with_baseline path =
   in
   Printf.printf "comparing against baseline %s:\n" path;
   List.iter
-    (fun (bname, base_ms) ->
-      match List.assoc_opt bname current with
+    (fun (name, config, base_ms) ->
+      let key = entry_key name config in
+      (* the config is printed only where the name alone is ambiguous *)
+      let bname =
+        if List.length (List.filter (fun (n, _, _) -> n = name) baseline) > 1
+        then key
+        else name
+      in
+      match List.assoc_opt key current with
       | None -> fail_line "%s: entry missing from this run" bname
       | Some cur_ms ->
         List.iter
@@ -496,6 +524,22 @@ let run_micro () =
         results)
     (micro_tests ())
 
+(* Fastest of repeated runs of [f], after one warm-up run: at least ten
+   runs and 0.1 s of them, so a sub-millisecond kernel's time is a stable
+   floor that a 1.5x band can gate. *)
+let best_time f =
+  f ();
+  let t_start = Telemetry.Clock.now_s () in
+  let rec go runs best =
+    if runs >= 10 && Telemetry.Clock.now_s () -. t_start >= 0.1 then best
+    else begin
+      let t0 = Telemetry.Clock.now_s () in
+      f ();
+      go (runs + 1) (Float.min best (Telemetry.Clock.now_s () -. t0))
+    end
+  in
+  go 0 Float.infinity
+
 (* ---- quick measured GEMM points (real timings, BENCH_gemm.json) ---- *)
 
 let run_gemm_points () =
@@ -514,23 +558,16 @@ let run_gemm_points () =
       Tensor.fill_random b rng ~scale:1.0;
       let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
       let cp = Gemm.alloc_c cfg in
-      (* warm-up + best-of-3 *)
-      Gemm.run g ~a:ap ~b:bp ~c:cp;
-      let best = ref Float.infinity in
-      for _ = 1 to 3 do
-        let t0 = Telemetry.Clock.now_s () in
-        Gemm.run g ~a:ap ~b:bp ~c:cp;
-        best := Float.min !best (Telemetry.Clock.now_s () -. t0)
-      done;
-      let gflops = Gemm.flops cfg /. !best /. 1e9 in
+      let best = best_time (fun () -> Gemm.run g ~a:ap ~b:bp ~c:cp) in
+      let gflops = Gemm.flops cfg /. best /. 1e9 in
       Printf.printf "  gemm %4dx%4dx%4d f32 %-6s %8.3f ms  %8.2f GFLOPS\n%!"
-        dim dim dim spec (1e3 *. !best) gflops;
+        dim dim dim spec (1e3 *. best) gflops;
       record_bench ~name:"gemm"
         ~config:
           [ ("m", string_of_int dim); ("n", string_of_int dim);
             ("k", string_of_int dim); ("block", string_of_int block);
             ("spec", spec); ("dtype", "f32") ]
-        ~metrics:[ ("seconds", !best); ("gflops", gflops) ] ())
+        ~metrics:[ ("seconds", best); ("gflops", gflops) ] ())
     [ (128, 32, "BCa"); (256, 32, "BCa") ];
   (* pool-on points: the same contraction dispatched onto the persistent
      worker team (parallel outer loop, 2 logical threads) *)
@@ -548,17 +585,13 @@ let run_gemm_points () =
       Tensor.fill_random b rng ~scale:1.0;
       let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
       let cp = Gemm.alloc_c cfg in
-      Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp;
-      let best = ref Float.infinity in
-      for _ = 1 to 3 do
-        let t0 = Telemetry.Clock.now_s () in
-        Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp;
-        best := Float.min !best (Telemetry.Clock.now_s () -. t0)
-      done;
-      let gflops = Gemm.flops cfg /. !best /. 1e9 in
+      let best =
+        best_time (fun () -> Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp)
+      in
+      let gflops = Gemm.flops cfg /. best /. 1e9 in
       Printf.printf
         "  gemm %4dx%4dx%4d f32 %-6s %d thr (pool) %8.3f ms  %8.2f GFLOPS\n%!"
-        dim dim dim spec nthreads (1e3 *. !best) gflops;
+        dim dim dim spec nthreads (1e3 *. best) gflops;
       record_bench ~name:"gemm"
         ~config:
           [ ("m", string_of_int dim); ("n", string_of_int dim);
@@ -566,7 +599,7 @@ let run_gemm_points () =
             ("spec", spec); ("dtype", "f32");
             ("nthreads", string_of_int nthreads);
             ("pool", if Team.pool_enabled () then "on" else "off") ]
-        ~metrics:[ ("seconds", !best); ("gflops", gflops) ] ())
+        ~metrics:[ ("seconds", best); ("gflops", gflops) ] ())
     [ (128, 32, "BCa", 2); (256, 32, "BCa", 2) ]
 
 (* ---- dispatch-overhead microbenchmark (persistent pool vs spawn) ----
@@ -745,14 +778,7 @@ let run_recorder () =
     Tensor.fill_random b rng ~scale:1.0;
     let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
     let cp = Gemm.alloc_c cfg in
-    Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp;
-    let best = ref Float.infinity in
-    for _ = 1 to 5 do
-      let t0 = Telemetry.Clock.now_s () in
-      Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp;
-      best := Float.min !best (Telemetry.Clock.now_s () -. t0)
-    done;
-    !best
+    best_time (fun () -> Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp)
   in
   let gemm_on_s = gemm_point true in
   let gemm_off_s = gemm_point false in

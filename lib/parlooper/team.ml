@@ -123,21 +123,35 @@ let loop_site = Fault.site "team.worker.loop"
 
 (* ---- hybrid spin-then-park waiting ----
 
-   Spin briefly before parking on a condition variable, so back-to-back
+   Spin before parking on a condition variable, so back-to-back
    dispatches and barrier crossings cost no syscalls. The spin phase
    yields to the scheduler every few probes: when logical threads
    outnumber cores (systhreads multiplexed onto one domain's runtime
    lock), a pure cpu_relax spin would hold the domain until the
-   preemption tick and starve the very thread it is waiting for. *)
+   preemption tick and starve the very thread it is waiting for.
+
+   A waiter spins for at least [spin_limit] probes and until [spin_ns]
+   have passed, like an OpenMP runtime's block time. Parking lets the OS
+   re-place the thread at every wake-up, and a futex wake tends to land
+   on the waker's CPU: two team threads that park and wake each other
+   once per region can then share one CPU for seconds while another
+   idles, and every region runs at one thread's speed. A region of a few
+   milliseconds re-dispatches well inside the budget, so back-to-back
+   regions never park; an idle pool still parks after [spin_ns]. *)
 
 let spin_limit = 256
+let spin_ns = 2_000_000
 
 let spin_until pred =
   pred ()
   ||
+  let t0 = Telemetry.Clock.now_int_ns () in
   let i = ref 0 in
   let hit = ref false in
-  while (not !hit) && !i < spin_limit do
+  while
+    (not !hit)
+    && (!i < spin_limit || Telemetry.Clock.now_int_ns () - t0 < spin_ns)
+  do
     if !i land 3 = 3 then Thread.yield () else Domain.cpu_relax ();
     incr i;
     hit := pred ()

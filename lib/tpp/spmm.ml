@@ -18,53 +18,33 @@ let config_to_string c =
     (Datatype.to_string c.dtype)
     c.beta
 
-type kernel = { cfg : config }
+type kernel = { cfg : config; brgemm : Brgemm.kernel }
 
-let compile cfg = { cfg }
+let compile cfg =
+  let b_layout =
+    if Datatype.vnni_factor cfg.dtype = 1 then Brgemm.Flat else Brgemm.Vnni
+  in
+  { cfg;
+    brgemm =
+      Brgemm.compile
+        (Brgemm.make_config ~dtype:cfg.dtype ~b_layout ~beta:cfg.beta
+           ~m:cfg.bm ~n:cfg.n ~k:cfg.bk ()) }
+
 let config_of k = k.cfg
 
+(* A's origin is stored block 0 and B's is row 0, column [col] of the
+   VNNI-packed B; the offsets pick each stored block and its B rows. *)
 let exec ker ~a ~block_row ~b ~col ~c =
-  let { n; bm; bk; dtype; beta } = ker.cfg in
-  assert (a.Bcsc.bm = bm && a.Bcsc.bk = bk);
-  assert (c.View.rows >= bm && c.View.cols >= n);
+  let { n; bm; bk; dtype; _ } = ker.cfg in
+  if a.Bcsc.bm <> bm || a.Bcsc.bk <> bk then
+    invalid_arg "Spmm.exec: A's block size differs from the kernel's";
   let v = Datatype.vnni_factor dtype in
-  let ar = Scratch.arena () in
-  let acc = Scratch.lease ar (bm * n) in
-  if beta = 0.0 then Array.fill acc 0 (bm * n) 0.0;
-  if beta <> 0.0 then
-    for i = 0 to bm - 1 do
-      for j = 0 to n - 1 do
-        acc.((i * n) + j) <- View.get c i j
-      done
-    done;
-  let blocks = Bcsc.row_blocks a block_row in
-  Array.iter
-    (fun (jb, ablk) ->
-      let bdata = b.View.data in
-      let bbase = b.View.off + (col * v) in
-      for i = 0 to bm - 1 do
-        let crow = i * n in
-        for p = 0 to bk - 1 do
-          let av = View.get ablk i p in
-          if av <> 0.0 then begin
-            (* logical K row of this element; VNNI packed row = lp/v *)
-            let lp = (jb * bk) + p in
-            let boff = bbase + (lp / v * b.View.ld) + (lp mod v) in
-            for j = 0 to n - 1 do
-              Array.unsafe_set acc (crow + j)
-                (Array.unsafe_get acc (crow + j)
-                +. (av *. Bigarray.Array1.unsafe_get bdata (boff + (j * v))))
-            done
-          end
-        done
-      done)
-    blocks;
-  for i = 0 to bm - 1 do
-    for j = 0 to n - 1 do
-      View.set c i j acc.((i * n) + j)
-    done
-  done;
-  Scratch.release ar acc
+  let blocks = a.Bcsc.row_index.(block_row) in
+  Brgemm.exec_offsets ker.brgemm ~a:(Bcsc.block_view a 0)
+    ~b:{ b with View.off = b.View.off + (col * v); rows = bk / v; cols = n * v }
+    ~c
+    ~offs_a:(Array.map (fun (_, slot) -> slot * bm * bk) blocks)
+    ~offs_b:(Array.map (fun (jb, _) -> jb * bk / v * b.View.ld) blocks)
 
 let effective_flops cfg ~a ~block_row =
   let nblocks = Array.length (Bcsc.row_blocks a block_row) in

@@ -5,9 +5,10 @@
     VNNI-packed layout (the paper pre-formats B in VNNI to deploy
     low-precision FMAs; for FP32 the packing factor is 1 = flat).
 
-    The microkernel walks the non-empty blocks of one block-row of A and
-    multiplies each with the corresponding [bk x bn] block of B, with FP32
-    accumulation ("2D register blocking whenever possible"). *)
+    One block row of A is one offsets-form {!Brgemm} call: batch i
+    multiplies the row's i-th stored block (in block-column order) with
+    the [bk x bn] block of B in that block column, so SpMM runs on the
+    native BRGEMM microkernel and keeps its accumulator contract. *)
 
 type config = {
   n : int;  (** bn: C-block columns *)
@@ -28,9 +29,12 @@ val compile : config -> kernel
 val config_of : kernel -> config
 
 (** [exec k ~a ~block_row ~b ~col ~c]:
-    C_block += (block row [block_row] of A) x B[:, col .. col+n-1].
+    C_block = beta * C_block + (block row [block_row] of A) x
+    B[:, col .. col+n-1].
     [b] is a view of the whole VNNI-packed B ([K/v] rows x [N*v] cols);
-    [c] is the [bm x n] output block view. *)
+    [c] is the [bm x n] output block view. Raises [Invalid_argument] if
+    A's block size is not the kernel's, or if a stored block would reach
+    past the end of [b]'s buffer (e.g. [col] too large). *)
 val exec :
   kernel ->
   a:Bcsc.t ->

@@ -231,6 +231,176 @@ let prop_brgemm_matches_reference =
         ~c:(Tensor.view2d c);
       Tensor.approx_equal ~tol:1e-4 c (Reference.matmul a b))
 
+(* ---- native kernel vs the OCaml reference, bit for bit ---- *)
+
+type form = Stride | Offsets | List
+
+let form_name = function
+  | Stride -> "stride"
+  | Offsets -> "offsets"
+  | List -> "list"
+
+(* An operand value: uniform, or (when [specials]) sometimes one of the
+   values the accumulator contract treats specially — +-0 and NaN in A,
+   +-inf and +-0 in B, +-0 in C. *)
+let draw rng ~specials which =
+  let u = Prng.float rng in
+  if (not specials) || u >= 0.2 then Prng.uniform rng ~scale:2.0
+  else
+    match which with
+    | `A -> if u < 0.08 then 0.0 else if u < 0.16 then -0.0 else Float.nan
+    | `B ->
+      if u < 0.05 then Float.infinity
+      else if u < 0.1 then Float.neg_infinity
+      else if u < 0.15 then 0.0
+      else -0.0
+    | `C -> if u < 0.1 then 0.0 else -0.0
+
+let filled rng ~specials which dtype len =
+  let t = Tensor.create dtype [| len |] in
+  for i = 0 to len - 1 do
+    Tensor.set_flat t i (draw rng ~specials which)
+  done;
+  t
+
+(* first flat index where [x] and [y] differ as FP32 bit patterns *)
+let first_bit_mismatch x y =
+  let n = Tensor.numel x in
+  let rec go i =
+    if i >= n then None
+    else if
+      Int32.bits_of_float (Tensor.get_flat x i)
+      <> Int32.bits_of_float (Tensor.get_flat y i)
+    then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* One random case: a shape (m, n not multiples of the register tile,
+   padded leading dimensions), an exec form, beta, flat FP32 or VNNI BF16
+   B, an FP32 or BF16 C. Both kernels start from the same C buffer, and
+   the whole buffer (padding included) must come out bit-identical. *)
+let native_vs_reference_case rng case =
+  let vnni = Prng.bernoulli rng ~p:0.5 in
+  let dtype = if vnni then Datatype.BF16 else Datatype.F32 in
+  let v = Datatype.vnni_factor dtype in
+  let c_dtype =
+    if Prng.bernoulli rng ~p:0.5 then Datatype.BF16 else Datatype.F32
+  in
+  let beta = if Prng.bernoulli rng ~p:0.5 then 1.0 else 0.0 in
+  let form =
+    match Prng.int rng 3 with 0 -> Stride | 1 -> Offsets | _ -> List
+  in
+  let specials = Prng.bernoulli rng ~p:0.5 in
+  let m = 1 + Prng.int rng 14 and n = 1 + Prng.int rng 40 in
+  let k = v * (1 + Prng.int rng (16 / v)) in
+  let count = Prng.int rng 4 in
+  let lda = k + Prng.int rng 3 in
+  let b_rows = k / v and b_cols = n * v in
+  let ldb = b_cols + Prng.int rng 3 in
+  let ldc = n + Prng.int rng 3 in
+  (* batch blocks live in slots of a shared buffer per operand *)
+  let slots = max 1 count + Prng.int rng 2 in
+  let slot_a = (m * lda) + Prng.int rng 3
+  and slot_b = (b_rows * ldb) + Prng.int rng 3 in
+  let a = filled rng ~specials `A dtype ((slots * slot_a) + Prng.int rng 4) in
+  let b = filled rng ~specials `B dtype ((slots * slot_b) + Prng.int rng 4) in
+  let c_off = Prng.int rng 3 in
+  let c0 =
+    filled rng ~specials `C c_dtype (c_off + (m * ldc) + Prng.int rng 4)
+  in
+  let a_at off = Tensor.view_flat a ~off ~rows:m ~cols:k ~ld:lda in
+  let b_at off = Tensor.view_flat b ~off ~rows:b_rows ~cols:b_cols ~ld:ldb in
+  let pick slot = Array.init count (fun _ -> slot * Prng.int rng slots) in
+  let offs_a = pick slot_a and offs_b = pick slot_b in
+  let ker =
+    Brgemm.compile
+      (Brgemm.make_config ~dtype
+         ~b_layout:(if vnni then Brgemm.Vnni else Brgemm.Flat)
+         ~beta ~m ~n ~k ())
+  in
+  let run exec_stride exec_offsets exec_list =
+    let c = Tensor.copy c0 in
+    let cv = Tensor.view_flat c ~off:c_off ~rows:m ~cols:n ~ld:ldc in
+    (match form with
+    | Stride ->
+      exec_stride ker ~a:(a_at 0) ~b:(b_at 0) ~c:cv ~stride_a:slot_a
+        ~stride_b:slot_b ~count
+    | Offsets -> exec_offsets ker ~a:(a_at 0) ~b:(b_at 0) ~c:cv ~offs_a ~offs_b
+    | List ->
+      exec_list ker
+        ~ab:(List.init count (fun i -> (a_at offs_a.(i), b_at offs_b.(i))))
+        ~c:cv);
+    c
+  in
+  let native = run Brgemm.exec_stride Brgemm.exec_offsets Brgemm.exec_list in
+  let reference =
+    run Brgemm.Reference.exec_stride Brgemm.Reference.exec_offsets
+      Brgemm.Reference.exec_list
+  in
+  match first_bit_mismatch native reference with
+  | None -> ()
+  | Some i ->
+    Alcotest.failf
+      "case %d: %s m=%d n=%d k=%d B=%s C=%s beta=%g count=%d lda=%d ldb=%d \
+       ldc=%d specials=%b: C[%d] native %08lx, reference %08lx"
+      case (form_name form) m n k
+      (if vnni then "vnni-bf16" else "flat-f32")
+      (Datatype.to_string c_dtype) beta count lda ldb ldc specials i
+      (Int32.bits_of_float (Tensor.get_flat native i))
+      (Int32.bits_of_float (Tensor.get_flat reference i))
+
+let test_brgemm_native_matches_reference () =
+  let rng = Prng.create 2024 in
+  for case = 0 to 1199 do
+    native_vs_reference_case rng case
+  done
+
+(* Every exec form refuses, before entering native code, a call whose
+   batch would reach past its buffer. *)
+let test_brgemm_bounds_checked () =
+  let expect_invalid what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  let ker = Brgemm.compile (Brgemm.make_config ~beta:0.0 ~m:4 ~n:4 ~k:4 ()) in
+  let buf len = Tensor.create Datatype.F32 [| len |] in
+  let a = buf 32 and b = buf 32 and c = buf 20 in
+  let blk t off = Tensor.view_flat t ~off ~rows:4 ~cols:4 ~ld:4 in
+  let stride ~stride_a ~stride_b ~count () =
+    Brgemm.exec_stride ker ~a:(blk a 0) ~b:(blk b 0) ~c:(blk c 0) ~stride_a
+      ~stride_b ~count
+  in
+  let offsets offs_a offs_b () =
+    Brgemm.exec_offsets ker ~a:(blk a 0) ~b:(blk b 0) ~c:(blk c 0) ~offs_a
+      ~offs_b
+  in
+  (* two 16-element blocks per buffer are in range *)
+  stride ~stride_a:16 ~stride_b:16 ~count:2 ();
+  expect_invalid "stride: A past the end"
+    (stride ~stride_a:16 ~stride_b:16 ~count:3);
+  expect_invalid "stride: B past the end"
+    (stride ~stride_a:16 ~stride_b:17 ~count:2);
+  expect_invalid "stride: A before the start"
+    (stride ~stride_a:(-1) ~stride_b:16 ~count:2);
+  offsets [| 16; 0 |] [| 0; 16 |] ();
+  expect_invalid "offsets: A past the end" (offsets [| 0; 17 |] [| 0; 16 |]);
+  expect_invalid "offsets: B before the start"
+    (offsets [| 0; 16 |] [| -1; 0 |]);
+  expect_invalid "offsets: lengths differ" (offsets [| 0 |] [| 0; 16 |]);
+  let list ?(cv = blk c 0) ab () = Brgemm.exec_list ker ~ab ~c:cv in
+  let b_short = Tensor.view_flat b ~off:20 ~rows:3 ~cols:4 ~ld:4 in
+  list [ (blk a 0, blk b 0); (blk a 16, blk b 16) ] ();
+  expect_invalid "list: a later B past the end"
+    (list
+       [ (blk a 0, blk b 0);
+         (blk a 16, { b_short with Tensor.View.rows = 4 }) ]);
+  let c_past_end = { (blk c 4) with Tensor.View.off = 5 } in
+  expect_invalid "C past the end" (fun () ->
+      Brgemm.exec ker ~a:(blk a 0) ~b:(blk b 0) ~c:c_past_end);
+  expect_invalid "list: empty batch, C past the end" (list [] ~cv:c_past_end)
+
 (* ---- spmm tpp ---- *)
 
 let test_spmm_tpp_block_row () =
@@ -252,6 +422,86 @@ let test_spmm_tpp_block_row () =
         Tensor.get full [| 8 + i.(0); i.(1) |])
   in
   checkb "block row 2" true (Tensor.approx_equal ~tol:1e-5 c expect)
+
+(* Native SpMM equals the reference offsets-form BRGEMM it is defined
+   by: one batch per stored block of the row, bit for bit. *)
+let test_spmm_native_matches_reference_offsets () =
+  let rng = Prng.create 77 in
+  for case = 0 to 59 do
+    let dtype = if case mod 2 = 0 then Datatype.F32 else Datatype.BF16 in
+    let v = Datatype.vnni_factor dtype in
+    let bm = 1 + Prng.int rng 6 and bk = v * (1 + Prng.int rng 4) in
+    let n = 1 + Prng.int rng 20 in
+    let mb = 1 + Prng.int rng 3 and kb = 1 + Prng.int rng 4 in
+    let nb = 1 + Prng.int rng 2 in
+    let rows = mb * bm and cols = kb * bk and ncols = nb * n in
+    (* whole zero blocks are dropped; +-0 and NaN remain inside blocks *)
+    let keep = Array.init (mb * kb) (fun _ -> Prng.bernoulli rng ~p:0.6) in
+    let dense =
+      Tensor.init dtype [| rows; cols |] (fun i ->
+          if keep.((i.(0) / bm * kb) + (i.(1) / bk)) then
+            draw rng ~specials:true `A
+          else 0.0)
+    in
+    let a = Bcsc.of_dense ~bm ~bk dense in
+    let bp =
+      Vnni.pack
+        (Tensor.init dtype [| cols; ncols |] (fun _ ->
+             draw rng ~specials:(case mod 3 = 0) `B))
+    in
+    let ldb = ncols * v in
+    let beta = if Prng.bernoulli rng ~p:0.5 then 1.0 else 0.0 in
+    let c_dtype = if case mod 4 < 2 then Datatype.F32 else Datatype.BF16 in
+    let ker = Spmm.compile (Spmm.make_config ~dtype ~beta ~n ~bm ~bk ()) in
+    let rker =
+      Brgemm.compile
+        (Brgemm.make_config ~dtype
+           ~b_layout:(if v = 1 then Brgemm.Flat else Brgemm.Vnni)
+           ~beta ~m:bm ~n ~k:bk ())
+    in
+    for ib = 0 to mb - 1 do
+      for jn = 0 to nb - 1 do
+        let c0 = filled rng ~specials:true `C c_dtype (bm * n) in
+        let c1 = Tensor.copy c0 and c2 = Tensor.copy c0 in
+        let cv t = Tensor.view_flat t ~off:0 ~rows:bm ~cols:n ~ld:n in
+        Spmm.exec ker ~a ~block_row:ib
+          ~b:(Tensor.view_flat bp ~off:0 ~rows:(cols / v) ~cols:ldb ~ld:ldb)
+          ~col:(jn * n) ~c:(cv c1);
+        let blocks = a.Bcsc.row_index.(ib) in
+        Brgemm.Reference.exec_offsets rker ~a:(Bcsc.block_view a 0)
+          ~b:
+            (Tensor.view_flat bp ~off:(jn * n * v) ~rows:(bk / v) ~cols:(n * v)
+               ~ld:ldb)
+          ~c:(cv c2)
+          ~offs_a:(Array.map (fun (_, slot) -> slot * bm * bk) blocks)
+          ~offs_b:(Array.map (fun (jb, _) -> jb * bk / v * ldb) blocks);
+        match first_bit_mismatch c1 c2 with
+        | None -> ()
+        | Some i ->
+          Alcotest.failf "case %d (%s, bm=%d bk=%d n=%d) row %d col %d: C[%d]"
+            case (Datatype.to_string dtype) bm bk n ib jn i
+      done
+    done
+  done
+
+let test_spmm_col_bounds_checked () =
+  let rng = Prng.create 78 in
+  let a =
+    Bcsc.random ~rng ~dtype:Datatype.F32 ~rows:8 ~cols:16 ~bm:4 ~bk:8
+      ~sparsity:0.0
+  in
+  let bp = Vnni.pack (random_tensor rng 16 8) in
+  let ker = Spmm.compile (Spmm.make_config ~beta:0.0 ~n:4 ~bm:4 ~bk:8 ()) in
+  let c = Tensor.create Datatype.F32 [| 4; 4 |] in
+  let exec col =
+    Spmm.exec ker ~a ~block_row:1
+      ~b:(Tensor.view_flat bp ~off:0 ~rows:16 ~cols:8 ~ld:8)
+      ~col ~c:(Tensor.view2d c)
+  in
+  exec 4;
+  match exec 5 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "col past B's last column: expected Invalid_argument"
 
 (* ---- composite blocks ---- *)
 
@@ -469,9 +719,9 @@ let test_arena_lease_release_reuse () =
   checki "reset drops slots" 0 (Scratch.total_slots ())
 
 let test_brgemm_hot_loop_allocates_nothing () =
-  (* after warmup, exec_stride must not touch the minor heap: the
-     accumulator comes from the arena and loads/stores go through
-     unboxed bigarray primitives *)
+  (* after warmup, the native exec paths must not touch the minor heap:
+     bounds checks, the recorder span and the guard are allocation-free
+     and the kernel is a [@@noalloc] call *)
   let rng = Prng.create 11 in
   let a = random_tensor rng 16 32 and b = random_tensor rng 32 16 in
   let c = Tensor.create Datatype.F32 [| 16; 16 |] in
@@ -479,9 +729,18 @@ let test_brgemm_hot_loop_allocates_nothing () =
     Brgemm.compile (Brgemm.make_config ~beta:0.0 ~m:16 ~n:16 ~k:16 ())
   in
   let va = Tensor.view2d a and vb = Tensor.view2d b and vc = Tensor.view2d c in
+  let bf = random_tensor ~dtype:Datatype.BF16 rng 16 32 in
+  let vnni =
+    Brgemm.compile
+      (Brgemm.make_config ~dtype:Datatype.BF16 ~b_layout:Brgemm.Vnni ~beta:1.0
+         ~m:16 ~n:16 ~k:16 ())
+  in
+  let vbf = Tensor.view_flat bf ~off:0 ~rows:8 ~cols:32 ~ld:32 in
+  let offs_a = [| 16; 0 |] and offs_b = [| 0; 256 |] in
   let exec () =
     Brgemm.exec_stride ker ~a:va ~b:vb ~c:vc ~stride_a:16 ~stride_b:(16 * 16)
-      ~count:2
+      ~count:2;
+    Brgemm.exec_offsets vnni ~a:va ~b:vbf ~c:vc ~offs_a ~offs_b
   in
   for _ = 1 to 50 do exec () done;
   let before = Gc.minor_words () in
@@ -637,8 +896,18 @@ let () =
           Alcotest.test_case "address list" `Quick test_brgemm_list;
           Alcotest.test_case "vnni" `Quick test_brgemm_vnni;
           qt prop_brgemm_matches_reference;
+          Alcotest.test_case "native == reference, bit for bit" `Quick
+            test_brgemm_native_matches_reference;
+          Alcotest.test_case "bounds checked" `Quick test_brgemm_bounds_checked;
         ] );
-      ("spmm", [ Alcotest.test_case "block row" `Quick test_spmm_tpp_block_row ]);
+      ( "spmm",
+        [
+          Alcotest.test_case "block row" `Quick test_spmm_tpp_block_row;
+          Alcotest.test_case "native == reference offsets" `Quick
+            test_spmm_native_matches_reference_offsets;
+          Alcotest.test_case "col bounds checked" `Quick
+            test_spmm_col_bounds_checked;
+        ] );
       ( "blocks",
         [
           Alcotest.test_case "softmax" `Quick test_softmax_matches_reference;
