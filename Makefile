@@ -26,8 +26,8 @@ smoke-pool: build
 	dune exec bench/main.exe -- dispatch --json /tmp/bench-pool.json
 	@test -s /tmp/bench-pool.json && echo "smoke-pool: /tmp/bench-pool.json ok"
 
-# Chaos smoke (~2 s): the serve loop under the default seeded fault
-# plan (every fault-site class fires). The bench binary exits non-zero
+# Chaos smoke (~2 s): a lone scheduler (a 1-replica fleet) under the
+# default seeded fault plan (every fault-site class fires). The bench binary exits non-zero
 # if any liveness/ledger/bit-identity invariant is violated, if no
 # fault was actually injected, or if the bench JSON fails Json_check.
 smoke-chaos: build
@@ -117,7 +117,7 @@ smoke-tune: build
 
 # Perf-regression smoke (~12 s): rerun the recorder microbench, the
 # measured GEMM points (native BRGEMM, 1 and 2 threads) and the
-# serve-level chaos harness, then gate against the committed baseline
+# single-replica chaos run, then gate against the committed baseline
 # (bench/baselines/smoke.json), matching entries by name and config,
 # with per-metric tolerances — exact match on correctness counters
 # (violations, mismatched, numeric_errors), a 1.5x band on timing and
@@ -132,15 +132,21 @@ smoke-regress: build
 
 # Causal-tracing smoke (~3 s): a 3-replica disaggregated serve under
 # tight deadlines with the tail sampler armed, then the worst retained
-# TTFT exemplar must resolve to a complete causal timeline that reaches
-# a decode span, and every dumped trace JSON must validate as a Chrome
-# trace (recorder check).
+# TTFT exemplar must resolve to a complete causal timeline, the worst
+# retained TPOT exemplar must resolve to a complete timeline that
+# reaches a decode span (TPOT exemplars are decode latencies; under the
+# 30 ms deadline the worst TTFT is usually a request cancelled before
+# its first decode), and every dumped trace JSON must validate as a
+# Chrome trace (recorder check).
 smoke-trace: build
 	rm -rf /tmp/parlooper-traces
 	dune exec bin/parlooper_cli.exe -- serve --rate 60 --duration 2 --deadline-ms 30 --replicas 3 --disaggregate --trace-dir /tmp/parlooper-traces --trace-sample 8
-	dune exec bin/parlooper_cli.exe -- trace worst --metric ttft --dir /tmp/parlooper-traces --require-decode > /tmp/parlooper-trace-worst.txt
+	dune exec bin/parlooper_cli.exe -- trace worst --metric ttft --dir /tmp/parlooper-traces > /tmp/parlooper-trace-worst.txt
 	@grep -q "trace_end" /tmp/parlooper-trace-worst.txt \
 	  || { echo "smoke-trace: worst trace has no terminal span"; exit 1; }
+	dune exec bin/parlooper_cli.exe -- trace worst --metric tpot --dir /tmp/parlooper-traces --require-decode > /tmp/parlooper-trace-worst-tpot.txt
+	@grep -q "trace_end" /tmp/parlooper-trace-worst-tpot.txt \
+	  || { echo "smoke-trace: worst TPOT trace has no terminal span"; exit 1; }
 	dune exec bin/parlooper_cli.exe -- recorder check /tmp/parlooper-traces
 	@echo "smoke-trace: /tmp/parlooper-traces ok"
 
@@ -158,7 +164,8 @@ smoke-trace: build
 # the online spec cache demonstrably serves, tunes, and hot-swaps in
 # the serve path, the committed perf baseline must hold within its
 # per-metric tolerances, and a tail-sampled serve run must yield a
-# complete causal timeline for its worst retained TTFT exemplar.
+# complete causal timeline for its worst retained TTFT exemplar and a
+# decode-reaching one for its worst retained TPOT exemplar.
 ci: fmt build test smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-migrate smoke-tune smoke-regress smoke-trace
 
 clean:

@@ -16,7 +16,7 @@
    predicted-vs-measured model deviation — at the end. Pass --json FILE
    to write the machine-readable BENCH file (schema parlooper-bench/6:
    bench name + config + metrics per entry, plus per-replica metric
-   blocks and a fleet rollup for cluster runs, and the kv.pages.* /
+   blocks and a fleet rollup for serve runs, and the kv.pages.* /
    serve.spec.* counters on serve entries) for runs that produce
    metrics (serve, gemm, micro); the file is validated before the
    process exits.
@@ -50,7 +50,7 @@ open Toolkit
 type bench_entry = {
   bname : string;
   config : (string * string) list;
-  metrics : (string * float) list;  (* fleet rollup for cluster runs *)
+  metrics : (string * float) list;  (* fleet rollup for serve runs *)
   replicas : (int * (string * float) list) list;  (* [] = omit the key *)
 }
 
@@ -137,163 +137,6 @@ let write_bench_json path =
    Any violation prints a FAIL line and the process exits non-zero, so
    `make smoke-regress` can gate a change on a committed baseline. *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-(* minimal recursive-descent reader — enough for the bench schema (and
-   strict about it); not a general JSON library *)
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let lit word v =
-    if !pos + String.length word <= n
-       && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let string_body () =
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents b
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape"
-           else
-             let e = s.[!pos] in
-             advance ();
-             match e with
-             | '"' -> Buffer.add_char b '"'
-             | '\\' -> Buffer.add_char b '\\'
-             | '/' -> Buffer.add_char b '/'
-             | 'n' -> Buffer.add_char b '\n'
-             | 't' -> Buffer.add_char b '\t'
-             | 'r' -> Buffer.add_char b '\r'
-             | 'b' -> Buffer.add_char b '\b'
-             | 'f' -> Buffer.add_char b '\012'
-             | 'u' ->
-               if !pos + 4 > n then fail "truncated \\u escape"
-               else begin
-                 (* bench strings are ASCII; keep the escape verbatim *)
-                 Buffer.add_string b ("\\u" ^ String.sub s !pos 4);
-                 pos := !pos + 4
-               end
-             | _ -> fail "unknown escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char b c;
-          go ()
-        end
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Jnum f
-    | None -> fail "malformed number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' ->
-      advance ();
-      Jstr (string_body ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          expect '"';
-          let k = string_body () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Jobj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Jarr []
-      end
-      else begin
-        let rec elements acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Jarr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elements []
-      end
-    | Some 't' -> lit "true" (Jbool true)
-    | Some 'f' -> lit "false" (Jbool false)
-    | Some 'n' -> lit "null" Jnull
-    | Some _ -> number ()
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing bytes after value";
-  v
-
 (* An entry is identified by its name and its config: the "gemm"
    experiment records several entries under one name, one per shape and
    thread count. *)
@@ -303,35 +146,37 @@ let entry_key name config =
     :: List.map (fun (k, v) -> k ^ "=" ^ v) (List.sort compare config))
 
 (* baseline entries: name, config, metric name -> value *)
-let baseline_metrics (j : json) :
+let baseline_metrics (j : Telemetry.Json_check.t) :
     (string * (string * string) list * (string * float) list) list =
-  let obj = function Jobj kv -> kv | _ -> raise (Bad_json "expected object") in
+  let module J = Telemetry.Json_check in
+  let bad msg = raise (J.Bad_json msg) in
+  let obj = function J.Obj kv -> kv | _ -> bad "expected object" in
   let benches =
     match List.assoc_opt "benches" (obj j) with
-    | Some (Jarr l) -> l
-    | _ -> raise (Bad_json "no benches array")
+    | Some (J.Arr l) -> l
+    | _ -> bad "no benches array"
   in
   List.map
     (fun e ->
       let kv = obj e in
       let name =
         match List.assoc_opt "name" kv with
-        | Some (Jstr s) -> s
-        | _ -> raise (Bad_json "bench entry without a name")
+        | Some (J.Str s) -> s
+        | _ -> bad "bench entry without a name"
       in
       let config =
         match List.assoc_opt "config" kv with
-        | Some (Jobj cs) ->
+        | Some (J.Obj cs) ->
           List.filter_map
-            (fun (k, v) -> match v with Jstr s -> Some (k, s) | _ -> None)
+            (fun (k, v) -> match v with J.Str s -> Some (k, s) | _ -> None)
             cs
         | _ -> []
       in
       let metrics =
         match List.assoc_opt "metrics" kv with
-        | Some (Jobj ms) ->
+        | Some (J.Obj ms) ->
           List.filter_map
-            (fun (k, v) -> match v with Jnum f -> Some (k, f) | _ -> None)
+            (fun (k, v) -> match v with J.Num f -> Some (k, f) | _ -> None)
             ms
         | _ -> []
       in
@@ -363,18 +208,16 @@ let tolerance_of metric =
 
 let compare_with_baseline path =
   let baseline =
-    match
+    try
       let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
+      let s = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      parse_json s
+      baseline_metrics (Telemetry.Json_check.parse s)
     with
-    | j -> baseline_metrics j
-    | exception Sys_error msg ->
+    | Sys_error msg ->
       Printf.eprintf "cannot read baseline %s: %s\n" path msg;
       exit 1
-    | exception Bad_json msg ->
+    | Telemetry.Json_check.Bad_json msg ->
       Printf.eprintf "baseline %s is not valid bench JSON: %s\n" path msg;
       exit 1
   in
@@ -719,29 +562,41 @@ let run_recorder () =
   Modelkit.section "flight-recorder overhead: emit cost and pooled-GEMM impact";
   let was_enabled = Telemetry.Recorder.enabled () in
   let lbl = Telemetry.Recorder.intern "bench.recorder" in
-  let time_emits ?(kind = Telemetry.Recorder.Mark) enabled =
-    Telemetry.Recorder.set_enabled enabled;
-    (* warm-up creates the calling thread's ring so the timed loop sees
-       only the steady-state path *)
-    for i = 1 to 1_000 do
+  (* one timed pass of [iters] emits, in ns/event *)
+  let iters = 1_000_000 in
+  let pass kind =
+    let t0 = Telemetry.Clock.now_s () in
+    for i = 1 to iters do
       Telemetry.Recorder.emit kind ~label:lbl ~a:i ~b:0
     done;
-    (* min of 5 passes: the gate below compares two of these numbers,
-       so each must be a stable floor, not a one-shot sample *)
-    let iters = 1_000_000 in
-    let best = ref Float.infinity in
-    for _ = 1 to 5 do
-      let t0 = Telemetry.Clock.now_s () in
-      for i = 1 to iters do
-        Telemetry.Recorder.emit kind ~label:lbl ~a:i ~b:0
-      done;
-      best :=
-        Float.min !best (Telemetry.Clock.now_s () -. t0)
-    done;
-    1e9 *. !best /. float_of_int iters
+    1e9 *. (Telemetry.Clock.now_s () -. t0) /. float_of_int iters
   in
-  let emit_on_ns = time_emits true in
-  let emit_off_ns = time_emits false in
+  (* warm-up creates the calling thread's rings so the timed passes see
+     only the steady-state path *)
+  let warm kind =
+    for i = 1 to 1_000 do
+      Telemetry.Recorder.emit kind ~label:lbl ~a:i ~b:0
+    done
+  in
+  (* min of 5 passes each: the gate below compares the dense and trace
+     numbers, so each must be a stable floor, and their passes alternate
+     so host drift (clock frequency, steal) lands on both sides of the
+     ratio instead of on one *)
+  Telemetry.Recorder.set_enabled true;
+  warm Telemetry.Recorder.Mark;
+  warm Telemetry.Recorder.Trace_decode;
+  let emit_on_ns = ref Float.infinity and trace_emit_ns = ref Float.infinity in
+  for _ = 1 to 5 do
+    emit_on_ns := Float.min !emit_on_ns (pass Telemetry.Recorder.Mark);
+    trace_emit_ns :=
+      Float.min !trace_emit_ns (pass Telemetry.Recorder.Trace_decode)
+  done;
+  let emit_on_ns = !emit_on_ns and trace_emit_ns = !trace_emit_ns in
+  Telemetry.Recorder.set_enabled false;
+  let emit_off_ns =
+    List.fold_left Float.min Float.infinity
+      (List.init 5 (fun _ -> pass Telemetry.Recorder.Mark))
+  in
   let events_per_s = 1e9 /. emit_on_ns in
   Printf.printf
     "  emit: %6.1f ns/event enabled (%.1f Mevents/s), %6.2f ns/event \
@@ -750,7 +605,6 @@ let run_recorder () =
   (* trace-kind emits route to the per-thread trace lane: same write
      path plus one compare, so tracing a request may add at most 10% per
      event over the dense lane — a hard gate, not a report line *)
-  let trace_emit_ns = time_emits ~kind:Telemetry.Recorder.Trace_decode true in
   let trace_overhead_pct =
     100.0 *. ((trace_emit_ns /. emit_on_ns) -. 1.0)
   in
@@ -802,10 +656,10 @@ let run_recorder () =
 
 (* ---- serving benchmark (--serve): continuous batching over Llm.tiny ----
 
-   With --replicas N / --shards M / --disaggregate the load runs through
-   the cluster tier (Router + per-replica schedulers) instead of a lone
-   scheduler; the bench entry then carries the fleet rollup in "metrics"
-   and one per-replica block each under "replicas". *)
+   The load runs through the cluster tier (Router + per-replica
+   schedulers; a lone scheduler is --replicas 1, the default); the bench
+   entry carries the fleet rollup in "metrics" and one per-replica block
+   each under "replicas". *)
 
 let summary_metrics (s : Serve.Metrics.summary) =
   [ ("submitted", float_of_int s.Serve.Metrics.submitted);
@@ -856,19 +710,16 @@ let paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k ~draft_layers
 let run_serve ~rate ~duration ~replicas ~shards ~disaggregate ~placement
     ~paged ~block_size ~num_blocks ~spec_k ~draft_layers ~sys_prompt
     ~online_tune () =
-  let clustered = replicas > 1 || shards > 1 || disaggregate in
   Modelkit.section
-    (if clustered then
-       Printf.sprintf
-         "serving: %d replicas x %d shards%s (%s) over %s, Poisson %.0f \
-          req/s for %.1fs"
-         replicas shards
-         (if disaggregate then " + prefill tier" else "")
-         (Cluster.Router.placement_name placement) Llm.tiny.Llm.name rate duration
-     else
-       Printf.sprintf
-         "serving: continuous batching over %s, Poisson %.0f req/s for %.1fs"
-         Llm.tiny.Llm.name rate duration);
+    (Printf.sprintf
+       "serving: continuous batching over %s on %d replica%s x %d shard%s%s \
+        (%s), Poisson %.0f req/s for %.1fs"
+       Llm.tiny.Llm.name replicas
+       (if replicas = 1 then "" else "s")
+       shards
+       (if shards = 1 then "" else "s")
+       (if disaggregate then " + prefill tier" else "")
+       (Cluster.Router.placement_name placement) rate duration);
   if paged then
     Printf.printf "  paged KV: %d blocks x %d tokens, prefix sharing on\n%!"
       num_blocks block_size;
@@ -899,151 +750,126 @@ let run_serve ~rate ~duration ~replicas ~shards ~disaggregate ~placement
     (1e3 *. load.Serve.Load_gen.deadline_s)
     (Serve.Load_gen.dist_to_string load.Serve.Load_gen.prompt_len)
     (Serve.Load_gen.dist_to_string load.Serve.Load_gen.new_tokens);
-  let slo_metrics () =
-    [ ("slo_ttft_breaches",
-       float_of_int
-         (Telemetry.Counter.value Serve.Metrics.slo_ttft_breaches_name));
-      ("slo_deadline_breaches",
-       float_of_int
-         (Telemetry.Counter.value Serve.Metrics.slo_deadline_breaches_name))
-    ]
+  let rcfg =
+    { Cluster.Router.default_config with
+      Cluster.Router.replicas; shards; disaggregate; placement;
+      scheduler = scfg }
   in
-  (* let queued background tunes land so the recorded tuner.cache.*
-     counters are final, then report and stop the tuning domain *)
-  let finish_online_tune () =
-    if online_tune then begin
-      ignore (Spec_cache.drain ~timeout_s:10.0);
-      let s = Spec_cache.stats () in
-      Printf.printf
-        "  spec cache: %d hits, %d misses, %d hot-swaps, %d rejected, %d \
-         tunes\n%!"
-        s.Spec_cache.hits s.Spec_cache.misses s.Spec_cache.swaps
-        s.Spec_cache.rejected s.Spec_cache.tunes;
-      Spec_cache.disable ()
-    end
+  let router =
+    match Cluster.Router.create ~config:rcfg llm with
+    | Ok r -> r
+    | Error e ->
+      Printf.eprintf "serve: cannot build cluster: %s\n" e;
+      exit 1
   in
-  if not clustered then begin
-    let sched = Serve.Scheduler.create ~config:scfg llm in
-    let o = Serve.Driver.run sched trace in
-    finish_online_tune ();
-    Serve.Metrics.print o.Serve.Driver.summary;
-    (match Serve.Kv_pool.manager (Serve.Scheduler.pool sched) with
-    | Some m ->
-      Printf.printf "  arena after drain: %d/%d blocks free, %d prefix hits\n%!"
-        (Kv.Block_manager.free_blocks m)
-        (Kv.Block_manager.num_blocks m)
-        (Telemetry.Counter.value Kv.Block_manager.prefix_hits_name)
-    | None -> ());
-    record_bench ~name:"serve"
-      ~config:
-        ([ ("model", Llm.tiny.Llm.name); ("rate_hz", Printf.sprintf "%g" rate);
-           ("duration_s", Printf.sprintf "%g" duration);
-           ("deadline_ms",
-            Printf.sprintf "%g" (1e3 *. load.Serve.Load_gen.deadline_s));
-           ("policy",
-            Serve.Scheduler.policy_name
-              (Serve.Scheduler.config sched).Serve.Scheduler.policy);
-           ("max_batch",
-            string_of_int
-              (Serve.Scheduler.config sched).Serve.Scheduler.max_batch)
-         ]
-        @ paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k
-            ~draft_layers ~sys_prompt
-        @ [ ("online_tune", string_of_bool online_tune) ])
-      ~metrics:
-        (summary_metrics o.Serve.Driver.summary
-        @ slo_metrics ()
-        @ kv_spec_metrics ()
-        @ tuner_cache_metrics ())
-      ()
-  end
-  else begin
-    let rcfg =
-      { Cluster.Router.default_config with
-        Cluster.Router.replicas; shards; disaggregate; placement;
-        scheduler = scfg }
-    in
-    let router =
-      match Cluster.Router.create ~config:rcfg llm with
-      | Ok r -> r
-      | Error e ->
-        Printf.eprintf "serve: cannot build cluster: %s\n" e;
-        exit 1
-    in
-    let o = Cluster.Driver.run router trace in
-    finish_online_tune ();
-    Printf.printf "  fleet (merged across %d replica histograms):\n"
-      (List.length o.Cluster.Driver.per_replica);
-    Serve.Metrics.print o.Cluster.Driver.summary;
-    List.iter
-      (fun (i, s) ->
-        Printf.printf "  replica %d%s: %s\n" i
-          (if i >= replicas then " (prefill)" else "")
-          (Serve.Metrics.summary_to_string s))
-      o.Cluster.Driver.per_replica;
-    record_bench ~name:"serve"
-      ~config:
-        ([ ("model", Llm.tiny.Llm.name); ("rate_hz", Printf.sprintf "%g" rate);
-           ("duration_s", Printf.sprintf "%g" duration);
-           ("deadline_ms",
-            Printf.sprintf "%g" (1e3 *. load.Serve.Load_gen.deadline_s));
-           ("replicas", string_of_int replicas);
-           ("shards", string_of_int shards);
-           ("disaggregate", string_of_bool disaggregate);
-           ("placement", Cluster.Router.placement_name placement) ]
-        @ paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k
-            ~draft_layers ~sys_prompt
-        @ [ ("online_tune", string_of_bool online_tune) ])
-      ~metrics:
-        (summary_metrics o.Cluster.Driver.summary
-        @ slo_metrics ()
-        @ kv_spec_metrics ()
-        @ tuner_cache_metrics ()
-        @ [ ("routed",
-             float_of_int (Telemetry.Counter.value Cluster.Router.routed_name));
-            ("rerouted",
-             float_of_int (Telemetry.Counter.value Cluster.Router.rerouted_name));
-            ("adopted",
-             float_of_int (Telemetry.Counter.value Cluster.Router.adopted_name)) ])
-      ~replicas:
-        (List.map
-           (fun (i, s) -> (i, summary_metrics s))
-           o.Cluster.Driver.per_replica)
-      ()
-  end
+  let o = Cluster.Driver.run router trace in
+  if online_tune then begin
+    (* let queued background tunes land so the recorded tuner.cache.*
+       counters are final, then report and stop the tuning domain *)
+    ignore (Spec_cache.drain ~timeout_s:10.0);
+    let s = Spec_cache.stats () in
+    Printf.printf
+      "  spec cache: %d hits, %d misses, %d hot-swaps, %d rejected, %d \
+       tunes\n%!"
+      s.Spec_cache.hits s.Spec_cache.misses s.Spec_cache.swaps
+      s.Spec_cache.rejected s.Spec_cache.tunes;
+    Spec_cache.disable ()
+  end;
+  Printf.printf "  fleet (merged across %d replica histograms):\n"
+    (List.length o.Cluster.Driver.per_replica);
+  Serve.Metrics.print o.Cluster.Driver.summary;
+  List.iter
+    (fun (i, s) ->
+      Printf.printf "  replica %d%s: %s\n" i
+        (if i >= replicas then " (prefill)" else "")
+        (Serve.Metrics.summary_to_string s))
+    o.Cluster.Driver.per_replica;
+  List.iteri
+    (fun i pool ->
+      match Serve.Kv_pool.manager pool with
+      | Some m ->
+        Printf.printf "  arena %d after drain: %d/%d blocks free\n%!" i
+          (Kv.Block_manager.free_blocks m)
+          (Kv.Block_manager.num_blocks m)
+      | None -> ())
+    (Cluster.Router.pools router);
+  let c n = float_of_int (Telemetry.Counter.value n) in
+  record_bench ~name:"serve"
+    ~config:
+      ([ ("model", Llm.tiny.Llm.name); ("rate_hz", Printf.sprintf "%g" rate);
+         ("duration_s", Printf.sprintf "%g" duration);
+         ("deadline_ms",
+          Printf.sprintf "%g" (1e3 *. load.Serve.Load_gen.deadline_s));
+         ("policy", Serve.Scheduler.policy_name scfg.Serve.Scheduler.policy);
+         ("max_batch", string_of_int scfg.Serve.Scheduler.max_batch);
+         ("replicas", string_of_int replicas);
+         ("shards", string_of_int shards);
+         ("disaggregate", string_of_bool disaggregate);
+         ("placement", Cluster.Router.placement_name placement) ]
+      @ paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k
+          ~draft_layers ~sys_prompt
+      @ [ ("online_tune", string_of_bool online_tune) ])
+    ~metrics:
+      (summary_metrics o.Cluster.Driver.summary
+      @ [ ("slo_ttft_breaches", c Serve.Metrics.slo_ttft_breaches_name);
+          ("slo_deadline_breaches", c Serve.Metrics.slo_deadline_breaches_name)
+        ]
+      @ kv_spec_metrics ()
+      @ tuner_cache_metrics ()
+      @ [ ("routed", c Cluster.Router.routed_name);
+          ("rerouted", c Cluster.Router.rerouted_name);
+          ("adopted", c Cluster.Router.adopted_name) ])
+    ~replicas:
+      (List.map
+         (fun (i, s) -> (i, summary_metrics s))
+         o.Cluster.Driver.per_replica)
+    ()
 
 (* ---- chaos harness (--chaos): seeded fault injection over serving ----
 
-   Runs Serve.Chaos: a fault-free reference pass and a chaos pass over
-   the same virtual-clock trace, with the default plan covering every
-   fault-site class. Exits non-zero if any liveness/ledger/bit-identity
-   invariant is violated or if no fault actually fired (a plan that
-   injects nothing would make the "survived chaos" claim vacuous). *)
+   Runs Cluster.Chaos over a virtual-clock trace. A lone scheduler is
+   the 1-replica fleet (the default): the single-replica preset covers
+   every fault-site class a scheduler reaches, and the entry is recorded
+   as "chaos". With --replicas N (or --shards / --disaggregate /
+   --hard-kill, which need at least 2) the fleet runs with a mid-run
+   replica quarantine — or, with --hard-kill, a mid-run hard kill whose
+   in-flight sessions must live-migrate — and the entry, recorded as
+   "cluster-chaos", carries the router conservation and migration
+   counters and the fleet SLO-burn gauges. Exits non-zero if any
+   invariant is violated, if no fault actually fired (a plan that
+   injects nothing would make the "survived chaos" claim vacuous), or if
+   a hard kill completed no migration (the run then proved nothing
+   about failover). *)
 
 let chaos_failed = ref false
 
-(* cluster chaos (--chaos --replicas N): router fleet under the seeded
-   plan with a mid-run replica quarantine — or, with --hard-kill, a
-   mid-run hard kill whose in-flight sessions must live-migrate; the
-   bench entry carries the router conservation + migration counters and
-   the fleet SLO-burn gauges, and any invariant violation fails the
-   process like the single-replica run. A hard-kill run additionally
-   fails unless at least one migration completed (otherwise the run
-   proved nothing about failover). *)
-let run_cluster_chaos ~seed ~requests ~replicas ~shards ~disaggregate
-    ~hard_kill ~paged ~block_size ~num_blocks ~spec_k ~draft_layers
-    ~sys_prompt () =
-  let base = if hard_kill then Cluster.Chaos.hard_kill else Cluster.Chaos.default in
+let run_chaos ~seed ~requests ~replicas ~shards ~disaggregate ~hard_kill
+    ~paged ~block_size ~num_blocks ~spec_k ~draft_layers ~sys_prompt () =
+  let solo = replicas = 1 in
+  let base =
+    if hard_kill then Cluster.Chaos.hard_kill
+    else if solo then Cluster.Chaos.solo
+    else Cluster.Chaos.default
+  in
+  let disruption =
+    if hard_kill then
+      Printf.sprintf ", replica %d hard-killed mid-run"
+        base.Cluster.Chaos.hard_kill_replica
+    else if solo then ""
+    else
+      Printf.sprintf ", replica %d quarantined mid-run"
+        base.Cluster.Chaos.quarantine_replica
+  in
   Modelkit.section
     (Printf.sprintf
        "chaos: %d-replica fleet under seeded fault injection (seed %d, %d \
-        requests, %d shards%s%s, replica %d %s mid-run)"
-       replicas seed requests shards
+        requests%s%s%s%s%s)"
+       replicas seed requests
+       (if shards > 1 then Printf.sprintf ", %d shards" shards else "")
        (if disaggregate then ", disaggregated" else "")
        (if paged then ", paged KV" else "")
-       (if hard_kill then base.Cluster.Chaos.hard_kill_replica
-        else base.Cluster.Chaos.quarantine_replica)
-       (if hard_kill then "hard-killed" else "quarantined"));
+       (if spec_k > 0 then Printf.sprintf ", spec k=%d" spec_k else "")
+       disruption);
   let scheduler =
     { base.Cluster.Chaos.scheduler with
       Serve.Scheduler.paged; block_size; num_blocks; spec_k; draft_layers }
@@ -1056,24 +882,32 @@ let run_cluster_chaos ~seed ~requests ~replicas ~shards ~disaggregate
   let plan =
     match config.Cluster.Chaos.plan with
     | Some p -> p
-    | None -> Cluster.Chaos.default_plan seed
+    | None -> Cluster.Chaos.default_plan ~replicas seed
   in
   Printf.printf "  plan: %s\n%!" (Fault.plan_to_string plan);
   let r = Cluster.Chaos.run ~config () in
   print_string (Cluster.Chaos.report_to_string r);
   let f = float_of_int in
-  record_bench ~name:"cluster-chaos"
+  (* --compare keys entries by name and config: the lone-scheduler entry
+     keeps the "chaos" name and config keys of the committed baseline *)
+  let fleet_kvs =
+    if solo then []
+    else
+      [ ("replicas", string_of_int replicas);
+        ("shards", string_of_int shards);
+        ("disaggregate", string_of_bool disaggregate);
+        ("quarantine_replica",
+         string_of_int config.Cluster.Chaos.quarantine_replica);
+        ("hard_kill", string_of_bool hard_kill);
+        ("hard_kill_replica",
+         string_of_int config.Cluster.Chaos.hard_kill_replica) ]
+  in
+  record_bench
+    ~name:(if solo then "chaos" else "cluster-chaos")
     ~config:
-      ([ ("seed", string_of_int seed); ("requests", string_of_int requests);
-         ("replicas", string_of_int replicas);
-         ("shards", string_of_int shards);
-         ("disaggregate", string_of_bool disaggregate);
-         ("quarantine_replica",
-          string_of_int config.Cluster.Chaos.quarantine_replica);
-         ("hard_kill", string_of_bool hard_kill);
-         ("hard_kill_replica",
-          string_of_int config.Cluster.Chaos.hard_kill_replica);
-         ("plan", Fault.plan_to_string plan) ]
+      ([ ("seed", string_of_int seed); ("requests", string_of_int requests) ]
+      @ fleet_kvs
+      @ [ ("plan", Fault.plan_to_string plan) ]
       @ paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k ~draft_layers
           ~sys_prompt)
     ~metrics:
@@ -1097,6 +931,13 @@ let run_cluster_chaos ~seed ~requests ~replicas ~shards ~disaggregate
         ("fault_retries", f r.Cluster.Chaos.retries);
         ("fault_shed", f r.Cluster.Chaos.shed);
         ("kv_denied", f r.Cluster.Chaos.denied);
+        ("watchdog_trips", f r.Cluster.Chaos.trips);
+        ("pool_quarantined", f r.Cluster.Chaos.quarantined);
+        ("numeric_errors", f r.Cluster.Chaos.numeric_errors);
+        ("kv_pages_allocated", f r.Cluster.Chaos.pages_allocated);
+        ("kv_pages_freed", f r.Cluster.Chaos.pages_freed);
+        ("kv_cow_copies", f r.Cluster.Chaos.cow_copies);
+        ("kv_prefix_hits", f r.Cluster.Chaos.prefix_hits);
         ("double_released", f r.Cluster.Chaos.double_released);
         ("fleet_slo_ttft_breaches", f r.Cluster.Chaos.fleet_slo_ttft);
         ("fleet_slo_deadline_breaches", f r.Cluster.Chaos.fleet_slo_deadline);
@@ -1105,84 +946,18 @@ let run_cluster_chaos ~seed ~requests ~replicas ~shards ~disaggregate
         ("violations", f (List.length r.Cluster.Chaos.violations)) ]
     ();
   if r.Cluster.Chaos.violations <> [] then begin
-    Printf.eprintf "cluster chaos: %d invariant violation(s)\n"
+    Printf.eprintf "chaos: %d invariant violation(s)\n"
       (List.length r.Cluster.Chaos.violations);
     List.iter (Printf.eprintf "  - %s\n") r.Cluster.Chaos.violations;
     chaos_failed := true
   end;
   if r.Cluster.Chaos.injected = 0 then begin
-    Printf.eprintf "cluster chaos: plan injected no faults — run proves \
-                    nothing\n";
+    Printf.eprintf "chaos: plan injected no faults — run proves nothing\n";
     chaos_failed := true
   end;
   if hard_kill && r.Cluster.Chaos.migrations_completed = 0 then begin
-    Printf.eprintf "cluster chaos: hard kill completed no migrations — run \
-                    proves nothing about failover\n";
-    chaos_failed := true
-  end
-
-let run_chaos ~seed ~requests ~paged ~block_size ~num_blocks ~spec_k
-    ~draft_layers ~sys_prompt () =
-  Modelkit.section
-    (Printf.sprintf
-       "chaos: serve loop under seeded fault injection (seed %d, %d \
-        requests%s%s)"
-       seed requests
-       (if paged then ", paged KV" else "")
-       (if spec_k > 0 then Printf.sprintf ", spec k=%d" spec_k else ""));
-  let scheduler =
-    { Serve.Chaos.default.Serve.Chaos.scheduler with
-      Serve.Scheduler.paged; block_size; num_blocks; spec_k; draft_layers }
-  in
-  let config =
-    { Serve.Chaos.default with
-      Serve.Chaos.seed; requests; scheduler; shared_prefix = sys_prompt }
-  in
-  let plan =
-    match config.Serve.Chaos.plan with
-    | Some p -> p
-    | None -> Serve.Chaos.default_plan seed
-  in
-  Printf.printf "  plan: %s\n%!" (Fault.plan_to_string plan);
-  let r = Serve.Chaos.run ~config () in
-  print_string (Serve.Chaos.report_to_string r);
-  let f = float_of_int in
-  record_bench ~name:"chaos"
-    ~config:
-      ([ ("seed", string_of_int seed); ("requests", string_of_int requests);
-         ("plan", Fault.plan_to_string plan) ]
-      @ paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k ~draft_layers
-          ~sys_prompt)
-    ~metrics:
-      [ ("steps", f r.Serve.Chaos.steps);
-        ("submitted", f r.Serve.Chaos.submitted);
-        ("finished", f r.Serve.Chaos.finished);
-        ("rejected", f r.Serve.Chaos.rejected);
-        ("cancelled", f r.Serve.Chaos.cancelled);
-        ("failed", f r.Serve.Chaos.failed);
-        ("compared", f r.Serve.Chaos.compared);
-        ("mismatched", f r.Serve.Chaos.mismatched);
-        ("fault_injected", f r.Serve.Chaos.injected);
-        ("fault_retries", f r.Serve.Chaos.retries);
-        ("fault_shed", f r.Serve.Chaos.shed);
-        ("kv_denied", f r.Serve.Chaos.denied);
-        ("watchdog_trips", f r.Serve.Chaos.trips);
-        ("pool_quarantined", f r.Serve.Chaos.quarantined);
-        ("numeric_errors", f r.Serve.Chaos.numeric_errors);
-        ("kv_pages_allocated", f r.Serve.Chaos.pages_allocated);
-        ("kv_pages_freed", f r.Serve.Chaos.pages_freed);
-        ("kv_cow_copies", f r.Serve.Chaos.cow_copies);
-        ("kv_prefix_hits", f r.Serve.Chaos.prefix_hits);
-        ("traces_checked", f r.Serve.Chaos.traces_checked);
-        ("violations", f (List.length r.Serve.Chaos.violations)) ]
-    ();
-  if r.Serve.Chaos.violations <> [] then begin
-    Printf.eprintf "chaos: %d invariant violation(s)\n"
-      (List.length r.Serve.Chaos.violations);
-    chaos_failed := true
-  end;
-  if r.Serve.Chaos.injected = 0 then begin
-    Printf.eprintf "chaos: plan injected no faults — run proves nothing\n";
+    Printf.eprintf "chaos: hard kill completed no migrations — run proves \
+                    nothing about failover\n";
     chaos_failed := true
   end
 
@@ -1621,16 +1396,14 @@ let () =
       ~spec_k:!spec_decode ~draft_layers:!draft_layers
       ~sys_prompt:!sys_prompt ~online_tune:!online_tune ();
   if !chaos then
-    if !replicas > 1 || !shards > 1 || !disaggregate || !hard_kill then
-      run_cluster_chaos ~seed:!chaos_seed ~requests:!chaos_requests
-        ~replicas:(max 2 !replicas) ~shards:!shards
-        ~disaggregate:!disaggregate ~hard_kill:!hard_kill ~paged:!paged
-        ~block_size:!block_size ~num_blocks:!num_blocks ~spec_k:!spec_decode
-        ~draft_layers:!draft_layers ~sys_prompt:!sys_prompt ()
-    else
-      run_chaos ~seed:!chaos_seed ~requests:!chaos_requests ~paged:!paged
-        ~block_size:!block_size ~num_blocks:!num_blocks ~spec_k:!spec_decode
-        ~draft_layers:!draft_layers ~sys_prompt:!sys_prompt ();
+    run_chaos ~seed:!chaos_seed ~requests:!chaos_requests
+      ~replicas:
+        (if !shards > 1 || !disaggregate || !hard_kill then max 2 !replicas
+         else !replicas)
+      ~shards:!shards ~disaggregate:!disaggregate ~hard_kill:!hard_kill
+      ~paged:!paged ~block_size:!block_size ~num_blocks:!num_blocks
+      ~spec_k:!spec_decode ~draft_layers:!draft_layers
+      ~sys_prompt:!sys_prompt ();
   if !telemetry then begin
     Telemetry.Registry.disable ();
     let host = Platform.host in

@@ -465,7 +465,6 @@ let serve rate duration pmin pmax tmin tmax deadline_ms max_queue max_batch
     Printf.eprintf "--hard-kill needs --replicas >= 2 (somewhere to migrate)\n";
     exit 1
   end;
-  let clustered = replicas > 1 || shards > 1 || disaggregate in
   Telemetry.Registry.reset ();
   Telemetry.Registry.enable ();
   (match trace_dir with
@@ -486,26 +485,22 @@ let serve rate duration pmin pmax tmin tmax deadline_ms max_queue max_batch
       new_tokens = Serve.Load_gen.Uniform (tmin, tmax);
       deadline_s =
         (if deadline_ms > 0.0 then deadline_ms /. 1000.0 else Float.infinity);
-      id_base = 0;
-      id_stride = 1;
       sys_prompt_len = sys_prompt
     }
   in
   let trace_reqs = Serve.Load_gen.generate load ~vocab:Llm.tiny.Llm.vocab in
   Printf.printf
     "serving %d arrivals (%.0f req/s x %.1fs, prompts %s, new tokens %s) on \
-     %s: queue<=%d batch<=%d policy=%s threads=%d%s\n%!"
+     %s: queue<=%d batch<=%d policy=%s threads=%d replicas=%d shards=%d \
+     placement=%s%s\n%!"
     (List.length trace_reqs) rate duration
     (Serve.Load_gen.dist_to_string load.Serve.Load_gen.prompt_len)
     (Serve.Load_gen.dist_to_string load.Serve.Load_gen.new_tokens)
     Llm.tiny.Llm.name max_queue max_batch
     (Serve.Scheduler.policy_name policy)
-    threads
-    (if clustered then
-       Printf.sprintf " replicas=%d shards=%d placement=%s%s" replicas shards
-         (Cluster.Router.placement_name placement)
-         (if disaggregate then " disaggregated" else "")
-     else "");
+    threads replicas shards
+    (Cluster.Router.placement_name placement)
+    (if disaggregate then " disaggregated" else "");
   if paged then
     Printf.printf "paged KV: %d-token blocks, %d-block arena, prefix sharing \
                    on\n%!"
@@ -535,7 +530,7 @@ let serve rate duration pmin pmax tmin tmax deadline_ms max_queue max_batch
   let live =
     Option.map
       (fun (out, _) ->
-        { Serve.Driver.every_s =
+        { Cluster.Driver.every_s =
             float_of_int (max 1 live_interval_ms) /. 1000.0;
           out })
       live_out
@@ -571,59 +566,43 @@ let serve rate duration pmin pmax tmin tmax deadline_ms max_queue max_batch
         (Telemetry.Counter.value Kv.Block_manager.cow_copies_name)
         (Telemetry.Counter.value Kv.Block_manager.prefix_hits_name)
   in
-  if not clustered then begin
-    let sched = Serve.Scheduler.create ~config llm in
-    let o = Serve.Driver.run ?live sched trace_reqs in
-    finish_live o.Serve.Driver.snapshots;
-    Serve.Metrics.print o.Serve.Driver.summary;
-    let pool = Serve.Scheduler.pool sched in
-    Printf.printf
-      "KV pool: %d created, %d reused, %d free at exit, peak %d rows/layer\n%!"
-      (Serve.Kv_pool.created pool) (Serve.Kv_pool.reused pool)
-      (Serve.Kv_pool.free_count pool)
-      (Serve.Kv_pool.peak_rows pool);
-    print_arena pool
-  end
-  else begin
-    let rcfg =
-      { Cluster.Router.default_config with
-        Cluster.Router.replicas; shards; disaggregate; placement;
-        scheduler = config }
-    in
-    let router =
-      match Cluster.Router.create ~config:rcfg llm with
-      | Ok r -> r
-      | Error e ->
-        Printf.eprintf "cannot build cluster: %s\n" e;
-        exit 1
-    in
-    let hk = if hard_kill then Some (duration /. 2.0, 1) else None in
-    let o = Cluster.Driver.run ?live ?hard_kill:hk router trace_reqs in
-    finish_live o.Cluster.Driver.snapshots;
-    List.iter
-      (fun (i, s) ->
-        Printf.printf "replica %d%s: %s\n" i
-          (if i >= replicas then " (prefill)" else "")
-          (Serve.Metrics.summary_to_string s))
-      o.Cluster.Driver.per_replica;
-    Printf.printf "fleet (histograms merged across replicas):\n";
-    Serve.Metrics.print o.Cluster.Driver.summary;
-    (* created/reused are fleet-wide counters; free/peak are per pool *)
-    (match Cluster.Router.pools router with
-    | [] -> ()
-    | (p :: _) as pools ->
-      Printf.printf "KV fleet: %d created, %d reused across %d pools\n%!"
-        (Serve.Kv_pool.created p) (Serve.Kv_pool.reused p)
-        (List.length pools);
-      List.iteri
-        (fun i pool ->
-          Printf.printf "KV pool %d: %d free at exit, peak %d rows/layer\n%!"
-            i
-            (Serve.Kv_pool.free_count pool)
-            (Serve.Kv_pool.peak_rows pool);
-          print_arena pool)
-        pools)
-  end;
+  let rcfg =
+    { Cluster.Router.default_config with
+      Cluster.Router.replicas; shards; disaggregate; placement;
+      scheduler = config }
+  in
+  let router =
+    match Cluster.Router.create ~config:rcfg llm with
+    | Ok r -> r
+    | Error e ->
+      Printf.eprintf "cannot build cluster: %s\n" e;
+      exit 1
+  in
+  let hk = if hard_kill then Some (duration /. 2.0, 1) else None in
+  let o = Cluster.Driver.run ?live ?hard_kill:hk router trace_reqs in
+  finish_live o.Cluster.Driver.snapshots;
+  List.iter
+    (fun (i, s) ->
+      Printf.printf "replica %d%s: %s\n" i
+        (if i >= replicas then " (prefill)" else "")
+        (Serve.Metrics.summary_to_string s))
+    o.Cluster.Driver.per_replica;
+  Printf.printf "fleet (histograms merged across replicas):\n";
+  Serve.Metrics.print o.Cluster.Driver.summary;
+  (* created/reused are fleet-wide counters; free/peak are per pool *)
+  (match Cluster.Router.pools router with
+  | [] -> ()
+  | (p :: _) as pools ->
+    Printf.printf "KV fleet: %d created, %d reused across %d pools\n%!"
+      (Serve.Kv_pool.created p) (Serve.Kv_pool.reused p)
+      (List.length pools);
+    List.iteri
+      (fun i pool ->
+        Printf.printf "KV pool %d: %d free at exit, peak %d rows/layer\n%!" i
+          (Serve.Kv_pool.free_count pool)
+          (Serve.Kv_pool.peak_rows pool);
+        print_arena pool)
+      pools);
   if online_tune then begin
     (* let in-flight background tunes land, then report and stop the
        tuning domain so the process exits cleanly *)
@@ -696,17 +675,21 @@ let chaos seed requests plan_str =
         Printf.eprintf "invalid fault plan: %s\n" msg;
         exit 1)
   in
-  let config = { Serve.Chaos.default with Serve.Chaos.seed; requests; plan } in
+  let config =
+    { Cluster.Chaos.solo with Cluster.Chaos.seed; requests; plan }
+  in
   let effective =
-    match plan with Some p -> p | None -> Serve.Chaos.default_plan seed
+    match plan with
+    | Some p -> p
+    | None -> Cluster.Chaos.default_plan ~replicas:1 seed
   in
   Printf.printf "chaos: seed %d, %d requests\nplan: %s\n%!" seed requests
     (Fault.plan_to_string effective);
-  let r = Serve.Chaos.run ~config () in
-  print_string (Serve.Chaos.report_to_string r);
-  if r.Serve.Chaos.injected = 0 then
+  let r = Cluster.Chaos.run ~config () in
+  print_string (Cluster.Chaos.report_to_string r);
+  if r.Cluster.Chaos.injected = 0 then
     Printf.eprintf "warning: plan injected no faults\n";
-  if r.Serve.Chaos.violations <> [] then exit 1
+  if r.Cluster.Chaos.violations <> [] then exit 1
 
 (* ---- recorder: flight-recorder dump / check utilities ---- *)
 
@@ -727,8 +710,7 @@ let recorder_dump out_dir threads cluster =
       { Serve.Load_gen.seed = 42; rate_hz = 60.0; duration_s = 0.3;
         prompt_len = Serve.Load_gen.Uniform (4, 10);
         new_tokens = Serve.Load_gen.Uniform (2, 6);
-        deadline_s = Float.infinity; id_base = 0; id_stride = 1;
-        sys_prompt_len = 0 }
+        deadline_s = Float.infinity; sys_prompt_len = 0 }
     in
     let reqs = Serve.Load_gen.generate load ~vocab:Llm.tiny.Llm.vocab in
     let rcfg =

@@ -1,7 +1,7 @@
-(* Cluster chaos harness: drive the router fleet under a seeded fault
-   plan with a mid-run replica quarantine, and check the router-level
-   conservation invariants on top of everything Serve.Chaos establishes
-   for a single scheduler:
+(* Chaos harness: drive the router fleet under a seeded fault plan and
+   check that the hardened stack keeps its promises. A lone scheduler is
+   a 1-replica fleet: there is one harness and one oracle, whatever the
+   replica count. Invariants:
 
      - liveness: the fleet drains within the step budget;
      - router-ledger conservation: every routed request reaches a
@@ -14,11 +14,13 @@
      - quarantine isolation: the quarantined replica's ledger does not
        grow after the quarantine (no new routes, no adoptions);
      - fleet drain: every KV pool (decode replicas + prefiller) reports
-       zero caches in use and the handoff channel is empty;
+       zero caches in use, every paged arena is conserved, and the
+       handoff and migration channels are empty;
      - exactly-once handoff release: the double-release counter stays 0;
      - bit-identity: every finished request's outputs equal a solo
-       fault-free replay on the same model — sharding, placement,
-       disaggregation and recovery must be semantically invisible.
+       fault-free sequential greedy replay on the same model — retries,
+       rewinds, worker steals, sharding, placement, disaggregation and
+       migration must be semantically invisible.
 
    The drive is virtual-clock and fault triggers are invocation-count
    based, so a seed reproduces the same schedule anywhere. *)
@@ -35,7 +37,7 @@ type config = {
   shared_prefix : int;
       (* tokens of a common prefix prepended to every prompt (0 = none):
          with a paged scheduler config this exercises prefix sharing and
-         COW across the whole fleet *)
+         COW under faults *)
   arrival_gap_s : float;  (* virtual seconds between arrivals *)
   deadline_s : float;
   dt_s : float;  (* virtual seconds per drive step *)
@@ -48,7 +50,8 @@ type config = {
       (* drive step at which a replica hard-fails (in-flight sessions
          migrate); -1 = never *)
   hard_kill_replica : int;
-  plan : Fault.plan option;  (* None = default_plan seed *)
+  plan : Fault.plan option;  (* None = default_plan ~replicas seed *)
+  watchdog : Team.watchdog option;
   max_steps : int;
 }
 
@@ -75,7 +78,20 @@ let default =
     hard_kill_step = -1;
     hard_kill_replica = 1;
     plan = None;
+    watchdog = None;
     max_steps = 50_000 }
+
+(* A lone scheduler over two pool threads, so the worker-level fault
+   sites and the watchdog have a team to act on; the stall durations in
+   the plan and the watchdog budget keep wall time at ~2 s. *)
+let solo =
+  { default with
+    replicas = 1;
+    scheduler = { default.scheduler with nthreads = Some 2 };
+    quarantine_step = -1;
+    quarantine_replica = 0;
+    hard_kill_replica = 0;
+    watchdog = Some { Team.warn_s = 0.005; abandon_s = 0.05 } }
 
 (* Hard-kill scenario: one arrival per drive step and longer decodes so
    the victim has sessions mid-decode when it dies — migration, not
@@ -89,34 +105,55 @@ let hard_kill =
     hard_kill_step = 12;
     hard_kill_replica = 1 }
 
-(* Router/handoff/prefill sites plus the serve-level transients; the
-   periods keep each fault a transient so the conservation ledger — not
-   wholesale failure — is what gets exercised. *)
-let default_plan seed =
+(* Solo rules: one per fault class a lone scheduler reaches. Periods are
+   calibrated against how often each site fires per serving step on
+   [Llm.tiny]: a single prefill or decode attempt runs ~1000 BRGEMM
+   stores, ~15 JIT dispatches and ~30 worker bodies, so inner-site
+   periods sit well above one attempt's invocation count — a retried
+   step then sees a clean window and the fault behaves as a transient
+   (the point of retry-with-rewind). The serve-level sites fire once per
+   attempt, so small periods are fine there. Co-prime periods keep fault
+   combinations varied.
+
+   Fleet rules: router/handoff/prefill/migration sites plus the
+   serve-level transients; the periods keep each fault a transient so
+   the conservation ledger — not wholesale failure — is what gets
+   exercised. *)
+let default_plan ~replicas seed =
   let nth first period = Fault.Nth { first; period = Some period } in
+  let rule rsite rkind rtrigger = { Fault.rsite; rkind; rtrigger } in
   { Fault.seed;
     rules =
-      [ { rsite = "serve.prefill"; rkind = Fault.Exn; rtrigger = nth 3 9 };
-        { rsite = "serve.decode"; rkind = Fault.Exn; rtrigger = nth 4 11 };
-        { rsite = "serve.kv.acquire"; rkind = Fault.Deny; rtrigger = nth 3 13 };
-        { rsite = "cluster.router.route"; rkind = Fault.Deny;
-          rtrigger = nth 7 19 };
-        { rsite = "cluster.router.route"; rkind = Fault.Exn;
-          rtrigger = nth 11 23 };
-        { rsite = "cluster.prefill"; rkind = Fault.Exn; rtrigger = nth 5 9 };
-        { rsite = "cluster.handoff.push"; rkind = Fault.Deny;
-          rtrigger = nth 4 17 };
-        (* paged-KV sites — inert unless the scheduler config is paged *)
-        { rsite = "kv.page.acquire"; rkind = Fault.Deny; rtrigger = nth 6 17 };
-        { rsite = "kv.cow.copy"; rkind = Fault.Exn; rtrigger = nth 2 7 };
-        (* migration sites — inert unless a hard kill fires mid-run. An
-           export Exn fails that session in place (still conserved); an
-           import Deny forces the router to retry the next replica. *)
-        { rsite = "cluster.migrate.export"; rkind = Fault.Exn;
-          rtrigger = nth 4 9 };
-        { rsite = "cluster.migrate.import"; rkind = Fault.Deny;
-          rtrigger = nth 2 5 }
-      ] }
+      (if replicas = 1 then
+         [ rule "serve.prefill" Fault.Exn (nth 2 9);
+           rule "serve.decode" Fault.Exn (nth 3 11);
+           rule "serve.kv.acquire" Fault.Deny (nth 2 7);
+           (* paged-KV sites fire only when the pool is paged. Block
+              acquires run once per block per ensure, so the periods sit
+              above one attempt's worth of acquires. *)
+           rule "kv.page.acquire" Fault.Deny (nth 5 13);
+           rule "kv.cow.copy" Fault.Exn (nth 2 5);
+           rule "parlooper.jit.compile" Fault.Exn (nth 101 1013);
+           rule "tpp.brgemm.store" Fault.Nan (nth 137 9973);
+           rule "team.worker.body" Fault.Exn (nth 47 499);
+           rule "team.worker.body" (Fault.Stall 0.02) (nth 160 1601);
+           rule "team.worker.loop" Fault.Exn (nth 31 997) ]
+       else
+         [ rule "serve.prefill" Fault.Exn (nth 3 9);
+           rule "serve.decode" Fault.Exn (nth 4 11);
+           rule "serve.kv.acquire" Fault.Deny (nth 3 13);
+           rule "cluster.router.route" Fault.Deny (nth 7 19);
+           rule "cluster.router.route" Fault.Exn (nth 11 23);
+           rule "cluster.prefill" Fault.Exn (nth 5 9);
+           rule "cluster.handoff.push" Fault.Deny (nth 4 17);
+           (* paged-KV sites — inert unless the scheduler config is paged *)
+           rule "kv.page.acquire" Fault.Deny (nth 6 17);
+           rule "kv.cow.copy" Fault.Exn (nth 2 7);
+           (* migration sites — inert unless a hard kill fires mid-run. An
+              export Exn fails that session in place (still conserved); an
+              import Deny forces the router to retry the next replica. *)
+           rule "cluster.migrate.export" Fault.Exn (nth 4 9);
+           rule "cluster.migrate.import" Fault.Deny (nth 2 5) ]) }
 
 type report = {
   steps : int;
@@ -138,6 +175,13 @@ type report = {
   retries : int;
   shed : int;
   denied : int;
+  numeric_errors : int;
+  trips : int;
+  quarantined : int;
+  pages_allocated : int;
+  pages_freed : int;
+  cow_copies : int;
+  prefix_hits : int;
   double_released : int;
   compared : int;
   mismatched : int;
@@ -180,7 +224,14 @@ let counter_names =
   [ Telemetry.Registry.fault_injected_name;
     Telemetry.Registry.fault_retries_name;
     Telemetry.Registry.fault_shed_name;
+    Telemetry.Registry.watchdog_trips_name;
+    Telemetry.Registry.pool_quarantined_name;
+    Telemetry.Registry.numeric_errors_name;
     Serve.Metrics.kv_denied_name;
+    Kv.Block_manager.pages_allocated_name;
+    Kv.Block_manager.pages_freed_name;
+    Kv.Block_manager.cow_copies_name;
+    Kv.Block_manager.prefix_hits_name;
     Router.routed_name;
     Router.rerouted_name;
     Router.resubmitted_name;
@@ -191,19 +242,26 @@ let counter_names =
     Router.migrations_failed_name;
     Kv_handoff.double_release_name ]
 
-let snapshot () = List.map Telemetry.Counter.value counter_names
+let snapshot () =
+  List.map (fun n -> (n, Telemetry.Counter.value n)) counter_names
 
 let run ?(config = default) () =
-  assert (config.quarantine_replica >= 0
-          && config.quarantine_replica < config.replicas);
-  assert (config.hard_kill_step < 0
-          || (config.hard_kill_replica >= 0
-             && config.hard_kill_replica < config.replicas));
+  let owned step replica =
+    step < 0 || (replica >= 0 && replica < config.replicas)
+  in
+  assert (owned config.quarantine_step config.quarantine_replica);
+  assert (owned config.hard_kill_step config.hard_kill_replica);
   let llm = Llm.create ~rng:(Prng.create 7) ~block:8 Llm.tiny in
   let vocab = (Llm.config llm).Llm.vocab in
+  let prev_wd = Team.current_watchdog () in
+  let prev_mode = Tpp_check.mode () in
   Fault.clear ();
+  Team.set_watchdog config.watchdog;
   Fun.protect
-    ~finally:(fun () -> Fault.clear ())
+    ~finally:(fun () ->
+      Fault.clear ();
+      Team.set_watchdog prev_wd;
+      Tpp_check.set_mode prev_mode)
     (fun () ->
       let rcfg =
         { Router.replicas = config.replicas;
@@ -227,29 +285,30 @@ let run ?(config = default) () =
       let router =
         match Router.create ~config:rcfg llm with
         | Ok r -> r
-        | Error e -> failwith ("cluster chaos: " ^ e)
+        | Error e -> failwith ("chaos: " ^ e)
       in
+      let sched i = (Router.schedulers router).(i) in
       let trace = make_trace config ~vocab in
       let plan =
         match config.plan with
         | Some p -> p
-        | None -> default_plan config.seed
+        | None -> default_plan ~replicas:config.replicas config.seed
       in
       let before = snapshot () in
+      Tpp_check.set_mode (Tpp_check.Sampled 13);
       Fault.install plan;
-      (* virtual-clock drive with the quarantine at a fixed step *)
+      (* virtual-clock drive with the quarantine / hard kill at fixed
+         steps *)
       let vnow = ref 0.0 in
       let now () = !vnow in
       let pending = ref trace in
       let steps = ref 0 in
       let live = ref true in
       let q_ledger_after = ref (-1) in
-      let qsched = (Router.schedulers router).(config.quarantine_replica) in
       (* hard-kill bookkeeping: the victim's ledger ids at the kill
          (after detach moved the in-flight sessions out) — the frozen
          set the isolation invariant checks against *)
       let hk_ids = ref None in
-      let ksched = (Router.schedulers router).(config.hard_kill_replica) in
       while !live && !steps < config.max_steps do
         let rec admit_due () =
           match !pending with
@@ -263,7 +322,8 @@ let run ?(config = default) () =
         if !steps = config.quarantine_step then begin
           Router.quarantine router config.quarantine_replica;
           q_ledger_after :=
-            List.length (Serve.Scheduler.requests qsched)
+            List.length
+              (Serve.Scheduler.requests (sched config.quarantine_replica))
         end;
         if !steps = config.hard_kill_step then begin
           Router.hard_fail router ~now:!vnow config.hard_kill_replica;
@@ -271,7 +331,7 @@ let run ?(config = default) () =
             Some
               (List.map
                  (fun (r : Serve.Request.t) -> r.Serve.Request.id)
-                 (Serve.Scheduler.requests ksched))
+                 (Serve.Scheduler.requests (sched config.hard_kill_replica)))
         end;
         ignore (Router.step router ~now);
         incr steps;
@@ -280,15 +340,9 @@ let run ?(config = default) () =
       done;
       let terminated = (not !live) && !pending = [] in
       Fault.clear ();
-      let delta = List.map2 (fun a b -> b - a) before (snapshot ()) in
-      let ( injected, retries, shed, denied, routed, rerouted, resubmitted,
-            adopted, route_faults, migrations_started, migrations_completed,
-            migrations_failed, double_released ) =
-        match delta with
-        | [ a; b; c; d; e; f; g; h; i; j; k; l; m ] ->
-          (a, b, c, d, e, f, g, h, i, j, k, l, m)
-        | _ -> assert false
-      in
+      Tpp_check.set_mode prev_mode;
+      let after = snapshot () in
+      let delta name = List.assoc name after - List.assoc name before in
       let reqs = Router.requests router in
       let count st =
         List.length
@@ -299,6 +353,55 @@ let run ?(config = default) () =
       let cancelled = count Serve.Request.Cancelled in
       let failed = count Serve.Request.Failed in
       let submitted = List.length reqs in
+      let migrations_started = delta Router.migrations_started_name in
+      let migrations_completed = delta Router.migrations_completed_name in
+      let migrations_failed = delta Router.migrations_failed_name in
+      let double_released = delta Kv_handoff.double_release_name in
+      let violations = ref [] in
+      let check cond msg = if not cond then violations := msg :: !violations in
+      (* trace conservation, fleet-wide: every routed request leaves a
+         complete well-nested causal timeline whatever combination of
+         re-routes, handoffs, faults and migrations it crossed; a
+         migrated request carries exactly one detach→resume join (its
+         one live KV copy moved exactly once). Checked before the replay
+         below, whose kernel events would only slow the assembly. *)
+      let traces_checked = ref 0 and migrated_traced = ref 0 in
+      if rec_on then begin
+        let timelines = Hashtbl.create 64 in
+        List.iter
+          (fun (id, evs) -> Hashtbl.replace timelines id evs)
+          (Telemetry.Trace.timelines ());
+        List.iter
+          (fun (r : Serve.Request.t) ->
+            incr traces_checked;
+            let tr = r.Serve.Request.trace in
+            let evs =
+              Option.value ~default:[] (Hashtbl.find_opt timelines tr)
+            in
+            (match Telemetry.Trace.check_events evs with
+            | Ok () -> ()
+            | Error m ->
+              check false
+                (Printf.sprintf "trace conservation: trace %d: %s" tr m));
+            let n k =
+              List.length
+                (List.filter
+                   (fun e -> e.Telemetry.Recorder.ekind = k)
+                   evs)
+            in
+            let detaches = n Telemetry.Recorder.Trace_detach in
+            let resumes = n Telemetry.Recorder.Trace_resume in
+            if resumes > 0 then begin
+              incr migrated_traced;
+              check
+                (detaches = 1 && resumes = 1)
+                (Printf.sprintf
+                   "trace %d: migrated request has %d detach / %d resume \
+                    joins (want exactly one of each)"
+                   tr detaches resumes)
+            end)
+          reqs
+      end;
       (* bit-identity vs a fault-free solo replay of each finished req *)
       let compared = ref 0 and mismatched = ref 0 in
       List.iter
@@ -316,8 +419,6 @@ let run ?(config = default) () =
             then incr mismatched
           end)
         reqs;
-      let violations = ref [] in
-      let check cond msg = if not cond then violations := msg :: !violations in
       check terminated "fleet did not drain within max_steps";
       check (submitted = config.requests)
         "router ledger lost submissions (ledger <> trace length)";
@@ -368,7 +469,9 @@ let run ?(config = default) () =
         "request served more tokens than requested (double serve)";
       check
         (!q_ledger_after < 0
-        || List.length (Serve.Scheduler.requests qsched) = !q_ledger_after)
+        || List.length
+             (Serve.Scheduler.requests (sched config.quarantine_replica))
+           = !q_ledger_after)
         "quarantined replica kept receiving work";
       (* hard-kill isolation: the dead replica's ledger is frozen at the
          kill (detach moved the in-flight ids out; nothing routes back)
@@ -376,10 +479,11 @@ let run ?(config = default) () =
       (match !hk_ids with
       | None -> ()
       | Some frozen ->
+        let ledger =
+          Serve.Scheduler.requests (sched config.hard_kill_replica)
+        in
         let final =
-          List.map
-            (fun (r : Serve.Request.t) -> r.Serve.Request.id)
-            (Serve.Scheduler.requests ksched)
+          List.map (fun (r : Serve.Request.t) -> r.Serve.Request.id) ledger
         in
         check
           (List.length final = List.length frozen
@@ -389,7 +493,7 @@ let run ?(config = default) () =
           (List.for_all
              (fun (r : Serve.Request.t) ->
                Serve.Request.terminal r.Serve.Request.state)
-             (Serve.Scheduler.requests ksched))
+             ledger)
           "non-terminal request left on the hard-failed replica";
         check
           (migrations_started
@@ -426,45 +530,31 @@ let run ?(config = default) () =
       check (double_released = 0) "KV handoff released a cache twice";
       check (!mismatched = 0)
         "finished outputs not bit-identical to solo fault-free replay";
-      (* trace conservation, fleet-wide: every routed request leaves a
-         complete well-nested causal timeline whatever combination of
-         re-routes, handoffs, faults and migrations it crossed; a
-         migrated request carries exactly one detach→resume join (its
-         one live KV copy moved exactly once) *)
-      let traces_checked = ref 0 and migrated_traced = ref 0 in
-      if rec_on then
-        List.iter
-          (fun (r : Serve.Request.t) ->
-            incr traces_checked;
-            let tr = r.Serve.Request.trace in
-            (match Telemetry.Trace.check tr with
-            | Ok () -> ()
-            | Error m -> check false ("trace conservation: " ^ m));
-            let evs = Telemetry.Trace.timeline tr in
-            let n k =
-              List.length
-                (List.filter
-                   (fun e -> e.Telemetry.Recorder.ekind = k)
-                   evs)
-            in
-            let detaches = n Telemetry.Recorder.Trace_detach in
-            let resumes = n Telemetry.Recorder.Trace_resume in
-            if resumes > 0 then begin
-              incr migrated_traced;
-              check
-                (detaches = 1 && resumes = 1)
-                (Printf.sprintf
-                   "trace %d: migrated request has %d detach / %d resume \
-                    joins (want exactly one of each)"
-                   tr detaches resumes)
-            end)
-          reqs;
+      (* an invariant violation is exactly the situation the flight
+         recorder exists for: capture the rings before the report is the
+         only evidence left *)
       if !violations <> [] then
-        ignore (Telemetry.Recorder.post_mortem ~reason:"cluster.chaos.invariant");
+        ignore (Telemetry.Recorder.post_mortem ~reason:"chaos.invariant");
       { steps = !steps; terminated; submitted; finished; rejected; cancelled;
-        failed; routed; rerouted; resubmitted; adopted; route_faults;
+        failed;
+        routed = delta Router.routed_name;
+        rerouted = delta Router.rerouted_name;
+        resubmitted = delta Router.resubmitted_name;
+        adopted = delta Router.adopted_name;
+        route_faults = delta Router.route_faults_name;
         migrations_started; migrations_completed; migrations_failed;
-        injected; retries; shed; denied; double_released;
+        injected = delta Telemetry.Registry.fault_injected_name;
+        retries = delta Telemetry.Registry.fault_retries_name;
+        shed = delta Telemetry.Registry.fault_shed_name;
+        denied = delta Serve.Metrics.kv_denied_name;
+        numeric_errors = delta Telemetry.Registry.numeric_errors_name;
+        trips = delta Telemetry.Registry.watchdog_trips_name;
+        quarantined = delta Telemetry.Registry.pool_quarantined_name;
+        pages_allocated = delta Kv.Block_manager.pages_allocated_name;
+        pages_freed = delta Kv.Block_manager.pages_freed_name;
+        cow_copies = delta Kv.Block_manager.cow_copies_name;
+        prefix_hits = delta Kv.Block_manager.prefix_hits_name;
+        double_released;
         compared = !compared;
         mismatched = !mismatched;
         fleet_slo_ttft = Telemetry.Gauge.value Router.fleet_slo_ttft_name;
@@ -477,7 +567,7 @@ let run ?(config = default) () =
 let report_to_string r =
   let b = Buffer.create 256 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pr "== cluster chaos report ==\n";
+  pr "== chaos report ==\n";
   pr "drive:    %d steps, terminated=%b\n" r.steps r.terminated;
   pr "ledger:   %d submitted = %d finished + %d rejected + %d cancelled + \
       %d failed\n"
@@ -489,11 +579,17 @@ let report_to_string r =
     r.migrations_started r.migrations_completed r.migrations_failed;
   pr "identity: %d finished compared vs solo replay, %d mismatched\n"
     r.compared r.mismatched;
-  pr "faults:   %d injected, %d retries, %d shed, %d KV denials, %d double \
-      releases\n"
-    r.injected r.retries r.shed r.denied r.double_released;
+  pr "faults:   %d injected, %d retries, %d shed, %d KV denials, %d numeric \
+      errors, %d double releases\n"
+    r.injected r.retries r.shed r.denied r.numeric_errors r.double_released;
+  pr "team:     %d watchdog trips, %d workers quarantined\n" r.trips
+    r.quarantined;
   pr "slo burn: fleet ttft breaches %d, deadline breaches %d\n"
     r.fleet_slo_ttft r.fleet_slo_deadline;
+  if r.pages_allocated > 0 then
+    pr "paged kv: %d blocks allocated, %d freed, %d COW copies, %d prefix \
+        hits\n"
+      r.pages_allocated r.pages_freed r.cow_copies r.prefix_hits;
   if r.traces_checked > 0 then
     pr "traces:   %d causal timelines checked complete, %d with a \
         migration join\n"

@@ -1,8 +1,22 @@
-(* Open-loop real-time replay of a load trace against the whole fleet:
-   the Serve.Driver loop with the Router in the scheduler's place. The
-   final report is fleet-merged (Metrics.collect_fleet over every
+(* Open-loop replay of a load-generator trace against a router fleet in
+   real time: arrivals are submitted when the serving clock reaches their
+   timestamp (whether or not the fleet is keeping up — that is what makes
+   the load "open loop" and the queue/SLO numbers honest), and the loop
+   spins through fleet iterations until the trace is exhausted and every
+   replica drains. A lone scheduler is a 1-replica fleet.
+
+   With [live] set, the driver doubles as the live metrics plane: every
+   [every_s] seconds it writes one Telemetry.Expose.jsonl line (counters,
+   gauges, and deltas/rates vs the previous snapshot) to [out], plus one
+   final line after the drain — so a run of any length produces at least
+   interval + final snapshots, and the last line's absolute values agree
+   with the end-of-run report.
+
+   The final report is fleet-merged (Metrics.collect_fleet over every
    replica's histograms) and each replica also gets its own summary cut
    from its serve.r<i>.* telemetry — never the other way around. *)
+
+type live = { every_s : float; out : out_channel }
 
 type outcome = {
   summary : Serve.Metrics.summary;  (* fleet rollup, merged histograms *)
@@ -55,9 +69,9 @@ let run ?live ?hard_kill router trace =
     | None -> ()
     | Some l ->
       let snap = Telemetry.Expose.take () in
-      output_string l.Serve.Driver.out (Telemetry.Expose.jsonl ?prev:!prev snap);
-      output_char l.Serve.Driver.out '\n';
-      flush l.Serve.Driver.out;
+      output_string l.out (Telemetry.Expose.jsonl ?prev:!prev snap);
+      output_char l.out '\n';
+      flush l.out;
       prev := Some snap;
       incr snapshots;
       last_emit := now ()
@@ -66,7 +80,7 @@ let run ?live ?hard_kill router trace =
     match live with
     | None -> ()
     | Some l ->
-      if now () -. !last_emit >= l.Serve.Driver.every_s then emit_snapshot ()
+      if now () -. !last_emit >= l.every_s then emit_snapshot ()
   in
   let submit_due () =
     let t = now () in
@@ -86,6 +100,7 @@ let run ?live ?hard_kill router trace =
     let worked = Router.step router ~now in
     maybe_emit ();
     if !pending <> [] || Router.busy router then begin
+      (* idle gap before the next arrival: yield rather than burn *)
       if not worked then Domain.cpu_relax ();
       loop ()
     end

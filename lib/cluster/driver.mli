@@ -1,9 +1,16 @@
-(** Open-loop real-time replay of a load trace against the whole fleet
-    ({!Router}): the {!Serve.Driver} loop with the router in the
-    scheduler's place, including the optional live-metrics stream. The
-    final summary is fleet-merged ({!Serve.Metrics.collect_fleet} over
-    every replica's histograms) and [per_replica] carries each replica's
-    own cut from its [serve.r<i>.*] telemetry. *)
+(** Open-loop real-time replay of a load trace against a {!Router}
+    fleet — a lone scheduler is a 1-replica fleet: arrivals are submitted
+    when the serving clock reaches their timestamp regardless of backlog,
+    then the loop iterates until the trace is exhausted and the fleet
+    drains. Optionally doubles as the live metrics plane, streaming
+    periodic {!Telemetry.Expose} snapshots while serving. The final
+    summary is fleet-merged ({!Serve.Metrics.collect_fleet} over every
+    replica's histograms) and [per_replica] carries each replica's own
+    cut from its [serve.r<i>.*] telemetry. *)
+
+(** Live-metrics stream: one {!Telemetry.Expose.jsonl} line to [out]
+    every [every_s] seconds, plus a final line after the drain. *)
+type live = { every_s : float; out : out_channel }
 
 type outcome = {
   summary : Serve.Metrics.summary;  (** fleet rollup, merged histograms *)
@@ -21,7 +28,7 @@ type outcome = {
     in-flight sessions live-migrate to the survivors and the migration
     counters are printed after the drain. *)
 val run :
-  ?live:Serve.Driver.live ->
+  ?live:live ->
   ?hard_kill:float * int ->
   Router.t ->
   (float * Serve.Request.t) list ->

@@ -24,31 +24,27 @@ type config = {
   prompt_len : dist;
   new_tokens : dist;
   deadline_s : float;  (* per-request SLO; infinity disables *)
-  id_base : int;  (* first request id *)
-  id_stride : int;  (* id increment between requests *)
   sys_prompt_len : int;
       (* tokens of a shared "system prompt" prepended to every request's
-         prompt (drawn once from the seed) — the realistic workload shape
-         prefix sharing exploits; 0 disables *)
+         prompt (drawn once from a fixed seed) — the realistic workload
+         shape prefix sharing exploits; 0 disables *)
 }
 
 let default =
   { seed = 42; rate_hz = 20.0; duration_s = 5.0;
     prompt_len = Uniform (4, 12); new_tokens = Uniform (2, 8);
-    deadline_s = Float.infinity; id_base = 0; id_stride = 1;
-    sys_prompt_len = 0 }
+    deadline_s = Float.infinity; sys_prompt_len = 0 }
 
 (* exponential inter-arrival gap; 1 - U in (0, 1] keeps log finite *)
 let exp_gap rng ~rate = -.Float.log (1.0 -. Prng.float rng) /. rate
 
 let generate cfg ~vocab =
   assert (cfg.rate_hz > 0.0 && vocab > 0);
-  let stride = max 1 cfg.id_stride in
   let rng = Prng.create cfg.seed in
   let draw_ids n = Array.init n (fun _ -> Prng.int rng vocab) in
   (* shared system prompt: drawn from a fixed-seed stream, NOT the
-     per-config stream, so every replica substream (split) prepends the
-     same prefix — the cross-request sharing the prefix trie dedupes *)
+     per-config stream, so traces of every seed prepend the same prefix —
+     the cross-request sharing the prefix trie dedupes *)
   let sys_prompt =
     if cfg.sys_prompt_len <= 0 then [||]
     else
@@ -64,25 +60,10 @@ let generate cfg ~vocab =
       in
       let gen = draw_ids (max 1 (sample rng cfg.new_tokens)) in
       let req =
-        (* the request id doubles as the causal-trace id: the id lattice
-           ([id_base]/[id_stride]) already makes it fleet-unique *)
+        (* the request id doubles as the causal-trace id: ids are unique
+           within a trace, and a trace is routed as a whole *)
         Request.make ~id ~trace:id ~prompt ~gen ~deadline_s:cfg.deadline_s ()
       in
-      go ((at, req) :: acc) (id + stride) at
+      go ((at, req) :: acc) (id + 1) at
   in
-  go [] cfg.id_base 0.0
-
-(* substream i's seed: splitmix-style mix of (seed, i) so substreams are
-   decorrelated from each other and from the parent stream *)
-let mix_seed seed i =
-  let z = (seed * 0x9e3779b9) lxor (i * 0x85ebca6b) lxor ((seed + i) lsr 13) in
-  (abs z lor 1) + i
-
-let split cfg n =
-  if n < 1 then invalid_arg "Load_gen.split: n must be >= 1";
-  List.init n (fun i ->
-      { cfg with
-        seed = mix_seed cfg.seed i;
-        rate_hz = cfg.rate_hz /. float_of_int n;
-        id_base = cfg.id_base + (i * max 1 cfg.id_stride);
-        id_stride = n * max 1 cfg.id_stride })
+  go [] 0 0.0

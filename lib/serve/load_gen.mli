@@ -15,26 +15,17 @@ type config = {
   prompt_len : dist;
   new_tokens : dist;
   deadline_s : float;  (** per-request SLO; [infinity] disables *)
-  id_base : int;  (** first request id (default 0) *)
-  id_stride : int;  (** id increment between requests (default 1) *)
   sys_prompt_len : int;
       (** tokens of a shared "system prompt" prepended to every prompt —
-          drawn from a fixed seed so every {!split} substream shares it
+          drawn from a fixed seed, so traces of different seeds share it
           (the workload shape prefix sharing exploits); 0 disables *)
 }
 
 (** 20 req/s for 5 s, prompts of 4–12 tokens, 2–8 output tokens, no
-    deadline, ids 0, 1, 2, … *)
+    deadline. *)
 val default : config
 
 (** [generate cfg ~vocab] — arrival-time-sorted [(arrival_s, request)]
-    trace; token ids are uniform over [0, vocab). *)
+    trace with request ids 0, 1, 2, …; token ids are uniform over
+    [0, vocab). *)
 val generate : config -> vocab:int -> (float * Request.t) list
-
-(** [split cfg n] — [n] independent seeded substreams, one per replica.
-    Substream [i] gets a seed mixed from [(cfg.seed, i)], rate
-    [cfg.rate_hz / n], and the id lattice [id_base + i, stride n x] so
-    request ids are globally unique across substreams. Each substream is
-    deterministic in isolation: the trace a replica sees depends only on
-    [cfg] and its index, never on how a router interleaves replicas. *)
-val split : config -> int -> config list

@@ -1,16 +1,28 @@
-(** Minimal dependency-free JSON well-formedness checker. The telemetry
-    reports, Chrome traces and bench JSON files are emitted by hand-written
-    printers; run them through this right after producing (and in tests) so
-    malformed output fails at the source. Checks grammar only — no values
-    are constructed. *)
+(** Minimal dependency-free JSON reader. The telemetry reports, Chrome
+    traces and bench JSON files are emitted by hand-written printers; run
+    them through {!validate} right after producing (and in tests) so
+    malformed output fails at the source, and read them back with
+    {!parse} (the bench regression gate reads its committed baseline this
+    way). *)
 
 exception Bad_json of string
 
+type t =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string  (** escapes decoded; [\u] escapes as UTF-8 *)
+  | Arr of t list
+  | Obj of (string * t) list  (** members in document order *)
+
 (** Raises {!Bad_json} with a position-annotated message on malformed
-    input; returns unit on well-formed JSON. *)
+    input (RFC 8259 grammar). *)
+val parse : string -> t
+
+(** {!parse}, discarding the value. *)
 val validate : string -> unit
 
-(** Non-raising variant: [Error msg] on malformed input. *)
+(** Non-raising {!validate}: [Error msg] on malformed input. *)
 val check : string -> (unit, string) result
 
 (** Escape a string for inclusion in a JSON string literal (quotes,

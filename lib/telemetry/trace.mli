@@ -84,6 +84,9 @@ val ids : unit -> int list
 (** Time-ordered trace events for one id (empty if evicted/unknown). *)
 val timeline : int -> Recorder.event list
 
+(** Every id's {!timeline} from one pass over the rings, sorted by id. *)
+val timelines : unit -> (int * Recorder.event list) list
+
 (** Number of decode iterations (greedy + speculative) in a timeline. *)
 val decode_spans : Recorder.event list -> int
 

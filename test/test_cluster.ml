@@ -1,7 +1,9 @@
-(* Tests for lib/cluster: tensor-parallel sharding bit-identity,
-   Load_gen substream splitting, router conservation under chaos with a
-   replica quarantine, per-replica EDF ordering through the router,
-   exactly-once KV handoff release, and disaggregated-decode identity. *)
+(* Tests for lib/cluster: tensor-parallel sharding bit-identity, the
+   chaos harness over a table of fleet configs (1 to 3 replicas, shards,
+   disaggregation, paged + speculative + shared prefix, quarantine and
+   hard kill), the open-loop driver and its live-metrics stream across
+   fleet sizes, per-replica EDF ordering through the router, exactly-once
+   KV handoff release, and disaggregated-decode identity. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -73,106 +75,203 @@ let test_tp_plan_rejects_bad_split () =
   checkb "3-way split rejected" true
     (match Llm.tp_plan llm ~shards:3 with Ok _ -> false | Error _ -> true)
 
-(* ---- Load_gen.split: deterministic, disjoint, rate-dividing ---- *)
+(* ---- chaos: a table of cells for the one chaos check ----
 
-let test_load_gen_split () =
-  clean ();
+   Each cell runs {!Chaos_cell.check}. The serve suite's fault-paths
+   group runs the same check over three more lone-scheduler cells. *)
+
+let chaos_cells =
+  let open Cluster.Chaos in
+  let paged ?(spec_k = 0) (s : Serve.Scheduler.config) =
+    { s with Serve.Scheduler.paged = true; block_size = 8; num_blocks = 64;
+      spec_k }
+  in
+  [ ( "paged serve chaos conserves arena",
+      { solo with
+        requests = 12; scheduler = paged ~spec_k:3 solo.scheduler;
+        shared_prefix = 8 } );
+    ( "paged cluster chaos conserves arena",
+      { default with
+        requests = 12; replicas = 2;
+        scheduler = paged ~spec_k:3 default.scheduler; shared_prefix = 8 } );
+    ( "disaggregated",
+      { default with requests = 16; replicas = 2; disaggregate = true } );
+    ( "paged disaggregated handoff",
+      { default with
+        requests = 12; replicas = 2; disaggregate = true;
+        scheduler = paged default.scheduler; shared_prefix = 8 } );
+    ("conservation + quarantine", { default with requests = 16 });
+    ("sharded", { default with requests = 12; shards = 2 });
+    ("hard kill", hard_kill) ]
+
+(* ---- open-loop driver across fleet sizes ----
+
+   The driver runs a lone scheduler as a 1-replica fleet, so the same
+   tests cover one and two replicas: the fleet-merged summary must agree
+   with the per-replica cuts it was merged from. *)
+
+let fleet_sizes = [ 1; 2 ]
+
+(* a short Poisson trace driven through a [replicas]-wide router *)
+let drive_fleet ?live ~replicas ~duration_s () =
+  let llm = make_llm () in
   let cfg =
     { Serve.Load_gen.default with
-      Serve.Load_gen.seed = 5; rate_hz = 30.0; duration_s = 2.0 }
+      Serve.Load_gen.rate_hz = 50.0;
+      duration_s;
+      deadline_s = 30.0 }
   in
-  let subs = Serve.Load_gen.split cfg 3 in
-  checki "three substreams" 3 (List.length subs);
+  let trace = Serve.Load_gen.generate cfg ~vocab:Llm.tiny.Llm.vocab in
+  let config = { Cluster.Router.default_config with Cluster.Router.replicas } in
+  match Cluster.Router.create ~config llm with
+  | Error e -> Alcotest.fail ("router: " ^ e)
+  | Ok router -> (trace, Cluster.Driver.run ?live router trace)
+
+let test_driver_end_to_end () =
   List.iter
-    (fun (s : Serve.Load_gen.config) ->
-      checkb "rate divided" true
-        (Float.abs (s.Serve.Load_gen.rate_hz -. (30.0 /. 3.0)) < 1e-9))
-    subs;
-  let traces =
-    List.map (fun s -> Serve.Load_gen.generate s ~vocab:64) subs
-  in
-  (* global id uniqueness across substreams, and the id lattice holds *)
-  let ids = Hashtbl.create 64 in
-  List.iteri
-    (fun i trace ->
-      List.iter
-        (fun ((_, r) : float * Serve.Request.t) ->
-          checkb "id on substream lattice" true
-            (r.Serve.Request.id mod 3 = i);
-          checkb "id globally unique" false (Hashtbl.mem ids r.Serve.Request.id);
-          Hashtbl.add ids r.Serve.Request.id ())
-        trace)
-    traces;
-  (* deterministic: regenerating any substream gives the same trace,
-     independent of the other substreams *)
-  let again = List.nth (Serve.Load_gen.split cfg 3) 1 in
-  let t1 = Serve.Load_gen.generate (List.nth subs 1) ~vocab:64 in
-  let t2 = Serve.Load_gen.generate again ~vocab:64 in
-  checki "substream reproducible" (List.length t1) (List.length t2);
-  List.iter2
-    (fun ((a, ra) : float * Serve.Request.t) ((b, rb) : float * Serve.Request.t) ->
-      checkb "same arrival" true (a = b);
-      checki "same id" ra.Serve.Request.id rb.Serve.Request.id;
-      checkb "same prompt" true (ra.Serve.Request.prompt = rb.Serve.Request.prompt);
-      checkb "same gen" true (ra.Serve.Request.gen = rb.Serve.Request.gen))
-    t1 t2;
-  (* substreams with different indices draw different schedules *)
-  let t0 = List.nth traces 0 in
-  checkb "substreams differ" true
-    (List.length t0 <> List.length t1
-    || List.exists2
-         (fun ((a, _) : float * Serve.Request.t) ((b, _) : float * Serve.Request.t) ->
-           a <> b)
-         t0 t1)
+    (fun replicas ->
+      clean ();
+      Telemetry.Registry.enable ();
+      let trace, o = drive_fleet ~replicas ~duration_s:0.3 () in
+      Telemetry.Registry.disable ();
+      let s = o.Cluster.Driver.summary in
+      checki "everything submitted" (List.length trace)
+        s.Serve.Metrics.submitted;
+      checki "everything completed"
+        (s.Serve.Metrics.submitted - s.Serve.Metrics.rejected)
+        s.Serve.Metrics.completed;
+      checki "ledger matches" (List.length trace)
+        (List.length o.Cluster.Driver.requests);
+      checkb "tokens flowed" true (s.Serve.Metrics.tokens > 0);
+      checkb "throughput positive" true (s.Serve.Metrics.tokens_per_s > 0.0);
+      checkb "ttft p50 positive" true
+        (s.Serve.Metrics.ttft_ms.Serve.Metrics.p50 > 0.0);
+      checkb "percentiles ordered" true
+        (s.Serve.Metrics.ttft_ms.Serve.Metrics.p50
+        <= s.Serve.Metrics.ttft_ms.Serve.Metrics.p99);
+      checkb "goodput bounded by completed" true
+        (s.Serve.Metrics.goodput <= s.Serve.Metrics.completed);
+      checkb "summary prints" true
+        (String.length (Serve.Metrics.summary_to_string s) > 0);
+      (* the fleet rollup is merged from every replica, never one
+         replica's view *)
+      let per = o.Cluster.Driver.per_replica in
+      checki "one cut per replica" replicas (List.length per);
+      let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 per in
+      checki "replica completions sum to the fleet's"
+        s.Serve.Metrics.completed
+        (sum (fun r -> r.Serve.Metrics.completed));
+      checki "replica tokens sum to the fleet's" s.Serve.Metrics.tokens
+        (sum (fun r -> r.Serve.Metrics.tokens));
+      checkb "fleet ttft p99 covers every replica's" true
+        (List.for_all
+           (fun (_, r) ->
+             r.Serve.Metrics.ttft_ms.Serve.Metrics.p99
+             <= s.Serve.Metrics.ttft_ms.Serve.Metrics.p99)
+           per);
+      clean ())
+    fleet_sizes
 
-(* ---- router conservation under chaos with a quarantine ---- *)
+(* ---- live metrics plane ---- *)
 
-let test_cluster_chaos_conservation () =
-  clean ();
-  Telemetry.Recorder.set_enabled true;
-  let config =
-    { Cluster.Chaos.default with Cluster.Chaos.requests = 16 }
-  in
-  let r = Cluster.Chaos.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.Cluster.Chaos.violations;
-  checkb "faults fired" true (r.Cluster.Chaos.injected > 0);
-  checkb "quarantine exercised the reroute path" true
-    (r.Cluster.Chaos.rerouted >= 0);
-  checki "ledger conserved" r.Cluster.Chaos.submitted
-    (r.Cluster.Chaos.finished + r.Cluster.Chaos.rejected
-    + r.Cluster.Chaos.cancelled + r.Cluster.Chaos.failed);
-  checki "no double release" 0 r.Cluster.Chaos.double_released;
-  checki "no identity mismatch" 0 r.Cluster.Chaos.mismatched;
-  checki "every ledgered request trace-checked" r.Cluster.Chaos.submitted
-    r.Cluster.Chaos.traces_checked;
-  (* deterministic: same seed, same ledger *)
-  let b = Cluster.Chaos.run ~config () in
-  checki "same injected" r.Cluster.Chaos.injected b.Cluster.Chaos.injected;
-  checki "same finished" r.Cluster.Chaos.finished b.Cluster.Chaos.finished;
-  checki "same rerouted" r.Cluster.Chaos.rerouted b.Cluster.Chaos.rerouted
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 
-let test_cluster_chaos_disaggregated () =
-  clean ();
-  let config =
-    { Cluster.Chaos.default with
-      Cluster.Chaos.requests = 16; replicas = 2; disaggregate = true }
+(* pull the integer value of ["name":<int>] out of one JSONL line *)
+let json_int_field line name =
+  let key = "\"" ^ name ^ "\":" in
+  let kl = String.length key and ll = String.length line in
+  let rec find i =
+    if i + kl > ll then None
+    else if String.sub line i kl = key then begin
+      let j = ref (i + kl) in
+      let start = !j in
+      if !j < ll && line.[!j] = '-' then incr j;
+      while !j < ll && line.[!j] >= '0' && line.[!j] <= '9' do
+        incr j
+      done;
+      if !j > start then int_of_string_opt (String.sub line start (!j - start))
+      else None
+    end
+    else find (i + 1)
   in
-  let r = Cluster.Chaos.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.Cluster.Chaos.violations;
-  checkb "handoff adoptions happened" true (r.Cluster.Chaos.adopted > 0);
-  checki "no double release" 0 r.Cluster.Chaos.double_released;
-  checki "no identity mismatch" 0 r.Cluster.Chaos.mismatched
+  find 0
 
-let test_cluster_chaos_sharded () =
-  clean ();
-  let config =
-    { Cluster.Chaos.default with Cluster.Chaos.requests = 12; shards = 2 }
-  in
-  let r = Cluster.Chaos.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.Cluster.Chaos.violations;
-  checki "no identity mismatch" 0 r.Cluster.Chaos.mismatched;
-  checkb "all finished compared" true
-    (r.Cluster.Chaos.compared = r.Cluster.Chaos.finished)
+let test_driver_live_metrics () =
+  List.iter
+    (fun replicas ->
+      clean ();
+      Telemetry.Registry.enable ();
+      let path = Filename.temp_file "parlooper-live" ".jsonl" in
+      let oc = open_out path in
+      let _, o =
+        drive_fleet
+          ~live:{ Cluster.Driver.every_s = 0.05; out = oc }
+          ~replicas ~duration_s:0.4 ()
+      in
+      close_out oc;
+      Telemetry.Registry.disable ();
+      let ic = open_in path in
+      let lines = ref [] in
+      (try
+         while true do
+           lines := input_line ic :: !lines
+         done
+       with End_of_file -> close_in ic);
+      let lines = List.rev !lines in
+      Sys.remove path;
+      checkb "at least two snapshots" true (List.length lines >= 2);
+      checki "snapshot count matches outcome" o.Cluster.Driver.snapshots
+        (List.length lines);
+      List.iteri
+        (fun i line ->
+          (try Telemetry.Json_check.validate line with
+          | Telemetry.Json_check.Bad_json m ->
+            Alcotest.failf "snapshot %d invalid JSON: %s" i m);
+          if i > 0 then
+            checkb
+              (Printf.sprintf "snapshot %d carries deltas" i)
+              true
+              (contains ~needle:"\"deltas\"" line
+              && contains ~needle:"\"rates\"" line))
+        lines;
+      (* counters are monotonic across the stream *)
+      let submitted_series =
+        List.filter_map
+          (fun l -> json_int_field l Serve.Metrics.submitted_name)
+          lines
+      in
+      checki "every snapshot reports the counter" (List.length lines)
+        (List.length submitted_series);
+      let rec monotone = function
+        | a :: (b :: _ as rest) -> a <= b && monotone rest
+        | _ -> true
+      in
+      checkb "submitted counter is monotonic" true (monotone submitted_series);
+      (* the final snapshot agrees with the end-of-run state *)
+      let last = List.nth lines (List.length lines - 1) in
+      let s = o.Cluster.Driver.summary in
+      (match json_int_field last Serve.Metrics.completed_name with
+      | Some v ->
+        checki "final completed matches summary" s.Serve.Metrics.completed v
+      | None -> Alcotest.fail "final snapshot missing completed counter");
+      (match json_int_field last Serve.Metrics.kv_in_use_name with
+      | Some v -> checki "final kv_in_use gauge drained" 0 v
+      | None -> Alcotest.fail "final snapshot missing kv_in_use gauge");
+      (* the same values flow into Report.to_json: the gauges section must
+         agree with the stream's last line *)
+      let j = Telemetry.Report.to_json ~peak_gflops:1.0 ~mem_bw_gbs:1.0 () in
+      checkb "report has gauges section" true (contains ~needle:"\"gauges\"" j);
+      (match json_int_field j Serve.Metrics.kv_free_name with
+      | Some rv -> (
+        match json_int_field last Serve.Metrics.kv_free_name with
+        | Some lv -> checki "kv_free gauge agrees with report" rv lv
+        | None -> Alcotest.fail "final snapshot missing kv_free gauge")
+      | None -> Alcotest.fail "report missing kv_free gauge");
+      clean ())
+    fleet_sizes
 
 (* ---- quarantine conservation outside chaos: no request lost ---- *)
 
@@ -293,34 +392,6 @@ let test_hard_fail_migrates_inflight () =
     (Cluster.Router.pools router);
   checki "no double release" 0
     (Telemetry.Counter.value Cluster.Kv_handoff.double_release_name)
-
-(* ---- hard-kill chaos: conservation + completed migrations ---- *)
-
-let test_cluster_chaos_hard_kill () =
-  clean ();
-  Telemetry.Recorder.set_enabled true;
-  let r = Cluster.Chaos.run ~config:Cluster.Chaos.hard_kill () in
-  Alcotest.(check (list string)) "no violations" [] r.Cluster.Chaos.violations;
-  checkb "migrations completed" true (r.Cluster.Chaos.migrations_completed > 0);
-  checki "none vanished in transit" r.Cluster.Chaos.migrations_started
-    (r.Cluster.Chaos.migrations_completed + r.Cluster.Chaos.migrations_failed);
-  checki "no identity mismatch" 0 r.Cluster.Chaos.mismatched;
-  checki "no double release" 0 r.Cluster.Chaos.double_released;
-  checki "ledger conserved" r.Cluster.Chaos.submitted
-    (r.Cluster.Chaos.finished + r.Cluster.Chaos.rejected
-    + r.Cluster.Chaos.cancelled + r.Cluster.Chaos.failed);
-  (* trace conservation across the failover: every request leaves a
-     complete timeline, and every migrated session's trace joins its
-     detach to exactly one import + resume on the survivor *)
-  checki "every ledgered request trace-checked" r.Cluster.Chaos.submitted
-    r.Cluster.Chaos.traces_checked;
-  checkb "migrated sessions traced across the join" true
-    (r.Cluster.Chaos.migrated_traced > 0);
-  (* deterministic: same seed, same failover *)
-  let b = Cluster.Chaos.run ~config:Cluster.Chaos.hard_kill () in
-  checki "same migrations" r.Cluster.Chaos.migrations_completed
-    b.Cluster.Chaos.migrations_completed;
-  checki "same finished" r.Cluster.Chaos.finished b.Cluster.Chaos.finished
 
 (* ---- unquarantine is probe-gated and the replica takes work again ---- *)
 
@@ -523,16 +594,16 @@ let () =
           Alcotest.test_case "tp_plan rejects bad split" `Quick
             test_tp_plan_rejects_bad_split;
         ] );
-      ( "load-gen",
-        [ Alcotest.test_case "split substreams" `Quick test_load_gen_split ] );
       ( "chaos",
+        List.map
+          (fun (name, config) ->
+            Alcotest.test_case name `Quick (Chaos_cell.check config))
+          chaos_cells );
+      ( "driver",
         [
-          Alcotest.test_case "conservation + quarantine" `Quick
-            test_cluster_chaos_conservation;
-          Alcotest.test_case "disaggregated" `Quick
-            test_cluster_chaos_disaggregated;
-          Alcotest.test_case "sharded" `Quick test_cluster_chaos_sharded;
-          Alcotest.test_case "hard kill" `Quick test_cluster_chaos_hard_kill;
+          Alcotest.test_case "end-to-end" `Quick test_driver_end_to_end;
+          Alcotest.test_case "live metrics stream" `Quick
+            test_driver_live_metrics;
         ] );
       ( "router",
         [

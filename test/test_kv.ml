@@ -3,9 +3,9 @@
    isolates writers from shared blocks, truncation frees exactly the
    tail blocks, a prefix-trie hit produces bit-identical attention
    output to a cold prefill, paged storage is bit-identical to
-   contiguous through the whole scheduler, speculative decoding is
-   token-identical to greedy, and the chaos harnesses hold the arena
-   conservation invariant under paged configs. *)
+   contiguous through the whole scheduler, and speculative decoding is
+   token-identical to greedy. Arena conservation under faults is a cell
+   of the chaos table (test_cluster). *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -452,63 +452,6 @@ let test_spec_decode_paged_matches_greedy () =
         (List.combine outs souts))
     greedy
 
-(* ---- chaos: arena conservation under faults ---- *)
-
-let test_serve_chaos_paged_no_leaks () =
-  clean ();
-  let scheduler =
-    { Serve.Chaos.default.Serve.Chaos.scheduler with
-      Serve.Scheduler.paged = true; block_size = 8; num_blocks = 64;
-      spec_k = 3 }
-  in
-  let config =
-    { Serve.Chaos.default with
-      Serve.Chaos.requests = 12; scheduler; shared_prefix = 8 }
-  in
-  let r = Serve.Chaos.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.Serve.Chaos.violations;
-  checkb "faults fired" true (r.Serve.Chaos.injected > 0);
-  checkb "arena was used" true (r.Serve.Chaos.pages_allocated > 0);
-  checkb "prefix sharing happened" true (r.Serve.Chaos.prefix_hits > 0);
-  checki "bit-identity held" 0 r.Serve.Chaos.mismatched
-
-let test_cluster_chaos_paged_no_leaks () =
-  clean ();
-  let scheduler =
-    { Cluster.Chaos.default.Cluster.Chaos.scheduler with
-      Serve.Scheduler.paged = true; block_size = 8; num_blocks = 64;
-      spec_k = 3 }
-  in
-  let config =
-    { Cluster.Chaos.default with
-      Cluster.Chaos.requests = 12; replicas = 2; scheduler;
-      shared_prefix = 8 }
-  in
-  let r = Cluster.Chaos.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.Cluster.Chaos.violations;
-  checkb "faults fired" true (r.Cluster.Chaos.injected > 0);
-  checki "fleet bit-identity held" 0 r.Cluster.Chaos.mismatched
-
-(* disaggregation hands block tables over the prefiller's own arena to
-   the decode tier, which appends into them until the exactly-once
-   release returns the blocks *)
-let test_cluster_chaos_paged_disaggregated () =
-  clean ();
-  let scheduler =
-    { Cluster.Chaos.default.Cluster.Chaos.scheduler with
-      Serve.Scheduler.paged = true; block_size = 8; num_blocks = 64 }
-  in
-  let config =
-    { Cluster.Chaos.default with
-      Cluster.Chaos.requests = 12; replicas = 2; disaggregate = true;
-      scheduler; shared_prefix = 8 }
-  in
-  let r = Cluster.Chaos.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.Cluster.Chaos.violations;
-  checkb "sessions adopted over the handoff" true (r.Cluster.Chaos.adopted > 0);
-  checki "no double release" 0 r.Cluster.Chaos.double_released;
-  checki "fleet bit-identity held" 0 r.Cluster.Chaos.mismatched
-
 let () =
   Alcotest.run "kv"
     [
@@ -547,14 +490,5 @@ let () =
             test_spec_decode_matches_greedy;
           Alcotest.test_case "paged+spec = greedy" `Quick
             test_spec_decode_paged_matches_greedy;
-        ] );
-      ( "chaos",
-        [
-          Alcotest.test_case "paged serve chaos conserves arena" `Quick
-            test_serve_chaos_paged_no_leaks;
-          Alcotest.test_case "paged cluster chaos conserves arena" `Quick
-            test_cluster_chaos_paged_no_leaks;
-          Alcotest.test_case "paged disaggregated handoff" `Quick
-            test_cluster_chaos_paged_disaggregated;
         ] );
     ]

@@ -1,7 +1,9 @@
 (* Tests for lib/serve: continuous-batching determinism (batched decode
    bit-identical to sequential single-session replay), KV-pool recycling,
    bounded-queue backpressure, EDF admission ordering, load-generator
-   reproducibility, and driver end-to-end metrics. *)
+   reproducibility, the hardened failure paths (including the chaos
+   harness on a lone scheduler, run as a 1-replica fleet), and online
+   tuning. The driver tests run through the router (test_cluster). *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -259,146 +261,6 @@ let test_load_gen_deterministic () =
   checkb "seed changes trace" true
     (List.map fst t1 <> List.map fst t3)
 
-(* ---- driver end-to-end ---- *)
-
-let test_driver_end_to_end () =
-  clean ();
-  Telemetry.Registry.enable ();
-  let llm = make_llm () in
-  let cfg =
-    { Serve.Load_gen.default with
-      Serve.Load_gen.rate_hz = 50.0;
-      duration_s = 0.3;
-      deadline_s = 30.0 }
-  in
-  let trace = Serve.Load_gen.generate cfg ~vocab:Llm.tiny.Llm.vocab in
-  let sched = Serve.Scheduler.create llm in
-  let o = Serve.Driver.run sched trace in
-  Telemetry.Registry.disable ();
-  let s = o.Serve.Driver.summary in
-  checki "everything submitted" (List.length trace) s.Serve.Metrics.submitted;
-  checki "everything completed"
-    (s.Serve.Metrics.submitted - s.Serve.Metrics.rejected)
-    s.Serve.Metrics.completed;
-  checki "ledger matches" (List.length trace)
-    (List.length o.Serve.Driver.requests);
-  checkb "tokens flowed" true (s.Serve.Metrics.tokens > 0);
-  checkb "throughput positive" true (s.Serve.Metrics.tokens_per_s > 0.0);
-  checkb "ttft p50 positive" true (s.Serve.Metrics.ttft_ms.Serve.Metrics.p50 > 0.0);
-  checkb "percentiles ordered" true
-    (s.Serve.Metrics.ttft_ms.Serve.Metrics.p50
-     <= s.Serve.Metrics.ttft_ms.Serve.Metrics.p99);
-  checkb "goodput bounded by completed" true
-    (s.Serve.Metrics.goodput <= s.Serve.Metrics.completed);
-  checkb "summary prints" true
-    (String.length (Serve.Metrics.summary_to_string s) > 0);
-  clean ()
-
-(* ---- live metrics plane ---- *)
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-(* pull the integer value of ["name":<int>] out of one JSONL line *)
-let json_int_field line name =
-  let key = "\"" ^ name ^ "\":" in
-  let kl = String.length key and ll = String.length line in
-  let rec find i =
-    if i + kl > ll then None
-    else if String.sub line i kl = key then begin
-      let j = ref (i + kl) in
-      let start = !j in
-      if !j < ll && line.[!j] = '-' then incr j;
-      while !j < ll && line.[!j] >= '0' && line.[!j] <= '9' do
-        incr j
-      done;
-      if !j > start then int_of_string_opt (String.sub line start (!j - start))
-      else None
-    end
-    else find (i + 1)
-  in
-  find 0
-
-let test_driver_live_metrics () =
-  clean ();
-  Telemetry.Registry.enable ();
-  let llm = make_llm () in
-  let cfg =
-    { Serve.Load_gen.default with
-      Serve.Load_gen.rate_hz = 50.0;
-      duration_s = 0.4;
-      deadline_s = 30.0 }
-  in
-  let trace = Serve.Load_gen.generate cfg ~vocab:Llm.tiny.Llm.vocab in
-  let sched = Serve.Scheduler.create llm in
-  let path = Filename.temp_file "parlooper-live" ".jsonl" in
-  let oc = open_out path in
-  let o =
-    Serve.Driver.run ~live:{ Serve.Driver.every_s = 0.05; out = oc } sched
-      trace
-  in
-  close_out oc;
-  Telemetry.Registry.disable ();
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  Sys.remove path;
-  checkb "at least two snapshots" true (List.length lines >= 2);
-  checki "snapshot count matches outcome" o.Serve.Driver.snapshots
-    (List.length lines);
-  List.iteri
-    (fun i line ->
-      (try Telemetry.Json_check.validate line with
-      | Telemetry.Json_check.Bad_json m ->
-        Alcotest.failf "snapshot %d invalid JSON: %s" i m);
-      if i > 0 then
-        checkb
-          (Printf.sprintf "snapshot %d carries deltas" i)
-          true
-          (contains ~needle:"\"deltas\"" line
-          && contains ~needle:"\"rates\"" line))
-    lines;
-  (* counters are monotonic across the stream *)
-  let submitted_series =
-    List.filter_map
-      (fun l -> json_int_field l Serve.Metrics.submitted_name)
-      lines
-  in
-  checki "every snapshot reports the counter" (List.length lines)
-    (List.length submitted_series);
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> a <= b && monotone rest
-    | _ -> true
-  in
-  checkb "submitted counter is monotonic" true (monotone submitted_series);
-  (* the final snapshot agrees with the end-of-run state *)
-  let last = List.nth lines (List.length lines - 1) in
-  let s = o.Serve.Driver.summary in
-  (match json_int_field last Serve.Metrics.completed_name with
-  | Some v -> checki "final completed matches summary" s.Serve.Metrics.completed v
-  | None -> Alcotest.fail "final snapshot missing completed counter");
-  (match json_int_field last Serve.Metrics.kv_in_use_name with
-  | Some v -> checki "final kv_in_use gauge drained" 0 v
-  | None -> Alcotest.fail "final snapshot missing kv_in_use gauge");
-  (* the same values flow into Report.to_json: the gauges section must
-     agree with the stream's last line *)
-  let j = Telemetry.Report.to_json ~peak_gflops:1.0 ~mem_bw_gbs:1.0 () in
-  checkb "report has gauges section" true (contains ~needle:"\"gauges\"" j);
-  (match json_int_field j Serve.Metrics.kv_free_name with
-  | Some rv -> (
-    match json_int_field last Serve.Metrics.kv_free_name with
-    | Some lv -> checki "kv_free gauge agrees with report" rv lv
-    | None -> Alcotest.fail "final snapshot missing kv_free gauge")
-  | None -> Alcotest.fail "report missing kv_free gauge");
-  clean ()
-
 (* ---- hardened failure paths ---- *)
 
 (* a request whose deadline budget is already gone is refused at submit:
@@ -517,64 +379,29 @@ let test_denial_sheds_then_recovers () =
         (r.Serve.Request.state = Serve.Request.Finished))
     reqs
 
-(* the chaos harness is deterministic: same seed, same report *)
-let test_chaos_deterministic () =
-  clean ();
-  let config = { Serve.Chaos.default with Serve.Chaos.requests = 8 } in
-  let a = Serve.Chaos.run ~config () in
-  let b = Serve.Chaos.run ~config () in
-  checkb "faults fired" true (a.Serve.Chaos.injected > 0);
-  Alcotest.(check (list string)) "no violations" [] a.Serve.Chaos.violations;
-  Alcotest.(check (list string)) "no violations (2nd)" [] b.Serve.Chaos.violations;
-  (* timing-sensitive counters (trips, quarantines, retries) may differ
-     under CI load; the fault schedule and the ledger must not *)
-  checki "same injected" a.Serve.Chaos.injected b.Serve.Chaos.injected;
-  checki "same submitted" a.Serve.Chaos.submitted b.Serve.Chaos.submitted;
-  checki "same finished" a.Serve.Chaos.finished b.Serve.Chaos.finished;
-  checki "same cancelled" a.Serve.Chaos.cancelled b.Serve.Chaos.cancelled;
-  checki "same failed" a.Serve.Chaos.failed b.Serve.Chaos.failed;
-  checki "same compared" a.Serve.Chaos.compared b.Serve.Chaos.compared;
-  checki "same mismatched" a.Serve.Chaos.mismatched b.Serve.Chaos.mismatched
+(* ---- chaos on a lone scheduler: cells of the one chaos check ----
 
-(* trace conservation under chaos: with the flight recorder armed, every
-   ledgered request — whatever faults it survived — must leave a complete
-   well-nested causal timeline (a check failure lands in [violations]) *)
-let test_chaos_trace_conservation () =
-  clean ();
-  Telemetry.Recorder.set_enabled true;
-  let config = { Serve.Chaos.default with Serve.Chaos.requests = 8 } in
-  let r = Serve.Chaos.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.Serve.Chaos.violations;
-  checki "every ledgered request trace-checked" r.Serve.Chaos.submitted
-    r.Serve.Chaos.traces_checked
+   A lone scheduler is chaos-tested as a 1-replica fleet, through the
+   same {!Chaos_cell.check} as the cluster suite's fleet cells: the same
+   seed repeats the fault schedule and the ledger, and with the flight
+   recorder armed every ledgered request leaves a complete causal
+   timeline. The full preset is the configuration [bench --chaos]
+   records as its [chaos] baseline entry; the paged cell adds rewinds,
+   spec-verify rounds and block-level COW, which must not truncate or
+   reorder a request's span tree. *)
 
-(* the same invariant over the paged arena with speculative decoding:
-   rewinds, spec-verify rounds and block-level COW must not truncate or
-   reorder a request's span tree *)
-let test_chaos_trace_conservation_paged_spec () =
-  clean ();
-  Telemetry.Recorder.set_enabled true;
-  let scheduler =
-    { Serve.Chaos.default.Serve.Chaos.scheduler with
-      Serve.Scheduler.paged = true;
-      block_size = 16;
-      num_blocks = 128;
-      spec_k = 4
-    }
-  in
-  let config =
-    { Serve.Chaos.default with
-      Serve.Chaos.requests = 12;
-      scheduler;
-      shared_prefix = 12
-    }
-  in
-  let r = Serve.Chaos.run ~config () in
-  Alcotest.(check (list string)) "no violations" [] r.Serve.Chaos.violations;
-  checki "every ledgered request trace-checked" r.Serve.Chaos.submitted
-    r.Serve.Chaos.traces_checked;
-  checkb "paged arena actually exercised" true
-    (r.Serve.Chaos.pages_allocated > 0)
+let solo_chaos_cells =
+  let open Cluster.Chaos in
+  [ ("chaos deterministic", { solo with requests = 8 });
+    ("chaos trace conservation", solo);
+    ( "chaos trace conservation (paged+spec)",
+      { solo with
+        requests = 12;
+        scheduler =
+          { solo.scheduler with
+            Serve.Scheduler.paged = true; block_size = 16; num_blocks = 128;
+            spec_k = 4 };
+        shared_prefix = 12 } ) ]
 
 (* ---- online tuning: hot-swapped specs stay bit-identical ---- *)
 
@@ -658,12 +485,6 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_load_gen_deterministic;
         ] );
-      ( "driver",
-        [
-          Alcotest.test_case "end-to-end" `Quick test_driver_end_to_end;
-          Alcotest.test_case "live metrics stream" `Quick
-            test_driver_live_metrics;
-        ] );
       ( "fault-paths",
         [
           Alcotest.test_case "past-deadline submit refused" `Quick
@@ -676,13 +497,11 @@ let () =
             test_retry_exhausted_fails_cleanly;
           Alcotest.test_case "denial sheds then recovers" `Quick
             test_denial_sheds_then_recovers;
-          Alcotest.test_case "chaos deterministic" `Quick
-            test_chaos_deterministic;
-          Alcotest.test_case "chaos trace conservation" `Quick
-            test_chaos_trace_conservation;
-          Alcotest.test_case "chaos trace conservation (paged+spec)" `Quick
-            test_chaos_trace_conservation_paged_spec;
-        ] );
+        ]
+        @ List.map
+            (fun (name, config) ->
+              Alcotest.test_case name `Quick (Chaos_cell.check config))
+            solo_chaos_cells );
       ( "online-tune",
         [
           Alcotest.test_case "hot-swap bit-identical" `Quick

@@ -217,6 +217,34 @@ let test_json_check_rejects_malformed () =
       | Error m -> Alcotest.failf "rejected valid JSON %s: %s" s m)
     [ "{}"; "[]"; "{\"a\":[1,2.5,-3e4,true,false,null,\"s\\n\"]}" ]
 
+(* the reader returns the document it validated: nesting, member order,
+   every literal kind, and decoded string escapes (a \u surrogate pair is
+   one code point) *)
+let test_json_check_parses_value () =
+  let module J = Telemetry.Json_check in
+  let doc =
+    "{\"benches\":[{\"name\":\"a\\\"b\\\\c\\n\\u00e9\\ud83d\\ude00\",\
+     \"metrics\":{\"x\":-3e2,\"y\":0.5}},[],{}],\"ok\":true,\
+     \"no\":false,\"nil\":null}"
+  in
+  let want =
+    J.Obj
+      [ ( "benches",
+          J.Arr
+            [ J.Obj
+                [ ("name", J.Str "a\"b\\c\n\xc3\xa9\xf0\x9f\x98\x80");
+                  ("metrics", J.Obj [ ("x", J.Num (-300.0)); ("y", J.Num 0.5) ])
+                ];
+              J.Arr [];
+              J.Obj [] ] );
+        ("ok", J.Bool true);
+        ("no", J.Bool false);
+        ("nil", J.Null) ]
+  in
+  checkb "parsed value" true (J.parse doc = want);
+  checkb "whitespace is insignificant" true
+    (J.parse " [ 1 ,\n\t\"s\" ] " = J.Arr [ J.Num 1.0; J.Str "s" ])
+
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -801,6 +829,8 @@ let () =
         [
           Alcotest.test_case "rejects malformed" `Quick
             test_json_check_rejects_malformed;
+          Alcotest.test_case "parses value" `Quick
+            test_json_check_parses_value;
         ] );
       ( "registry",
         [
