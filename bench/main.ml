@@ -443,7 +443,39 @@ let run_gemm_points () =
             ("nthreads", string_of_int nthreads);
             ("pool", if Team.pool_enabled () then "on" else "off") ]
         ~metrics:[ ("seconds", best); ("gflops", gflops) ] ())
-    [ (128, 32, "BCa", 2); (256, 32, "BCa", 2) ]
+    [ (128, 32, "BCa", 2); (256, 32, "BCa", 2) ];
+  (* the native kernel alone, one thread: 32^3 blocks accumulated into C,
+     once per clone this host can execute *)
+  let cfg = Brgemm.make_config ~m:32 ~n:32 ~k:32 () in
+  let ker = Brgemm.compile cfg in
+  let rng = Prng.create 99 in
+  let block () =
+    let t = Tensor.create Datatype.F32 [| 32; 32 |] in
+    Tensor.fill_random t rng ~scale:1.0;
+    Tensor.view2d t
+  in
+  let a = block () and b = block () and c = block () in
+  let calls = 1000 in
+  List.iter
+    (fun isa ->
+      let best =
+        Brgemm.For_tests.with_isa isa (fun () ->
+            best_time (fun () ->
+                for _ = 1 to calls do
+                  Brgemm.exec ker ~a ~b ~c
+                done))
+      in
+      let gflops = float calls *. Brgemm.flops cfg ~count:1 /. best /. 1e9 in
+      Printf.printf "  brgemm 32x32x32 f32 %-8s 1 thr %8.3f us  %8.2f GFLOPS\n%!"
+        isa
+        (1e6 *. best /. float calls)
+        gflops;
+      record_bench ~name:"brgemm"
+        ~config:
+          [ ("m", "32"); ("n", "32"); ("k", "32"); ("dtype", "f32");
+            ("isa", isa); ("nthreads", "1") ]
+        ~metrics:[ ("gflops", gflops) ] ())
+    Brgemm.For_tests.isas
 
 (* ---- dispatch-overhead microbenchmark (persistent pool vs spawn) ----
 

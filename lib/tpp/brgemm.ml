@@ -257,6 +257,29 @@ let exec_list ker ~ab ~c =
 
 let exec ker ~a ~b ~c = exec_stride ker ~a ~b ~c ~stride_a:0 ~stride_b:0 ~count:1
 
+(* ---- the native kernel's clones (brgemm_stubs.c's table, in order) ---- *)
+
+module For_tests = struct
+  let names = [ "avx512"; "avx2"; "baseline" ]
+
+  external executable : int -> bool = "tpp_brgemm_clone_executable"
+  [@@noalloc]
+
+  external selected : unit -> int = "tpp_brgemm_clone_selected" [@@noalloc]
+  external select : int -> unit = "tpp_brgemm_clone_select" [@@noalloc]
+
+  let isas = List.filteri (fun i _ -> executable i) names
+  let isa () = List.nth names (selected ())
+
+  let with_isa name f =
+    match List.find_index (String.equal name) names with
+    | Some i when executable i ->
+      let prev = selected () in
+      select i;
+      Fun.protect ~finally:(fun () -> select prev) f
+    | _ -> invalid_arg ("Brgemm.For_tests.with_isa: cannot run " ^ name)
+end
+
 let flops cfg ~count =
   2.0 *. float_of_int cfg.m *. float_of_int cfg.n *. float_of_int cfg.k
   *. float_of_int count

@@ -14,19 +14,26 @@
     {b Accumulator contract.} Each output element has one FP64
     accumulator, loaded from C when [beta = 1] and [+0.0] when
     [beta = 0]. It accumulates batch by batch, with p in order within each
-    batch, as separate double products and sums, skipping [a(i,p) = +-0]
-    (so [0 * inf] makes no NaN and [-0 + +0] flips no sign). It is
-    rounded once, at the store: to FP32, then to BF16 (round to nearest
-    even) for a BF16 C; a NaN is stored as [Float.nan], because which of
-    two NaN operands a sum propagates depends on instruction operand
-    order. The product of two FP32 values is exact in FP64, so only the
-    sums round, each output in a fixed order.
+    batch, as [acc = a * b + acc], skipping [a(i,p) = +-0] (so [0 * inf]
+    makes no NaN and [-0 + +0] flips no sign). It is rounded once, at the
+    store: to FP32, then to BF16 (round to nearest even) for a BF16 C; a
+    NaN is stored as [Float.nan], because which of two NaN operands a sum
+    propagates depends on instruction operand order. The product of two
+    FP32 values (BF16 values are FP32 values) is exact in FP64, so a fused
+    multiply-add rounds once, exactly as the product followed by a rounded
+    add does: only the sums round, each output in a fixed order.
 
-    The kernels are native code (a C microkernel, vectorised across N
-    only, with the instruction set picked from CPUID at load time), and
-    {!Reference} is the OCaml statement of the same contract: the two
-    agree bit for bit, which is what keeps results independent of the
-    host's SIMD width. *)
+    The kernels are native code: a C microkernel, vectorised across N
+    only, compiled once per instruction set with its own vector width and
+    register tile (see {!For_tests}), the clone picked from CPUID at load
+    time. It widens each call's B to FP64 panels once and runs one
+    broadcast-FMA loop. Skipping a zero differs from adding its zero
+    product only when B holds [+-inf] or NaN or the accumulator is [-0],
+    which needs a [-0] loaded from C, so the kernel screens B once per
+    call and the loaded C once per register tile, and runs the skip
+    branch only where a screen fails. {!Reference} is the OCaml statement
+    of the contract: the clones and it agree bit for bit, which is what
+    keeps results independent of the host's SIMD width. *)
 
 type b_layout = Flat | Vnni
 
@@ -123,6 +130,24 @@ module Reference : sig
 
   val exec_list :
     kernel -> ab:(Tensor.View.t * Tensor.View.t) list -> c:Tensor.View.t -> unit
+end
+
+(** The native kernel is compiled once per instruction set — ["avx512"],
+    ["avx2"] and ["baseline"] — and CPUID picks the best clone this host
+    can execute when the program starts. For tests and benchmarks that
+    must run every clone, not only that one. *)
+module For_tests : sig
+  val isas : string list
+  (** The clones this host can execute, best first. *)
+
+  val isa : unit -> string
+  (** The clone that exec calls run now. *)
+
+  val with_isa : string -> (unit -> 'a) -> 'a
+  (** [with_isa name f] runs [f] with every exec call, on every thread,
+      running clone [name], and restores the previous clone after.
+      Raises [Invalid_argument] if this host cannot execute [name]. Not
+      for use while another thread may call [with_isa]. *)
 end
 
 (** FLOPs of one kernel invocation with [count] batches: 2*m*n*k*count. *)

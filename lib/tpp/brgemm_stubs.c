@@ -7,19 +7,29 @@
    - each output has one FP64 accumulator, loaded from C (beta = 1) or
      set to +0.0 (beta = 0);
    - it accumulates batch by batch, with p in order within each batch,
-     as a double product (exact for two floats) and a double sum;
+     as acc = a * b + acc;
    - a(i,p) = +-0 is skipped, so 0 * inf never makes a NaN and
      -0 + +0 never flips the sign of an empty sum;
    - the value is rounded once, at the store: to float, then to BF16
      (round to nearest even) when C is a BF16 view; a NaN is stored as
      the canonical quiet NaN.
 
+   The product of two floats is exact in FP64, so a fused multiply-add
+   rounds once, exactly as the product followed by a rounded add does:
+   the build uses -ffp-contract=fast, and the clones with FMA use it.
+
+   The skip changes a result only when B holds +-inf or NaN or an
+   accumulator is -0, and an accumulator can be -0 only where beta = 1
+   loaded a -0 from C. So B is screened once per call, as it is widened,
+   and C once per register tile, as it is loaded; only what fails a
+   screen runs the loop with the skip branch. A call too small to widen
+   reads its operands in place and always takes the skip branch.
+
    Only N is vectorised, so every SIMD lane is an independent output and
-   the per-output order above is untouched. C is register-tiled MR rows
-   by NV vectors; VNNI B (v = 2) is read as pairs and split into its even
-   and odd rows in registers. The instruction set is chosen from CPUID
-   when the library is loaded (GCC target_clones); the build uses
-   -ffp-contract=off and no fast-math.
+   the per-output order above is untouched. The loop itself is in
+   brgemm_panel.h, compiled once per instruction set with its own vector
+   width and register tile; CPUID picks the clone when the library is
+   loaded. No fast-math.
 
    The entry points are [@@noalloc]: they never allocate, raise or
    release the runtime lock, and they trust the OCaml caller to have
@@ -31,16 +41,11 @@
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 
-#define VL 8 /* doubles per vector */
-#define MR 4 /* rows per register tile */
-#define NV 4 /* vectors per register tile */
-
-typedef double v8d __attribute__((vector_size(VL * sizeof(double))));
-typedef float v8f __attribute__((vector_size(VL * sizeof(float))));
-typedef uint32_t v8u __attribute__((vector_size(VL * sizeof(uint32_t))));
-
 #define INLINE static inline __attribute__((always_inline))
 #define UNROLL _Pragma("GCC unroll 8")
+#define CAT2(a, b) a##_##b
+#define CAT(a, b) CAT2(a, b)
+#define FN(name) CAT(name, ISA)
 
 /* Tensor.View.t = { data; off; rows; cols; ld; dtype }, and
    Datatype.t = F32 | BF16. */
@@ -105,6 +110,17 @@ INLINE int next_batch(const struct batches *bt, struct cursor *cur,
   return 1;
 }
 
+/* A cursor at batch i. */
+INLINE struct cursor seek(const struct batches *bt, intnat i)
+{
+  struct cursor cur = {i, bt->list};
+  if (bt->form == LIST) {
+    cur.i = 0;
+    for (; cur.i < i; cur.i++) cur.l = Field(cur.l, 1);
+  }
+  return cur;
+}
+
 /* a(i,p) is skipped when it is +0 or -0; NaN is not skipped. */
 INLINE int nonzero(const float *x)
 {
@@ -112,14 +128,6 @@ INLINE int nonzero(const float *x)
   memcpy(&bits, x, sizeof bits);
   return (bits << 1) != 0;
 }
-
-/* Eight floats at stride s, widened to doubles. A macro, not a
-   function: a vector return type would change the ABI between the
-   target clones. The element-wise form compiles to one widening load
-   where __builtin_convertvector would split it. */
-#define WIDEN8(x, s)                                                   \
-  ((v8d){(x)[0], (x)[s], (x)[2 * (s)], (x)[3 * (s)], (x)[4 * (s)],     \
-         (x)[5 * (s)], (x)[6 * (s)], (x)[7 * (s)]})
 
 /* The one rounding of an output: to float, then to BF16 (round to
    nearest even on the low 16 bits; an overflow carries into infinity)
@@ -140,136 +148,97 @@ INLINE void store1(float *dst, double x, int bf16)
   memcpy(dst, &u, sizeof u);
 }
 
-#define STORE8(dst, x, bf16)                                           \
-  do {                                                                 \
-    v8f f_ = __builtin_convertvector((x), v8f);                        \
-    v8u u_, nan_ = (v8u)(f_ != f_);                                    \
-    memcpy(&u_, &f_, sizeof u_);                                       \
-    if (bf16) u_ = (u_ + 0x7FFFu + ((u_ >> 16) & 1u)) & 0xFFFF0000u;   \
-    u_ = (u_ & ~nan_) | (CANONICAL_NAN & nan_);                        \
-    memcpy((dst), &u_, sizeof u_);                                     \
-  } while (0)
+/* The panels of a call: 128 KiB per thread, never more. A call whose
+   B panels and A tile need more is cut into column groups, or into depth
+   chunks (see run in brgemm_panel.h). */
+#define SCRATCH_DOUBLES 16384
+static __thread double scratch[SCRATCH_DOUBLES]
+    __attribute__((aligned(64)));
 
-/* One [mr x nv*VL] tile of C at (i0, j0); mr and nv are constants after
-   inlining, so acc stays in registers. */
-INLINE void tile(const int mr, const int nv, const struct geom *g,
-                 const struct batches *bt, intnat i0, intnat j0, float *c,
-                 intnat ldc, int c_bf16)
+/* One call, as a clone's tiles see it. */
+struct job {
+  const struct geom *g;
+  const struct batches *bt;
+  float *c;
+  intnat ldc;
+  int c_bf16;
+  intnat depth; /* count * k: the batches' rows of B, one after another */
+  intnat chunk; /* depth rows widened at once: depth, or fewer */
+  double *sb;   /* B panels, at the start of the scratch */
+  double *sa;   /* one A tile, at its end */
+  int b_bad;    /* the widened panels hold +-inf or NaN */
+  int inplace;  /* no panels: tiles read A and B where they are */
+};
+
+/* s[0], ..., s[VL - 1], for a clone's vector initialisers. */
+#define L2(s) (s)[0], (s)[1]
+#define L4(s) L2(s), L2((s) + 2)
+#define L8(s) L4(s), L4((s) + 4)
+#define LANES2(vl) L##vl
+#define LANES(vl) LANES2(vl)
+
+static const int64_t evens[8] = {0, 2, 4, 6, 8, 10, 12, 14};
+
+/* The clones. AVX-512: 32 zmm hold 4 x 4 accumulators of 8 doubles;
+   AVX2: 16 ymm hold 4 x 2 of 4; the baseline's 16 xmm hold 4 x 2 of 2,
+   with separate multiplies and adds. */
+#pragma GCC push_options
+#pragma GCC target("avx512f,fma")
+#define ISA avx512
+#define VL 8
+#define MR 4
+#define NV 4
+#include "brgemm_panel.h"
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+#define ISA avx2
+#define VL 4
+#define MR 4
+#define NV 2
+#include "brgemm_panel.h"
+#pragma GCC pop_options
+
+#define ISA baseline
+#define VL 2
+#define MR 4
+#define NV 2
+#include "brgemm_panel.h"
+
+static int avx512_ok(void)
 {
-  v8d acc[MR][NV];
-  struct cursor cur = {0, bt->list};
-  const float *a, *b;
-  intnat lda, ldb;
-
-  UNROLL
-  for (int r = 0; r < mr; r++)
-    UNROLL
-    for (int u = 0; u < nv; u++)
-      acc[r][u] = g->beta ? WIDEN8(c + (i0 + r) * ldc + j0 + u * VL, 1)
-                          : (v8d){0};
-
-  while (next_batch(bt, &cur, &a, &b, &lda, &ldb)) {
-    const float *arow = a + i0 * lda;
-    if (g->v == 1) {
-      for (intnat p = 0; p < g->k; p++) {
-        v8d bv[NV];
-        UNROLL
-        for (int u = 0; u < nv; u++)
-          bv[u] = WIDEN8(b + p * ldb + j0 + u * VL, 1);
-        UNROLL
-        for (int r = 0; r < mr; r++) {
-          const float *ap = arow + r * lda + p;
-          if (nonzero(ap)) {
-            double x = *ap;
-            v8d xv = {x, x, x, x, x, x, x, x};
-            UNROLL
-            for (int u = 0; u < nv; u++) acc[r][u] = xv * bv[u] + acc[r][u];
-          }
-        }
-      }
-    } else {
-      /* VNNI row q holds (p = 2q, j) at 2j and (p = 2q + 1, j) at 2j + 1 */
-      for (intnat q = 0; q < g->k / 2; q++) {
-        v8d be[NV], bo[NV];
-        UNROLL
-        for (int u = 0; u < nv; u++) {
-          const float *bq = b + q * ldb + 2 * (j0 + u * VL);
-          be[u] = WIDEN8(bq, 2);
-          bo[u] = WIDEN8(bq + 1, 2);
-        }
-        UNROLL
-        for (int r = 0; r < mr; r++) {
-          const float *ap = arow + r * lda + 2 * q;
-          if (nonzero(ap)) {
-            double x = ap[0];
-            v8d xv = {x, x, x, x, x, x, x, x};
-            UNROLL
-            for (int u = 0; u < nv; u++) acc[r][u] = xv * be[u] + acc[r][u];
-          }
-          if (nonzero(ap + 1)) {
-            double x = ap[1];
-            v8d xv = {x, x, x, x, x, x, x, x};
-            UNROLL
-            for (int u = 0; u < nv; u++) acc[r][u] = xv * bo[u] + acc[r][u];
-          }
-        }
-      }
-    }
-  }
-
-  UNROLL
-  for (int r = 0; r < mr; r++)
-    UNROLL
-    for (int u = 0; u < nv; u++)
-      STORE8(c + (i0 + r) * ldc + j0 + u * VL, acc[r][u], c_bf16);
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
 }
 
-/* Columns [j0, n) of rows [i0, i0 + mr), one output at a time. */
-static void tail(const struct geom *g, const struct batches *bt, intnat i0,
-                 intnat mr, intnat j0, float *c, intnat ldc, int c_bf16)
+static int avx2_ok(void)
 {
-  const int vnni = g->v == 2;
-  for (intnat r = i0; r < i0 + mr; r++)
-    for (intnat j = j0; j < g->n; j++) {
-      double acc = g->beta ? c[r * ldc + j] : 0.0;
-      struct cursor cur = {0, bt->list};
-      const float *a, *b;
-      intnat lda, ldb;
-      while (next_batch(bt, &cur, &a, &b, &lda, &ldb))
-        for (intnat p = 0; p < g->k; p++) {
-          const float *ap = a + r * lda + p;
-          if (nonzero(ap)) {
-            double bpj = vnni ? b[(p >> 1) * ldb + 2 * j + (p & 1)]
-                              : b[p * ldb + j];
-            acc = (double)*ap * bpj + acc;
-          }
-        }
-      store1(c + r * ldc + j, acc, c_bf16);
-    }
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
 
-/* Full tiles are MR rows; the rows left over take one row at a time. */
-__attribute__((target_clones("avx512f", "avx2", "default"))) static void
-run(const struct geom *g, const struct batches *bt, float *c, intnat ldc,
-    int c_bf16)
+static int baseline_ok(void) { return 1; }
+
+/* Best first; Brgemm.For_tests names them in this order. */
+static const struct {
+  void (*run)(const struct geom *, const struct batches *, float *, intnat,
+              int);
+  int (*executable)(void);
+} clones[] = {{run_avx512, avx512_ok},
+              {run_avx2, avx2_ok},
+              {run_baseline, baseline_ok}};
+
+#define NCLONES ((intnat)(sizeof clones / sizeof clones[0]))
+
+/* The clone every call runs: the best this CPU executes, unless a test
+   picked another. */
+static int selected;
+
+__attribute__((constructor)) static void pick_clone(void)
 {
-  for (intnat i0 = 0, mr; i0 < g->m; i0 += mr) {
-    mr = g->m - i0 >= MR ? MR : 1;
-    intnat j0 = 0, nv;
-    for (; g->n - j0 >= VL; j0 += nv * VL) {
-      nv = (g->n - j0) / VL < NV ? (g->n - j0) / VL : NV;
-      switch (mr == MR ? NV + nv : nv) {
-#define TILE(R, U)                                                     \
-  case ((R) == 1 ? 0 : NV) + (U):                                      \
-    tile(R, U, g, bt, i0, j0, c, ldc, c_bf16);                         \
-    break
-        TILE(1, 1); TILE(1, 2); TILE(1, 3); TILE(1, 4);
-        TILE(MR, 1); TILE(MR, 2); TILE(MR, 3); TILE(MR, 4);
-#undef TILE
-      }
-    }
-    if (j0 < g->n) tail(g, bt, i0, mr, j0, c, ldc, c_bf16);
-  }
+  __builtin_cpu_init();
+  int i = 0;
+  while (!clones[i].executable()) i++;
+  selected = i;
 }
 
 /* [vg] is the kernel's geometry, [| m; n; k; v; beta |]. */
@@ -278,7 +247,8 @@ static void exec(value vg, const struct batches *bt, value vc)
   struct geom g = {Long_val(Field(vg, 0)), Long_val(Field(vg, 1)),
                    Long_val(Field(vg, 2)), Long_val(Field(vg, 3)),
                    Long_val(Field(vg, 4)) != 0};
-  run(&g, bt, VIEW_PTR(vc), VIEW_LD(vc), VIEW_BF16(vc));
+  clones[__atomic_load_n(&selected, __ATOMIC_RELAXED)].run(
+      &g, bt, VIEW_PTR(vc), VIEW_LD(vc), VIEW_BF16(vc));
 }
 
 CAMLprim value tpp_brgemm_stride(value vg, value va, value vb, value vc,
@@ -329,7 +299,27 @@ CAMLprim value tpp_brgemm_offsets_byte(value *argv, int argn)
 
 CAMLprim value tpp_brgemm_list(value vg, value vab, value vc)
 {
-  struct batches bt = {.form = LIST, .list = vab};
+  struct batches bt = {.form = LIST, .count = 0, .list = vab};
+  for (value l = vab; Is_block(l); l = Field(l, 1)) bt.count++;
   exec(vg, &bt, vc);
+  return Val_unit;
+}
+
+/* Brgemm.For_tests: clone [i] of the table above. */
+CAMLprim value tpp_brgemm_clone_executable(value vi)
+{
+  intnat i = Long_val(vi);
+  return Val_bool(i >= 0 && i < NCLONES && clones[i].executable());
+}
+
+CAMLprim value tpp_brgemm_clone_selected(value unit)
+{
+  (void)unit;
+  return Val_long(__atomic_load_n(&selected, __ATOMIC_RELAXED));
+}
+
+CAMLprim value tpp_brgemm_clone_select(value vi)
+{
+  __atomic_store_n(&selected, (int)Long_val(vi), __ATOMIC_RELAXED);
   return Val_unit;
 }

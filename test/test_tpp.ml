@@ -3,6 +3,7 @@
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let checks = Alcotest.(check string)
 let checkf msg = Alcotest.(check (float 1e-5)) msg
 let qt t = QCheck_alcotest.to_alcotest t
 
@@ -276,11 +277,44 @@ let first_bit_mismatch x y =
   in
   go 0
 
-(* One random case: a shape (m, n not multiples of the register tile,
-   padded leading dimensions), an exec form, beta, flat FP32 or VNNI BF16
-   B, an FP32 or BF16 C. Both kernels start from the same C buffer, and
-   the whole buffer (padding included) must come out bit-identical. *)
-let native_vs_reference_case rng case =
+(* The values the accumulator contract treats specially, in the three
+   classes the native kernel screens for, each drawn on its own: +-0 and
+   NaN in A (with some rows zero in every batch, as conv's padding rows
+   are) and +-0 in B; +-inf and NaN in B; +-0 in C. *)
+type specials = { zeros : bool; nonfinite : bool; negzero : bool }
+
+let specials_name s =
+  String.concat "+"
+    (List.filter_map
+       (fun (on, name) -> if on then Some name else None)
+       [ (s.zeros, "zeros"); (s.nonfinite, "nonfinite"); (s.negzero, "negzero") ])
+
+let draw_special rng s which =
+  let u = Prng.float rng in
+  match which with
+  | `A when s.zeros && u < 0.2 ->
+    if u < 0.08 then 0.0 else if u < 0.16 then -0.0 else Float.nan
+  | `B when s.nonfinite && u < 0.06 ->
+    if u < 0.02 then Float.infinity
+    else if u < 0.04 then Float.neg_infinity
+    else Float.nan
+  | `B when s.zeros && u < 0.16 -> if u < 0.11 then 0.0 else -0.0
+  | `C when s.negzero && u < 0.2 -> if u < 0.05 then 0.0 else -0.0
+  | _ -> Prng.uniform rng ~scale:2.0
+
+(* The kernel windows' shapes (m, n, k, count): GEMM 32x32x32, conv
+   56x32x32 over 9 taps and SpMM 16x32x16 over 6 blocks; then shapes
+   whose panels do not all fit the kernel's scratch at once, so it widens
+   them in column groups or depth chunks. *)
+let window_shapes = [| (32, 32, 32, 1); (56, 32, 32, 9); (16, 32, 16, 6) |]
+let deep_shapes = [| (6, 72, 32, 9); (8, 40, 64, 8); (5, 20, 64, 24) |]
+
+(* One case: a shape (m, n not multiples of the register tile, padded
+   leading dimensions), an exec form, beta, flat FP32 or VNNI BF16 B, an
+   FP32 or BF16 C, and the special classes. Both kernels start from the
+   same C buffer, and the whole buffer (padding included) must come out
+   bit-identical. *)
+let native_vs_reference_case rng ~isa case =
   let vnni = Prng.bernoulli rng ~p:0.5 in
   let dtype = if vnni then Datatype.BF16 else Datatype.F32 in
   let v = Datatype.vnni_factor dtype in
@@ -291,10 +325,20 @@ let native_vs_reference_case rng case =
   let form =
     match Prng.int rng 3 with 0 -> Stride | 1 -> Offsets | _ -> List
   in
-  let specials = Prng.bernoulli rng ~p:0.5 in
-  let m = 1 + Prng.int rng 14 and n = 1 + Prng.int rng 40 in
-  let k = v * (1 + Prng.int rng (16 / v)) in
-  let count = Prng.int rng 4 in
+  let specials =
+    { zeros = Prng.bernoulli rng ~p:0.5;
+      nonfinite = Prng.bernoulli rng ~p:0.3;
+      negzero = Prng.bernoulli rng ~p:0.5 }
+  in
+  let m, n, k, count =
+    let fixed = Array.append window_shapes deep_shapes in
+    if case < 8 * Array.length fixed then fixed.(case mod Array.length fixed)
+    else
+      ( 1 + Prng.int rng 56,
+        1 + Prng.int rng 40,
+        v * (1 + Prng.int rng (32 / v)),
+        Prng.int rng 10 )
+  in
   let lda = k + Prng.int rng 3 in
   let b_rows = k / v and b_cols = n * v in
   let ldb = b_cols + Prng.int rng 3 in
@@ -303,12 +347,26 @@ let native_vs_reference_case rng case =
   let slots = max 1 count + Prng.int rng 2 in
   let slot_a = (m * lda) + Prng.int rng 3
   and slot_b = (b_rows * ldb) + Prng.int rng 3 in
-  let a = filled rng ~specials `A dtype ((slots * slot_a) + Prng.int rng 4) in
-  let b = filled rng ~specials `B dtype ((slots * slot_b) + Prng.int rng 4) in
-  let c_off = Prng.int rng 3 in
-  let c0 =
-    filled rng ~specials `C c_dtype (c_off + (m * ldc) + Prng.int rng 4)
+  let filled which dtype len =
+    let t = Tensor.create dtype [| len |] in
+    for i = 0 to len - 1 do
+      Tensor.set_flat t i (draw_special rng specials which)
+    done;
+    t
   in
+  let a = filled `A dtype ((slots * slot_a) + Prng.int rng 4) in
+  if specials.zeros then
+    for i = 0 to m - 1 do
+      if Prng.bernoulli rng ~p:0.15 then
+        for slot = 0 to slots - 1 do
+          for p = 0 to k - 1 do
+            Tensor.set_flat a ((slot * slot_a) + (i * lda) + p) 0.0
+          done
+        done
+    done;
+  let b = filled `B dtype ((slots * slot_b) + Prng.int rng 4) in
+  let c_off = Prng.int rng 3 in
+  let c0 = filled `C c_dtype (c_off + (m * ldc) + Prng.int rng 4) in
   let a_at off = Tensor.view_flat a ~off ~rows:m ~cols:k ~ld:lda in
   let b_at off = Tensor.view_flat b ~off ~rows:b_rows ~cols:b_cols ~ld:ldb in
   let pick slot = Array.init count (fun _ -> slot * Prng.int rng slots) in
@@ -342,19 +400,32 @@ let native_vs_reference_case rng case =
   | None -> ()
   | Some i ->
     Alcotest.failf
-      "case %d: %s m=%d n=%d k=%d B=%s C=%s beta=%g count=%d lda=%d ldb=%d \
-       ldc=%d specials=%b: C[%d] native %08lx, reference %08lx"
-      case (form_name form) m n k
+      "%s case %d: %s m=%d n=%d k=%d B=%s C=%s beta=%g count=%d lda=%d ldb=%d \
+       ldc=%d specials=%s: C[%d] native %08lx, reference %08lx"
+      isa case (form_name form) m n k
       (if vnni then "vnni-bf16" else "flat-f32")
-      (Datatype.to_string c_dtype) beta count lda ldb ldc specials i
+      (Datatype.to_string c_dtype) beta count lda ldb ldc
+      (specials_name specials) i
       (Int32.bits_of_float (Tensor.get_flat native i))
       (Int32.bits_of_float (Tensor.get_flat reference i))
 
+(* The same cases on every clone of the native kernel this host can
+   execute, not only the one CPUID picks. *)
 let test_brgemm_native_matches_reference () =
-  let rng = Prng.create 2024 in
-  for case = 0 to 1199 do
-    native_vs_reference_case rng case
-  done
+  let isas = Brgemm.For_tests.isas in
+  checkb "the baseline clone runs anywhere" true (List.mem "baseline" isas);
+  List.iter
+    (fun isa ->
+      Brgemm.For_tests.with_isa isa (fun () ->
+          checks "clone selected" isa (Brgemm.For_tests.isa ());
+          let rng = Prng.create 2024 in
+          for case = 0 to 1199 do
+            native_vs_reference_case rng ~isa case
+          done))
+    isas;
+  match Brgemm.For_tests.with_isa "sse9" ignore with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "an unknown clone was accepted"
 
 (* Every exec form refuses, before entering native code, a call whose
    batch would reach past its buffer. *)
