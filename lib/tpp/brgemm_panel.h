@@ -273,8 +273,9 @@ static void FN(run)(const struct geom *g, const struct batches *bt,
                     float *c, intnat ldc, int c_bf16)
 {
   const intnat depth = bt->count * g->k, nvec = g->n / VL;
-  struct job jb = {g,     bt,      c,    ldc, c_bf16, depth,
-                   depth, scratch, NULL, 0,   g->v == 1 && g->m < MR};
+  struct job jb = {.g = g, .bt = bt, .c = c, .ldc = ldc, .c_bf16 = c_bf16,
+                   .depth = depth, .chunk = depth, .sb = scratch,
+                   .inplace = g->v == 1 && g->m < MR};
   intnat group = nvec; /* vectors of B widened at once */
   if (!jb.inplace && depth * (W + MR) > SCRATCH_DOUBLES) {
     jb.chunk = SCRATCH_DOUBLES / (W + MR);
