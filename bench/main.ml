@@ -367,83 +367,79 @@ let run_micro () =
         results)
     (micro_tests ())
 
-(* Fastest of repeated runs of [f], after one warm-up run: at least ten
-   runs and 0.1 s of them, so a sub-millisecond kernel's time is a stable
-   floor that a 1.5x band can gate. *)
-let best_time f =
-  f ();
+(* Fastest run of each of [fs], after one warm-up run of each: at least
+   ten runs of each and [secs] of them in all, so a sub-millisecond
+   kernel's time is a stable floor that a band can gate. The functions
+   take turns run by run, so a slow spell on the host lands on all of
+   them instead of on one, and times compared with each other stay
+   comparable. *)
+let best_times ?(secs = 0.1) fs =
+  Array.iter (fun f -> f ()) fs;
+  let best = Array.map (fun _ -> Float.infinity) fs in
   let t_start = Telemetry.Clock.now_s () in
-  let rec go runs best =
-    if runs >= 10 && Telemetry.Clock.now_s () -. t_start >= 0.1 then best
-    else begin
-      let t0 = Telemetry.Clock.now_s () in
-      f ();
-      go (runs + 1) (Float.min best (Telemetry.Clock.now_s () -. t0))
+  let rec go runs =
+    if runs < 10 || Telemetry.Clock.now_s () -. t_start < secs then begin
+      Array.iteri
+        (fun i f ->
+          let t0 = Telemetry.Clock.now_s () in
+          f ();
+          best.(i) <- Float.min best.(i) (Telemetry.Clock.now_s () -. t0))
+        fs;
+      go (runs + 1)
     end
   in
-  go 0 Float.infinity
+  go 0;
+  best
+
+let best_time f = (best_times [| f |]).(0)
 
 (* ---- quick measured GEMM points (real timings, BENCH_gemm.json) ---- *)
 
 let run_gemm_points () =
   Modelkit.section "measured GEMM points (this host)";
-  List.iter
-    (fun (dim, block, spec) ->
-      let rng = Prng.create 99 in
-      let cfg =
-        Gemm.make_config ~bm:block ~bn:block ~bk:block ~dtype:Datatype.F32
-          ~m:dim ~n:dim ~k:dim ()
-      in
-      let g = Gemm.create cfg spec in
-      let a = Tensor.create Datatype.F32 [| dim; dim |] in
-      let b = Tensor.create Datatype.F32 [| dim; dim |] in
-      Tensor.fill_random a rng ~scale:1.0;
-      Tensor.fill_random b rng ~scale:1.0;
-      let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
-      let cp = Gemm.alloc_c cfg in
-      let best = best_time (fun () -> Gemm.run g ~a:ap ~b:bp ~c:cp) in
+  (* an f32 GEMM of [dim]^3 in 32-blocks; with [nthreads] it is
+     dispatched onto the persistent worker team (parallel outer loop) *)
+  let point (dim, nthreads) =
+    let block = 32 and spec = "BCa" in
+    let rng = Prng.create 99 in
+    let cfg =
+      Gemm.make_config ~bm:block ~bn:block ~bk:block ~dtype:Datatype.F32
+        ~m:dim ~n:dim ~k:dim ()
+    in
+    let g = Gemm.create cfg spec in
+    let a = Tensor.create Datatype.F32 [| dim; dim |] in
+    let b = Tensor.create Datatype.F32 [| dim; dim |] in
+    Tensor.fill_random a rng ~scale:1.0;
+    Tensor.fill_random b rng ~scale:1.0;
+    let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
+    let cp = Gemm.alloc_c cfg in
+    let report best =
       let gflops = Gemm.flops cfg /. best /. 1e9 in
-      Printf.printf "  gemm %4dx%4dx%4d f32 %-6s %8.3f ms  %8.2f GFLOPS\n%!"
-        dim dim dim spec (1e3 *. best) gflops;
+      let threads, team =
+        match nthreads with
+        | None -> ("", [])
+        | Some n ->
+          ( Printf.sprintf " %d thr (pool)" n,
+            [ ("nthreads", string_of_int n);
+              ("pool", if Team.pool_enabled () then "on" else "off") ] )
+      in
+      Printf.printf "  gemm %4dx%4dx%4d f32 %-6s%s %8.3f ms  %8.2f GFLOPS\n%!"
+        dim dim dim spec threads (1e3 *. best) gflops;
       record_bench ~name:"gemm"
         ~config:
-          [ ("m", string_of_int dim); ("n", string_of_int dim);
-            ("k", string_of_int dim); ("block", string_of_int block);
-            ("spec", spec); ("dtype", "f32") ]
-        ~metrics:[ ("seconds", best); ("gflops", gflops) ] ())
-    [ (128, 32, "BCa"); (256, 32, "BCa") ];
-  (* pool-on points: the same contraction dispatched onto the persistent
-     worker team (parallel outer loop, 2 logical threads) *)
-  List.iter
-    (fun (dim, block, spec, nthreads) ->
-      let rng = Prng.create 99 in
-      let cfg =
-        Gemm.make_config ~bm:block ~bn:block ~bk:block ~dtype:Datatype.F32
-          ~m:dim ~n:dim ~k:dim ()
-      in
-      let g = Gemm.create cfg spec in
-      let a = Tensor.create Datatype.F32 [| dim; dim |] in
-      let b = Tensor.create Datatype.F32 [| dim; dim |] in
-      Tensor.fill_random a rng ~scale:1.0;
-      Tensor.fill_random b rng ~scale:1.0;
-      let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
-      let cp = Gemm.alloc_c cfg in
-      let best =
-        best_time (fun () -> Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp)
-      in
-      let gflops = Gemm.flops cfg /. best /. 1e9 in
-      Printf.printf
-        "  gemm %4dx%4dx%4d f32 %-6s %d thr (pool) %8.3f ms  %8.2f GFLOPS\n%!"
-        dim dim dim spec nthreads (1e3 *. best) gflops;
-      record_bench ~name:"gemm"
-        ~config:
-          [ ("m", string_of_int dim); ("n", string_of_int dim);
-            ("k", string_of_int dim); ("block", string_of_int block);
-            ("spec", spec); ("dtype", "f32");
-            ("nthreads", string_of_int nthreads);
-            ("pool", if Team.pool_enabled () then "on" else "off") ]
-        ~metrics:[ ("seconds", best); ("gflops", gflops) ] ())
-    [ (128, 32, "BCa", 2); (256, 32, "BCa", 2) ];
+          ([ ("m", string_of_int dim); ("n", string_of_int dim);
+             ("k", string_of_int dim); ("block", string_of_int block);
+             ("spec", spec); ("dtype", "f32") ]
+          @ team)
+        ~metrics:[ ("seconds", best); ("gflops", gflops) ] ()
+    in
+    ((fun () -> Gemm.run ?nthreads g ~a:ap ~b:bp ~c:cp), report)
+  in
+  let points =
+    List.map point [ (128, None); (256, None); (128, Some 2); (256, Some 2) ]
+  in
+  let best = best_times ~secs:1.0 (Array.of_list (List.map fst points)) in
+  List.iteri (fun i (_, report) -> report best.(i)) points;
   (* the native kernel alone, one thread: 32^3 blocks accumulated into C,
      once per clone this host can execute *)
   let cfg = Brgemm.make_config ~m:32 ~n:32 ~k:32 () in
@@ -455,16 +451,21 @@ let run_gemm_points () =
     Tensor.view2d t
   in
   let a = block () and b = block () and c = block () in
-  let calls = 1000 in
-  List.iter
-    (fun isa ->
-      let best =
-        Brgemm.For_tests.with_isa isa (fun () ->
-            best_time (fun () ->
-                for _ = 1 to calls do
-                  Brgemm.exec ker ~a ~b ~c
-                done))
-      in
+  let calls = 100 in
+  let isas = Array.of_list Brgemm.For_tests.isas in
+  let best =
+    best_times ~secs:0.5
+      (Array.map
+         (fun isa () ->
+           Brgemm.For_tests.with_isa isa (fun () ->
+               for _ = 1 to calls do
+                 Brgemm.exec ker ~a ~b ~c
+               done))
+         isas)
+  in
+  Array.iteri
+    (fun i isa ->
+      let best = best.(i) in
       let gflops = float calls *. Brgemm.flops cfg ~count:1 /. best /. 1e9 in
       Printf.printf "  brgemm 32x32x32 f32 %-8s 1 thr %8.3f us  %8.2f GFLOPS\n%!"
         isa
@@ -475,7 +476,7 @@ let run_gemm_points () =
           [ ("m", "32"); ("n", "32"); ("k", "32"); ("dtype", "f32");
             ("isa", isa); ("nthreads", "1") ]
         ~metrics:[ ("gflops", gflops) ] ())
-    Brgemm.For_tests.isas
+    isas
 
 (* ---- dispatch-overhead microbenchmark (persistent pool vs spawn) ----
 
@@ -594,41 +595,26 @@ let run_recorder () =
   Modelkit.section "flight-recorder overhead: emit cost and pooled-GEMM impact";
   let was_enabled = Telemetry.Recorder.enabled () in
   let lbl = Telemetry.Recorder.intern "bench.recorder" in
-  (* one timed pass of [iters] emits, in ns/event *)
-  let iters = 1_000_000 in
-  let pass kind =
-    let t0 = Telemetry.Clock.now_s () in
+  (* one pass of [iters] emits; the warm-up run of each creates the
+     calling thread's rings, so the timed passes see only the
+     steady-state path *)
+  let iters = 10_000 in
+  let pass kind () =
     for i = 1 to iters do
-      Telemetry.Recorder.emit kind ~label:lbl ~a:i ~b:0
-    done;
-    1e9 *. (Telemetry.Clock.now_s () -. t0) /. float_of_int iters
-  in
-  (* warm-up creates the calling thread's rings so the timed passes see
-     only the steady-state path *)
-  let warm kind =
-    for i = 1 to 1_000 do
       Telemetry.Recorder.emit kind ~label:lbl ~a:i ~b:0
     done
   in
-  (* min of 5 passes each: the gate below compares the dense and trace
-     numbers, so each must be a stable floor, and their passes alternate
-     so host drift (clock frequency, steal) lands on both sides of the
-     ratio instead of on one *)
+  let ns_per_event t = 1e9 *. t /. float_of_int iters in
+  (* the gate below compares the dense and trace numbers, so their
+     passes take turns *)
   Telemetry.Recorder.set_enabled true;
-  warm Telemetry.Recorder.Mark;
-  warm Telemetry.Recorder.Trace_decode;
-  let emit_on_ns = ref Float.infinity and trace_emit_ns = ref Float.infinity in
-  for _ = 1 to 5 do
-    emit_on_ns := Float.min !emit_on_ns (pass Telemetry.Recorder.Mark);
-    trace_emit_ns :=
-      Float.min !trace_emit_ns (pass Telemetry.Recorder.Trace_decode)
-  done;
-  let emit_on_ns = !emit_on_ns and trace_emit_ns = !trace_emit_ns in
-  Telemetry.Recorder.set_enabled false;
-  let emit_off_ns =
-    List.fold_left Float.min Float.infinity
-      (List.init 5 (fun _ -> pass Telemetry.Recorder.Mark))
+  let t =
+    best_times ~secs:0.5
+      [| pass Telemetry.Recorder.Mark; pass Telemetry.Recorder.Trace_decode |]
   in
+  let emit_on_ns = ns_per_event t.(0) and trace_emit_ns = ns_per_event t.(1) in
+  Telemetry.Recorder.set_enabled false;
+  let emit_off_ns = ns_per_event (best_time (pass Telemetry.Recorder.Mark)) in
   let events_per_s = 1e9 /. emit_on_ns in
   Printf.printf
     "  emit: %6.1f ns/event enabled (%.1f Mevents/s), %6.2f ns/event \
@@ -649,25 +635,25 @@ let run_recorder () =
       trace_overhead_pct;
     exit 1
   end;
-  let gemm_point enabled =
-    Telemetry.Recorder.set_enabled enabled;
-    let dim = 128 and block = 32 and nthreads = 2 in
-    let rng = Prng.create 99 in
-    let cfg =
-      Gemm.make_config ~bm:block ~bn:block ~bk:block ~dtype:Datatype.F32
-        ~m:dim ~n:dim ~k:dim ()
-    in
-    let g = Gemm.create cfg "BCa" in
-    let a = Tensor.create Datatype.F32 [| dim; dim |] in
-    let b = Tensor.create Datatype.F32 [| dim; dim |] in
-    Tensor.fill_random a rng ~scale:1.0;
-    Tensor.fill_random b rng ~scale:1.0;
-    let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
-    let cp = Gemm.alloc_c cfg in
-    best_time (fun () -> Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp)
+  let dim = 128 and block = 32 and nthreads = 2 in
+  let rng = Prng.create 99 in
+  let cfg =
+    Gemm.make_config ~bm:block ~bn:block ~bk:block ~dtype:Datatype.F32 ~m:dim
+      ~n:dim ~k:dim ()
   in
-  let gemm_on_s = gemm_point true in
-  let gemm_off_s = gemm_point false in
+  let g = Gemm.create cfg "BCa" in
+  let a = Tensor.create Datatype.F32 [| dim; dim |] in
+  let b = Tensor.create Datatype.F32 [| dim; dim |] in
+  Tensor.fill_random a rng ~scale:1.0;
+  Tensor.fill_random b rng ~scale:1.0;
+  let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
+  let cp = Gemm.alloc_c cfg in
+  let run enabled () =
+    Telemetry.Recorder.set_enabled enabled;
+    Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp
+  in
+  let t = best_times ~secs:0.5 [| run true; run false |] in
+  let gemm_on_s = t.(0) and gemm_off_s = t.(1) in
   Telemetry.Recorder.set_enabled was_enabled;
   let overhead_pct = 100.0 *. ((gemm_on_s /. gemm_off_s) -. 1.0) in
   Printf.printf
