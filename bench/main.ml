@@ -127,10 +127,14 @@ let write_bench_json path =
    - correctness counters (violations, mismatched, double_released,
      numeric_errors) must match the baseline exactly — these are not
      performance numbers and have no noise band;
-   - lower-is-better times (seconds, ..._s, ..._ms, ..._ns, ..._pct) may
-     grow at most 1.5x over the baseline;
+   - lower-is-better times (seconds, ..._s, ..._ms, ..._ns) may grow at
+     most 1.5x over the baseline;
    - higher-is-better rates (gflops, tokens_per_s, events_per_s,
      ..._gflops) may shrink to at worst 1/1.5 of the baseline;
+   - signed overheads (..._pct) may rise at most 5 points above the
+     baseline, a negative baseline counting as 0: a ratio band around a
+     value near zero is either vacuous (a negative baseline) or tighter
+     than the noise (a small positive one);
    - everything else is presence-only: the key must still be reported
      (a silently dropped metric is a regression of the bench itself).
 
@@ -187,9 +191,13 @@ type tolerance =
   | Exact  (* correctness counter: any drift fails *)
   | Lower_better of float  (* current may be at most [factor] x baseline *)
   | Higher_better of float  (* current may be at least baseline / [factor] *)
+  | Points of float
+      (* current may be at most [points] above the baseline, or above 0
+         when the baseline is negative *)
   | Presence  (* key must exist; value unconstrained *)
 
 let perf_band = 1.5
+let pct_points = 5.0
 
 let tolerance_of metric =
   let suffix suf =
@@ -202,7 +210,8 @@ let tolerance_of metric =
   | "tokens_per_s" | "events_per_s" | "gflops" -> Higher_better perf_band
   | "seconds" -> Lower_better perf_band
   | _ when suffix "_gflops" -> Higher_better perf_band
-  | _ when suffix "_ms" || suffix "_ns" || suffix "_pct" || suffix "_s" ->
+  | _ when suffix "_pct" -> Points pct_points
+  | _ when suffix "_ms" || suffix "_ns" || suffix "_s" ->
     Lower_better perf_band
   | _ -> Presence
 
@@ -272,6 +281,13 @@ let compare_with_baseline path =
                     cur base f
                 else ok "%s.%s: %g (baseline %g, >=1/%.2gx)" bname metric cur
                     base f
+              | Points p ->
+                let limit = Float.max base 0.0 +. p in
+                if cur > limit then
+                  fail_line "%s.%s: %g exceeds %g (baseline %g + %g points)"
+                    bname metric cur limit base p
+                else ok "%s.%s: %g (baseline %g, <=%g)" bname metric cur base
+                    limit
               | Presence -> ok "%s.%s: %g (presence)" bname metric cur))
           base_ms)
     baseline;
