@@ -241,29 +241,6 @@ let form_name = function
   | Offsets -> "offsets"
   | List -> "list"
 
-(* An operand value: uniform, or (when [specials]) sometimes one of the
-   values the accumulator contract treats specially — +-0 and NaN in A,
-   +-inf and +-0 in B, +-0 in C. *)
-let draw rng ~specials which =
-  let u = Prng.float rng in
-  if (not specials) || u >= 0.2 then Prng.uniform rng ~scale:2.0
-  else
-    match which with
-    | `A -> if u < 0.08 then 0.0 else if u < 0.16 then -0.0 else Float.nan
-    | `B ->
-      if u < 0.05 then Float.infinity
-      else if u < 0.1 then Float.neg_infinity
-      else if u < 0.15 then 0.0
-      else -0.0
-    | `C -> if u < 0.1 then 0.0 else -0.0
-
-let filled rng ~specials which dtype len =
-  let t = Tensor.create dtype [| len |] in
-  for i = 0 to len - 1 do
-    Tensor.set_flat t i (draw rng ~specials which)
-  done;
-  t
-
 (* first flat index where [x] and [y] differ as FP32 bit patterns *)
 let first_bit_mismatch x y =
   let n = Tensor.numel x in
@@ -283,13 +260,17 @@ let first_bit_mismatch x y =
    are) and +-0 in B; +-inf and NaN in B; +-0 in C. *)
 type specials = { zeros : bool; nonfinite : bool; negzero : bool }
 
+let all_specials = { zeros = true; nonfinite = true; negzero = true }
+
 let specials_name s =
   String.concat "+"
     (List.filter_map
        (fun (on, name) -> if on then Some name else None)
        [ (s.zeros, "zeros"); (s.nonfinite, "nonfinite"); (s.negzero, "negzero") ])
 
-let draw_special rng s which =
+(* An operand value: uniform, or sometimes one of the special values of
+   the classes [s] turns on. *)
+let draw rng s which =
   let u = Prng.float rng in
   match which with
   | `A when s.zeros && u < 0.2 ->
@@ -302,12 +283,23 @@ let draw_special rng s which =
   | `C when s.negzero && u < 0.2 -> if u < 0.05 then 0.0 else -0.0
   | _ -> Prng.uniform rng ~scale:2.0
 
+let filled rng s which dtype len =
+  let t = Tensor.create dtype [| len |] in
+  for i = 0 to len - 1 do
+    Tensor.set_flat t i (draw rng s which)
+  done;
+  t
+
 (* The kernel windows' shapes (m, n, k, count): GEMM 32x32x32, conv
    56x32x32 over 9 taps and SpMM 16x32x16 over 6 blocks; then shapes
    whose panels do not all fit the kernel's scratch at once, so it widens
-   them in column groups or depth chunks. *)
+   them in column groups or depth chunks. The last is 2560 rows deep:
+   every clone cuts it into depth chunks, the baseline too, whose panel
+   and tile take the fewest doubles a row (8, so 2048 rows fit). *)
 let window_shapes = [| (32, 32, 32, 1); (56, 32, 32, 9); (16, 32, 16, 6) |]
-let deep_shapes = [| (6, 72, 32, 9); (8, 40, 64, 8); (5, 20, 64, 24) |]
+
+let deep_shapes =
+  [| (6, 72, 32, 9); (8, 40, 64, 8); (5, 20, 64, 24); (5, 12, 64, 40) |]
 
 (* One case: a shape (m, n not multiples of the register tile, padded
    leading dimensions), an exec form, beta, flat FP32 or VNNI BF16 B, an
@@ -347,14 +339,9 @@ let native_vs_reference_case rng ~isa case =
   let slots = max 1 count + Prng.int rng 2 in
   let slot_a = (m * lda) + Prng.int rng 3
   and slot_b = (b_rows * ldb) + Prng.int rng 3 in
-  let filled which dtype len =
-    let t = Tensor.create dtype [| len |] in
-    for i = 0 to len - 1 do
-      Tensor.set_flat t i (draw_special rng specials which)
-    done;
-    t
+  let a =
+    filled rng specials `A dtype ((slots * slot_a) + Prng.int rng 4)
   in
-  let a = filled `A dtype ((slots * slot_a) + Prng.int rng 4) in
   if specials.zeros then
     for i = 0 to m - 1 do
       if Prng.bernoulli rng ~p:0.15 then
@@ -364,9 +351,13 @@ let native_vs_reference_case rng ~isa case =
           done
         done
     done;
-  let b = filled `B dtype ((slots * slot_b) + Prng.int rng 4) in
+  let b =
+    filled rng specials `B dtype ((slots * slot_b) + Prng.int rng 4)
+  in
   let c_off = Prng.int rng 3 in
-  let c0 = filled `C c_dtype (c_off + (m * ldc) + Prng.int rng 4) in
+  let c0 =
+    filled rng specials `C c_dtype (c_off + (m * ldc) + Prng.int rng 4)
+  in
   let a_at off = Tensor.view_flat a ~off ~rows:m ~cols:k ~ld:lda in
   let b_at off = Tensor.view_flat b ~off ~rows:b_rows ~cols:b_cols ~ld:ldb in
   let pick slot = Array.init count (fun _ -> slot * Prng.int rng slots) in
@@ -511,14 +502,16 @@ let test_spmm_native_matches_reference_offsets () =
     let dense =
       Tensor.init dtype [| rows; cols |] (fun i ->
           if keep.((i.(0) / bm * kb) + (i.(1) / bk)) then
-            draw rng ~specials:true `A
+            draw rng all_specials `A
           else 0.0)
     in
     let a = Bcsc.of_dense ~bm ~bk dense in
     let bp =
       Vnni.pack
         (Tensor.init dtype [| cols; ncols |] (fun _ ->
-             draw rng ~specials:(case mod 3 = 0) `B))
+             draw rng
+               { all_specials with nonfinite = case mod 3 = 0 }
+               `B))
     in
     let ldb = ncols * v in
     let beta = if Prng.bernoulli rng ~p:0.5 then 1.0 else 0.0 in
@@ -532,7 +525,7 @@ let test_spmm_native_matches_reference_offsets () =
     in
     for ib = 0 to mb - 1 do
       for jn = 0 to nb - 1 do
-        let c0 = filled rng ~specials:true `C c_dtype (bm * n) in
+        let c0 = filled rng all_specials `C c_dtype (bm * n) in
         let c1 = Tensor.copy c0 and c2 = Tensor.copy c0 in
         let cv t = Tensor.view_flat t ~off:0 ~rows:bm ~cols:n ~ld:n in
         Spmm.exec ker ~a ~block_row:ib
