@@ -389,7 +389,7 @@ let run_micro () =
    take turns run by run, so a slow spell on the host lands on all of
    them instead of on one, and times compared with each other stay
    comparable. *)
-let best_times ?(secs = 0.1) fs =
+let best_times ~secs fs =
   Array.iter (fun f -> f ()) fs;
   let best = Array.map (fun _ -> Float.infinity) fs in
   let t_start = Telemetry.Clock.now_s () in
@@ -406,8 +406,6 @@ let best_times ?(secs = 0.1) fs =
   in
   go 0;
   best
-
-let best_time f = (best_times [| f |]).(0)
 
 (* ---- quick measured GEMM points (real timings, BENCH_gemm.json) ---- *)
 
@@ -630,7 +628,9 @@ let run_recorder () =
   in
   let emit_on_ns = ns_per_event t.(0) and trace_emit_ns = ns_per_event t.(1) in
   Telemetry.Recorder.set_enabled false;
-  let emit_off_ns = ns_per_event (best_time (pass Telemetry.Recorder.Mark)) in
+  let emit_off_ns =
+    ns_per_event (best_times ~secs:0.1 [| pass Telemetry.Recorder.Mark |]).(0)
+  in
   let events_per_s = 1e9 /. emit_on_ns in
   Printf.printf
     "  emit: %6.1f ns/event enabled (%.1f Mevents/s), %6.2f ns/event \
