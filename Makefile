@@ -123,9 +123,10 @@ smoke-tune: build
 # (violations, mismatched, numeric_errors), a 1.5x band on timing and
 # rate metrics (so a GEMM that fell back to a kernel many times slower
 # fails), at most 5 points over the baseline (or over 0, if it is
-# negative) on signed overheads (_pct), presence for the rest. The recorder bench itself also
-# hard-fails if trace-lane emits cost more than 10% over dense-lane
-# emits. Regenerate the baseline on an intentional perf change with:
+# negative) on signed overheads (_pct), presence for the rest. The
+# recorder bench itself also hard-fails if trace-lane emits cost more
+# than 10% over dense-lane emits. Regenerate the baseline on an
+# intentional perf change with:
 #   dune exec bench/main.exe -- recorder gemm --chaos --json bench/baselines/smoke.json
 smoke-regress: build
 	dune exec bench/main.exe -- recorder gemm --chaos --compare bench/baselines/smoke.json
