@@ -383,29 +383,42 @@ let run_micro () =
         results)
     (micro_tests ())
 
-(* Fastest run of each of [fs], after one warm-up run of each: at least
-   ten runs of each and [secs] of them in all, so a sub-millisecond
-   kernel's time is a stable floor that a band can gate. The functions
-   take turns run by run, so a slow spell on the host lands on all of
-   them instead of on one, and times compared with each other stay
-   comparable. *)
-let best_times ~secs fs =
+(* The times of [fs] run in rounds, each function once a round, after
+   one warm-up run of each: at least ten rounds and [secs] of them in
+   all. [(rounds ~secs fs).(i).(r)] is the time of [fs.(i)] in round
+   [r]. The functions take turns run by run, so a slow spell on the
+   host lands on all of them instead of on one. *)
+let rounds ~secs fs =
   Array.iter (fun f -> f ()) fs;
-  let best = Array.map (fun _ -> Float.infinity) fs in
+  let times = Array.map (fun _ -> []) fs in
   let t_start = Telemetry.Clock.now_s () in
-  let rec go runs =
-    if runs < 10 || Telemetry.Clock.now_s () -. t_start < secs then begin
+  let rec go n =
+    if n < 10 || Telemetry.Clock.now_s () -. t_start < secs then begin
       Array.iteri
         (fun i f ->
           let t0 = Telemetry.Clock.now_s () in
           f ();
-          best.(i) <- Float.min best.(i) (Telemetry.Clock.now_s () -. t0))
+          times.(i) <- (Telemetry.Clock.now_s () -. t0) :: times.(i))
         fs;
-      go (runs + 1)
+      go (n + 1)
     end
   in
   go 0;
-  best
+  Array.map (fun l -> Array.of_list (List.rev l)) times
+
+(* The fastest of a function's runs: a sub-millisecond kernel's time is
+   then a stable floor that a band can gate. *)
+let fastest = Array.fold_left Float.min Float.infinity
+
+(* How much longer the runs [a] take than the runs [b] of the same
+   rounds, in percent: the median of the rounds' ratios. The two runs of
+   a round share the host's state, so a slow spell cancels out of their
+   ratio; it need not cancel out of the ratio of two minima, which may
+   come from different moments. *)
+let overhead_pct a b =
+  let r = Array.map2 ( /. ) a b in
+  Array.sort Float.compare r;
+  100.0 *. (r.(Array.length r / 2) -. 1.0)
 
 (* ---- quick measured GEMM points (real timings, BENCH_gemm.json) ---- *)
 
@@ -452,8 +465,8 @@ let run_gemm_points () =
   let points =
     List.map point [ (128, None); (256, None); (128, Some 2); (256, Some 2) ]
   in
-  let best = best_times ~secs:1.0 (Array.of_list (List.map fst points)) in
-  List.iteri (fun i (_, report) -> report best.(i)) points;
+  let times = rounds ~secs:1.0 (Array.of_list (List.map fst points)) in
+  List.iteri (fun i (_, report) -> report (fastest times.(i))) points;
   (* the native kernel alone, one thread: 32^3 blocks accumulated into C,
      once per clone this host can execute *)
   let cfg = Brgemm.make_config ~m:32 ~n:32 ~k:32 () in
@@ -467,8 +480,8 @@ let run_gemm_points () =
   let a = block () and b = block () and c = block () in
   let calls = 100 in
   let isas = Array.of_list Brgemm.For_tests.isas in
-  let best =
-    best_times ~secs:0.5
+  let times =
+    rounds ~secs:0.5
       (Array.map
          (fun isa () ->
            Brgemm.For_tests.with_isa isa (fun () ->
@@ -479,7 +492,7 @@ let run_gemm_points () =
   in
   Array.iteri
     (fun i isa ->
-      let best = best.(i) in
+      let best = fastest times.(i) in
       let gflops = float calls *. Brgemm.flops cfg ~count:1 /. best /. 1e9 in
       Printf.printf "  brgemm 32x32x32 f32 %-8s 1 thr %8.3f us  %8.2f GFLOPS\n%!"
         isa
@@ -623,13 +636,15 @@ let run_recorder () =
      passes take turns *)
   Telemetry.Recorder.set_enabled true;
   let t =
-    best_times ~secs:0.5
+    rounds ~secs:0.5
       [| pass Telemetry.Recorder.Mark; pass Telemetry.Recorder.Trace_decode |]
   in
-  let emit_on_ns = ns_per_event t.(0) and trace_emit_ns = ns_per_event t.(1) in
+  let emit_on_ns = ns_per_event (fastest t.(0))
+  and trace_emit_ns = ns_per_event (fastest t.(1)) in
   Telemetry.Recorder.set_enabled false;
   let emit_off_ns =
-    ns_per_event (best_times ~secs:0.1 [| pass Telemetry.Recorder.Mark |]).(0)
+    let t = rounds ~secs:0.1 [| pass Telemetry.Recorder.Mark |] in
+    ns_per_event (fastest t.(0))
   in
   let events_per_s = 1e9 /. emit_on_ns in
   Printf.printf
@@ -639,9 +654,7 @@ let run_recorder () =
   (* trace-kind emits route to the per-thread trace lane: same write
      path plus one compare, so tracing a request may add at most 10% per
      event over the dense lane — a hard gate, not a report line *)
-  let trace_overhead_pct =
-    100.0 *. ((trace_emit_ns /. emit_on_ns) -. 1.0)
-  in
+  let trace_overhead_pct = overhead_pct t.(1) t.(0) in
   Printf.printf
     "  trace emit: %6.1f ns/event (%+.1f%% vs dense lane)\n%!"
     trace_emit_ns trace_overhead_pct;
@@ -668,13 +681,13 @@ let run_recorder () =
     Telemetry.Recorder.set_enabled enabled;
     Gemm.run ~nthreads g ~a:ap ~b:bp ~c:cp
   in
-  let t = best_times ~secs:0.5 [| run true; run false |] in
-  let gemm_on_s = t.(0) and gemm_off_s = t.(1) in
+  let t = rounds ~secs:0.5 [| run true; run false |] in
+  let gemm_on_s = fastest t.(0) and gemm_off_s = fastest t.(1) in
   Telemetry.Recorder.set_enabled was_enabled;
-  let overhead_pct = 100.0 *. ((gemm_on_s /. gemm_off_s) -. 1.0) in
+  let gemm_overhead_pct = overhead_pct t.(0) t.(1) in
   Printf.printf
     "  gemm 128^3 BCa 2 thr: %8.3f ms on, %8.3f ms off (%+.1f%%)\n%!"
-    (1e3 *. gemm_on_s) (1e3 *. gemm_off_s) overhead_pct;
+    (1e3 *. gemm_on_s) (1e3 *. gemm_off_s) gemm_overhead_pct;
   record_bench ~name:"recorder"
     ~config:
       [ ("gemm", "128x128x128 f32 BCa nthreads=2");
@@ -685,7 +698,7 @@ let run_recorder () =
         ("trace_overhead_pct", trace_overhead_pct);
         ("events_per_s", events_per_s); ("gemm_s_enabled", gemm_on_s);
         ("gemm_s_disabled", gemm_off_s);
-        ("gemm_overhead_pct", overhead_pct) ]
+        ("gemm_overhead_pct", gemm_overhead_pct) ]
     ()
 
 (* ---- serving benchmark (--serve): continuous batching over Llm.tiny ----
