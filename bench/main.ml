@@ -424,8 +424,8 @@ let overhead_pct a b =
 
 let run_gemm_points () =
   Modelkit.section "measured GEMM points (this host)";
-  (* an f32 GEMM of [dim]^3 in 32-blocks; with [nthreads] it is
-     dispatched onto the persistent worker team (parallel outer loop) *)
+  (* an f32 GEMM of [dim]^3 in 32-blocks, its outer loops parallel over
+     the default team size, or over [nthreads] pool threads *)
   let point (dim, nthreads) =
     let block = 32 and spec = "BCa" in
     let rng = Prng.create 99 in
