@@ -463,46 +463,63 @@ let run_gemm_points () =
     ((fun () -> Gemm.run ?nthreads g ~a:ap ~b:bp ~c:cp), report)
   in
   let points =
-    List.map point [ (128, None); (256, None); (128, Some 2); (256, Some 2) ]
+    List.map point
+      [ (128, None); (256, None); (128, Some 2); (256, Some 2); (512, Some 2) ]
   in
   let times = rounds ~secs:1.0 (Array.of_list (List.map fst points)) in
   List.iteri (fun i (_, report) -> report (fastest times.(i))) points;
-  (* the native kernel alone, one thread: 32^3 blocks accumulated into C,
-     once per clone this host can execute *)
+  (* the native kernel alone, one thread, once per clone this host can
+     execute: 32^3 blocks accumulated into C, one a call or 16 (the
+     512-deep calls of the 512^3 GEMM), the two taking turns *)
   let cfg = Brgemm.make_config ~m:32 ~n:32 ~k:32 () in
   let ker = Brgemm.compile cfg in
   let rng = Prng.create 99 in
-  let block () =
-    let t = Tensor.create Datatype.F32 [| 32; 32 |] in
+  let blocks count =
+    let t = Tensor.create Datatype.F32 [| count * 32; 32 |] in
     Tensor.fill_random t rng ~scale:1.0;
-    Tensor.view2d t
+    Tensor.view_flat t ~off:0 ~rows:32 ~cols:32 ~ld:32
   in
-  let a = block () and b = block () and c = block () in
-  let calls = 100 in
-  let isas = Array.of_list Brgemm.For_tests.isas in
+  let a = blocks 1 and b = blocks 1 and c = blocks 1 in
+  let a16 = blocks 16 and b16 = blocks 16 in
+  let calls count = 100 / count in
+  let exec isa count () =
+    let a, b = if count = 1 then (a, b) else (a16, b16) in
+    Brgemm.For_tests.with_isa isa (fun () ->
+        for _ = 1 to calls count do
+          Brgemm.exec_stride ker ~a ~b ~c ~stride_a:1024 ~stride_b:1024 ~count
+        done)
+  in
+  (* A clone's turn runs 1, 16, 1 blocks a call and drops the first run:
+     its vector units idle through the other clones' turns and run
+     slowly for a while after, so whichever point ran first in a turn
+     read low. *)
+  let turn = [ 1; 16; 1 ] in
+  let isas = Brgemm.For_tests.isas in
   let times =
     rounds ~secs:0.5
-      (Array.map
-         (fun isa () ->
-           Brgemm.For_tests.with_isa isa (fun () ->
-               for _ = 1 to calls do
-                 Brgemm.exec ker ~a ~b ~c
-               done))
-         isas)
+      (Array.of_list
+         (List.concat_map (fun isa -> List.map (exec isa) turn) isas))
   in
-  Array.iteri
-    (fun i isa ->
-      let best = fastest times.(i) in
-      let gflops = float calls *. Brgemm.flops cfg ~count:1 /. best /. 1e9 in
-      Printf.printf "  brgemm 32x32x32 f32 %-8s 1 thr %8.3f us  %8.2f GFLOPS\n%!"
-        isa
-        (1e6 *. best /. float calls)
-        gflops;
-      record_bench ~name:"brgemm"
-        ~config:
-          [ ("m", "32"); ("n", "32"); ("k", "32"); ("dtype", "f32");
-            ("isa", isa); ("nthreads", "1") ]
-        ~metrics:[ ("gflops", gflops) ] ())
+  List.iteri
+    (fun j isa ->
+      List.iteri
+        (fun i count ->
+          if i > 0 then begin
+            let best = fastest times.((j * List.length turn) + i) in
+            let n = float (calls count) in
+            let gflops = n *. Brgemm.flops cfg ~count /. best /. 1e9 in
+            Printf.printf
+              "  brgemm 32x32x32 x%-2d f32 %-8s 1 thr %8.3f us  %8.2f \
+               GFLOPS\n%!"
+              count isa (1e6 *. best /. n) gflops;
+            record_bench ~name:"brgemm"
+              ~config:
+                [ ("m", "32"); ("n", "32"); ("k", "32");
+                  ("count", string_of_int count); ("dtype", "f32");
+                  ("isa", isa); ("nthreads", "1") ]
+              ~metrics:[ ("gflops", gflops) ] ()
+          end)
+        turn)
     isas
 
 (* ---- dispatch-overhead microbenchmark (persistent pool vs spawn) ----
@@ -1128,11 +1145,12 @@ let run_tune () =
     (Printf.sprintf
        "tuner: exhaustive vs model-guided search (modeled on %s, %d threads)"
        platform.Platform.name nthreads);
+  (* k_step = 1: the K loop keeps its iterations in the search space *)
   let shapes =
-    [ ("128x128x128/b32", Gemm.make_config ~bm:32 ~bn:32 ~bk:32 ~m:128 ~n:128
-         ~k:128 ());
-      ("512x128x256/b32", Gemm.make_config ~bm:32 ~bn:32 ~bk:32 ~m:512 ~n:128
-         ~k:256 ()) ]
+    [ ("128x128x128/b32", Gemm.make_config ~bm:32 ~bn:32 ~bk:32 ~k_step:1
+         ~m:128 ~n:128 ~k:128 ());
+      ("512x128x256/b32", Gemm.make_config ~bm:32 ~bn:32 ~bk:32 ~k_step:1
+         ~m:512 ~n:128 ~k:256 ()) ]
   in
   let f = float_of_int in
   List.iter

@@ -40,9 +40,11 @@ let divisor_block n cap =
   let rec go d = if d >= 1 && n mod d = 0 then d else go (d - 1) in
   go (min cap n)
 
+(* k_step = 1: one BRGEMM call per K block, each rounding C to FP32, as
+   serving has always computed; a full-K reduction would change its bits *)
 let gemm_cfg t ~n =
   Gemm.make_config ~bm:t.block ~bn:(divisor_block n t.block) ~bk:t.block
-    ~dtype:t.dtype ~m:t.out_features ~n ~k:t.in_features ()
+    ~dtype:t.dtype ~k_step:1 ~m:t.out_features ~n ~k:t.in_features ()
 
 let act_unary = function
   | Linear -> None

@@ -31,8 +31,12 @@ val create :
   unit ->
   t
 
-(** [forward t x] with [x : N x in] returns [N x out]. [n] (token count)
-    must be divisible by the block size. *)
+(** [forward t x] with [x : N x in] returns [N x out]. Any token count
+    works: the GEMM's N block is the largest divisor of [N] not above the
+    block size. The GEMM runs with [k_step = 1], one BRGEMM call per K
+    block, not at {!Gemm.make_config}'s full-K default: a full-K
+    reduction rounds differently, and serving's outputs keep their bits
+    (a tuned spec keeps the same K-loop space too). *)
 val forward : ?nthreads:int -> t -> Tensor.t -> Tensor.t
 
 (** Saved context from a forward pass used by backward. *)

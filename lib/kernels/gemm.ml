@@ -14,9 +14,10 @@ type config = {
 }
 
 let make_config ?(bm = 32) ?(bn = 32) ?(bk = 32) ?(dtype = Datatype.F32)
-    ?(vnni_b = false) ?(k_step = 1) ?(mk_blocks = []) ?(nk_blocks = [])
+    ?(vnni_b = false) ?k_step ?(mk_blocks = []) ?(nk_blocks = [])
     ?(kk_blocks = []) ~m ~n ~k () =
   let bm = min bm m and bn = min bn n and bk = min bk k in
+  let k_step = Option.value k_step ~default:(k / bk) in
   if m mod bm <> 0 || n mod bn <> 0 || k mod bk <> 0 then
     invalid_arg "Gemm.make_config: block sizes must divide M, N, K";
   if vnni_b && bk mod Datatype.vnni_factor dtype <> 0 then

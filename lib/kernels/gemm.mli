@@ -8,9 +8,11 @@
 
     Three logical loops are declared — a: Kb (step [k_step], the
     batch-reduce count), b: Mb, c: Nb — and the instantiation is entirely
-    governed by the [loop_spec_string]. The kernel body zeroes a C block on
-    its first K-visit and issues one stride-based BRGEMM per visit; the
-    code is identical for all precisions. *)
+    governed by the [loop_spec_string]. Each visit of a C block issues one
+    stride-based BRGEMM over [k_step] K blocks, the first visit with
+    beta = 0. At the default [k_step], all of Kb, a C block has one visit:
+    one call reduces its whole K strip with the accumulators in FP64, as
+    in Listing 1. The code is identical for all precisions. *)
 
 type config = {
   m : int;
@@ -28,7 +30,9 @@ type config = {
 }
 
 (** [make_config ~m ~n ~k ()] with defaults: 32x32x32 blocks (clamped to
-    the problem), FP32, flat B, k_step = 1, no extra blocking steps. *)
+    the problem), FP32, flat B, k_step = k / bk (every K block in one
+    BRGEMM call), no extra blocking steps. A smaller [k_step] rounds C
+    to FP32 after every call, so it gives different bits. *)
 val make_config :
   ?bm:int ->
   ?bn:int ->

@@ -26,14 +26,18 @@
     The kernels are native code: a C microkernel, vectorised across N
     only, compiled once per instruction set with its own vector width and
     register tile (see {!For_tests}), the clone picked from CPUID at load
-    time. It widens each call's B to FP64 panels once and runs one
-    broadcast-FMA loop. Skipping a zero differs from adding its zero
-    product only when B holds [+-inf] or NaN or the accumulator is [-0],
-    which needs a [-0] loaded from C, so the kernel screens B once per
-    call and the loaded C once per register tile, and runs the skip
-    branch only where a screen fails. {!Reference} is the OCaml statement
-    of the contract: the clones and it agree bit for bit, which is what
-    keeps results independent of the host's SIMD width. *)
+    time. It cuts a call's depth ([count * k] rows) into chunks that fit
+    L1, widens each chunk of B to FP64 panels once for all of C's row
+    tiles, and runs one broadcast-FMA loop; each register tile parks its
+    FP64 accumulators, exactly, between chunks. So a call reduces a whole
+    K strip at the rate of a shallow one. Skipping a zero differs from
+    adding its zero product only when B holds [+-inf] or NaN or the
+    accumulator is [-0], which needs a [-0] loaded from C, so the kernel
+    screens B once per chunk, the loaded C once per register tile and,
+    in a call whose C held a [-0], the parked partial sums, and runs the
+    skip branch only where a screen fails. {!Reference} is the OCaml
+    statement of the contract: the clones and it agree bit for bit,
+    which is what keeps results independent of the host's SIMD width. *)
 
 type b_layout = Flat | Vnni
 

@@ -8,19 +8,22 @@
      NV    vectors per register tile; MR * NV accumulators, NV B vectors
            and one broadcast must fit the register file
 
-   The panels live in [scratch]: a call's B columns are widened to FP64
-   once, as panels of NV vectors by the whole depth (count * k rows, the
-   batches one after another), and each MR-row tile of A once, as MR
-   rows of that depth. The loop then runs only loads, broadcasts and
-   FMAs into accumulators held in registers. A call with flat B and fewer
-   than MR rows has no full tile to spread the widening over; its loop
-   reads A and B in place. */
+   A call's depth (count * k rows, the batches one after another) runs
+   in chunks of at most CHUNK rows, so that one panel and one A tile of
+   a chunk fit L1. In [scratch], each chunk's B columns are widened to
+   FP64 once, as panels of NV vectors, and every row tile shares them;
+   each MR-row tile of A is widened once per chunk. The loop then runs
+   only loads, broadcasts and FMAs into accumulators held in registers.
+   Between chunks a tile parks its accumulators, exactly, in the
+   scratch. A call with flat B and fewer than MR rows has no full tile
+   to spread the widening over; its loop reads A and B in place. */
 
 #define VEC FN(vd)
 #define VECF FN(vf)
 #define VECU FN(vu)
 #define VECL FN(vl)
 #define W (NV * VL) /* columns of a full panel */
+#define CHUNK (L1_DOUBLES / (W + MR)) /* depth rows of a chunk, at most */
 
 typedef double VEC __attribute__((vector_size(VL * sizeof(double))));
 typedef float VECF __attribute__((vector_size(VL * sizeof(float))));
@@ -50,10 +53,12 @@ INLINE VECU FN(nonfinite)(const float *s)
 /* B columns [j0, j0 + w) of depth rows [d0, d0 + len) into [dst], w
    doubles a row, w a multiple of VL. A VNNI row holds depth rows 2q and
    2q + 1 interleaved; both are split off it at once. Returns whether
-   any value read is +-inf or NaN. */
-static int FN(widen_b)(const struct geom *g, const struct batches *bt,
-                       double *dst, intnat j0, intnat w, intnat d0,
-                       intnat len)
+   any value read is +-inf or NaN. Not inlined: in run, its constants
+   would stay in registers across the tiles' loop and push an AVX2
+   accumulator out to the stack. */
+NOINLINE int FN(widen_b)(const struct geom *g, const struct batches *bt,
+                         double *dst, intnat j0, intnat w, intnat d0,
+                         intnat len)
 {
   const VECL even = {LANES(VL)(evens)};
   VECU bad = {0};
@@ -124,8 +129,9 @@ static void FN(widen_a)(const struct geom *g, const struct batches *bt,
 /* Columns [j0, n), one output at a time. It is compiled per clone too:
    SSE code called from AVX code that left the upper halves of the vector
    registers dirty runs several times slower, and so does the OCaml float
-   code after it. */
-static void FN(tail)(const struct geom *g, const struct batches *bt,
+   code after it. For the same reason run calls it first: called last, it
+   became a jump past the vzeroupper of run's return. */
+NOINLINE void FN(tail)(const struct geom *g, const struct batches *bt,
                      intnat j0, float *c, intnat ldc, int c_bf16)
 {
   const int vnni = g->v == 2;
@@ -178,30 +184,52 @@ INLINE void FN(fmas)(const int mr, const int nv, const int skip,
   }
 }
 
-/* One [mr x nv*VL] tile of C at (i0, j0). [bp] is its panel, widened for
-   the whole depth with the A tile already in the scratch, or NULL when
-   the operands are read in place or the depth is cut into chunks that
-   are widened here, one at a time. */
-INLINE void FN(tile)(const int mr, const int nv, const struct job *jb,
-                     intnat i0, intnat j0, const double *bp)
+/* One [mr x nv*VL] tile of C at (i0, j0), over the current chunk: [bp]
+   is its panel and jb->sa its A tile, both widened. The accumulators
+   start from C (or +0) in the first chunk and from the tile's partial
+   sums [pp] (row stride jb->ldp) after it; they are parked there after
+   every chunk but the last, and rounded into C after that. In place,
+   the tile reads A and B where they are, over the whole depth. Returns
+   whether the tile loaded a -0 from C. */
+INLINE int FN(tile)(const int mr, const int nv, const struct job *jb,
+                    intnat i0, intnat j0, const double *bp, double *pp)
 {
   const struct geom *g = jb->g;
+  float *cp = jb->c + i0 * jb->ldc + j0;
   VEC acc[MR][NV];
-  VECU negzero = {0};
+  VECU cneg = {0}; /* lanes of C that hold -0 */
   UNROLL
   for (int r = 0; r < mr; r++)
     UNROLL
     for (int u = 0; u < nv; u++) {
-      acc[r][u] = (VEC){0};
-      if (g->beta) {
-        const float *src = jb->c + (i0 + r) * jb->ldc + j0 + u * VL;
+      if (!jb->first)
+        memcpy(&acc[r][u], pp + r * jb->ldp + u * VL, sizeof acc[r][u]);
+      else if (g->beta) {
+        const float *src = cp + r * jb->ldc + u * VL;
         VECU bits;
         memcpy(&bits, src, sizeof bits);
-        negzero |= (VECU)(bits == 0x80000000u);
+        cneg |= (VECU)(bits == 0x80000000u);
         acc[r][u] = WIDEN(src);
-      }
+      } else
+        acc[r][u] = (VEC){0};
     }
-  const int nz = FN(any)(negzero);
+  const int cz = FN(any)(cneg);
+  int nz = cz;
+  /* A partial sum is -0 only if it was loaded from C as -0 and every
+     product since was skipped or -0, so only a call whose C held a -0
+     screens its partial sums. */
+  if (!jb->first && jb->cneg) {
+    VECL pneg = {0};
+    UNROLL
+    for (int r = 0; r < mr; r++)
+      UNROLL
+      for (int u = 0; u < nv; u++) {
+        VECL bits;
+        memcpy(&bits, &acc[r][u], sizeof bits);
+        pneg |= bits == INT64_MIN;
+      }
+    nz = FN(any)(__builtin_convertvector(pneg, VECU));
+  }
 
   if (jb->inplace) {
     struct cursor cur = {0, jb->bt->list};
@@ -209,23 +237,19 @@ INLINE void FN(tile)(const int mr, const int nv, const struct job *jb,
     intnat lda, ldb;
     while (next_batch(jb->bt, &cur, &a, &b, &lda, &ldb))
       FN(fmas)(mr, nv, 1, 1, acc, a + i0 * lda, lda, b + j0, ldb, g->k);
-  } else
-    for (intnat d0 = 0; d0 < jb->depth; d0 += jb->chunk) {
-      const intnat len =
-          jb->depth - d0 < jb->chunk ? jb->depth - d0 : jb->chunk;
-      const double *panel = bp;
-      int bad = jb->b_bad;
-      if (!bp) {
-        bad = FN(widen_b)(g, jb->bt, jb->sb, j0, nv * VL, d0, len);
-        FN(widen_a)(g, jb->bt, jb->sa, i0, mr, d0, len);
-        panel = jb->sb;
-      }
-      if (bad || nz)
-        FN(fmas)(mr, nv, 1, 0, acc, jb->sa, len, panel, nv * VL, len);
-      else
-        FN(fmas)(mr, nv, 0, 0, acc, jb->sa, len, panel, nv * VL, len);
-    }
+  } else if (jb->bad || nz)
+    FN(fmas)(mr, nv, 1, 0, acc, jb->sa, jb->len, bp, nv * VL, jb->len);
+  else
+    FN(fmas)(mr, nv, 0, 0, acc, jb->sa, jb->len, bp, nv * VL, jb->len);
 
+  if (!jb->last) {
+    UNROLL
+    for (int r = 0; r < mr; r++)
+      UNROLL
+      for (int u = 0; u < nv; u++)
+        memcpy(pp + r * jb->ldp + u * VL, &acc[r][u], sizeof acc[r][u]);
+    return cz;
+  }
   UNROLL
   for (int r = 0; r < mr; r++)
     UNROLL
@@ -236,81 +260,103 @@ INLINE void FN(tile)(const int mr, const int nv, const struct job *jb,
       if (jb->c_bf16)
         bits = (bits + 0x7FFFu + ((bits >> 16) & 1u)) & 0xFFFF0000u;
       bits = (bits & ~nan) | (CANONICAL_NAN & nan);
-      memcpy(jb->c + (i0 + r) * jb->ldc + j0 + u * VL, &bits, sizeof bits);
+      memcpy(cp + r * jb->ldc + u * VL, &bits, sizeof bits);
     }
+  return cz;
 }
 
 /* The tile for a run-time nv, with mr and nv constant inside. */
-INLINE void FN(tiles)(const int mr, intnat nv, const struct job *jb,
-                      intnat i0, intnat j0, const double *bp)
+INLINE int FN(tiles)(const int mr, intnat nv, const struct job *jb,
+                     intnat i0, intnat j0, const double *bp, double *pp)
 {
   switch (nv) {
-  case 1: FN(tile)(mr, 1, jb, i0, j0, bp); break;
 #if NV >= 2
-  case 2: FN(tile)(mr, 2, jb, i0, j0, bp); break;
+  case 2: return FN(tile)(mr, 2, jb, i0, j0, bp, pp);
 #endif
 #if NV >= 3
-  case 3: FN(tile)(mr, 3, jb, i0, j0, bp); break;
+  case 3: return FN(tile)(mr, 3, jb, i0, j0, bp, pp);
 #endif
 #if NV >= 4
-  case 4: FN(tile)(mr, 4, jb, i0, j0, bp); break;
+  case 4: return FN(tile)(mr, 4, jb, i0, j0, bp, pp);
 #endif
 #if NV > 4
 #error "NV > 4 has no tile case"
 #endif
+  default: return FN(tile)(mr, 1, jb, i0, j0, bp, pp);
   }
 }
 
-/* Columns are cut into groups of panels whose widened B fits the scratch
-   beside one A tile: depth * (group width + MR) doubles. When not even
-   one full panel fits, the depth is cut into chunks of [chunk] rows
-   instead, and each tile widens its chunks itself. With flat B and fewer
-   than MR rows there is no full row tile to spread the widening over, so
-   the tiles read A and B in place, with the skip branch. Full tiles are
-   MR rows; the rows left over take one row at a time. The columns past
-   the last whole vector take the scalar tail. */
+/* The depth runs in even chunks of at most CHUNK rows. The columns are
+   cut into groups, and the rows into blocks, so that a chunk of the
+   group's B, the block's partial sums (kept only when there are several
+   chunks) and one A tile fit the scratch. For each chunk, the group's B
+   is widened once and every row tile of the block shares it. Full tiles
+   are MR rows; the rows left over take one row at a time. With flat B
+   and fewer than MR rows, the tiles read A and B in place instead. The
+   columns past the last whole vector take the scalar tail, first. */
 static void FN(run)(const struct geom *g, const struct batches *bt,
                     float *c, intnat ldc, int c_bf16)
 {
   const intnat depth = bt->count * g->k, nvec = g->n / VL;
+  if (nvec * VL < g->n) FN(tail)(g, bt, nvec * VL, c, ldc, c_bf16);
   struct job jb = {.g = g, .bt = bt, .c = c, .ldc = ldc, .c_bf16 = c_bf16,
-                   .depth = depth, .chunk = depth, .sb = scratch,
-                   .inplace = g->v == 1 && g->m < MR};
-  intnat group = nvec; /* vectors of B widened at once */
-  if (!jb.inplace && depth * (W + MR) > SCRATCH_DOUBLES) {
-    jb.chunk = SCRATCH_DOUBLES / (W + MR);
-    group = NV;
-  } else if (!jb.inplace && depth > 0) {
-    intnat panels = (SCRATCH_DOUBLES - depth * MR) / (depth * W);
+                   .first = 1, .last = 1, .inplace = g->v == 1 && g->m < MR};
+  if (jb.inplace) {
+    for (intnat i0 = 0; i0 < g->m; i0++)
+      for (intnat v = 0, nv; v < nvec; v += nv) {
+        nv = nvec - v < NV ? nvec - v : NV;
+        FN(tiles)(1, nv, &jb, i0, v * VL, NULL, NULL);
+      }
+    return;
+  }
+
+  const intnat chunks = depth > CHUNK ? (depth + CHUNK - 1) / CHUNK : 1;
+  const intnat chunk = (depth + chunks - 1) / chunks;
+  const intnat room = SCRATCH_DOUBLES - MR * chunk;
+  intnat group = nvec, block = g->m; /* B vectors and C rows at once */
+  if (chunk > 0) {
+    intnat panels = room / ((chunk + (chunks > 1 ? g->m : 0)) * W);
+    if (panels < 1) {
+      panels = 1;
+      block = (room / W - chunk) / MR * MR;
+    }
     if (panels * NV < group) group = panels * NV;
   }
-  jb.sa = scratch + SCRATCH_DOUBLES - MR * jb.chunk;
-  const int whole = !jb.inplace && jb.chunk == depth;
+  double *const sb = scratch; /* B panels; one thread-local lookup */
+  jb.sa = sb + room;
 
   for (intnat v0 = 0; v0 < nvec; v0 += group) {
     const intnat v1 = nvec - v0 < group ? nvec : v0 + group;
-    if (whole) {
-      jb.b_bad = 0;
-      double *bp = jb.sb;
-      for (intnat v = v0, nv; v < v1; v += nv, bp += depth * nv * VL) {
-        nv = v1 - v < NV ? v1 - v : NV;
-        jb.b_bad |= FN(widen_b)(g, bt, bp, v * VL, nv * VL, 0, depth);
-      }
-    }
-    for (intnat i0 = 0, mr; i0 < g->m; i0 += mr) {
-      mr = g->m - i0 >= MR ? MR : 1;
-      if (whole) FN(widen_a)(g, bt, jb.sa, i0, mr, 0, depth);
-      const double *bp = jb.sb;
-      for (intnat v = v0, nv; v < v1; v += nv, bp += depth * nv * VL) {
-        nv = v1 - v < NV ? v1 - v : NV;
-        if (mr == MR)
-          FN(tiles)(MR, nv, &jb, i0, v * VL, whole ? bp : NULL);
-        else
-          FN(tiles)(1, nv, &jb, i0, v * VL, whole ? bp : NULL);
-      }
+    jb.ldp = (v1 - v0) * VL;
+    double *sp = sb + chunk * jb.ldp; /* partial sums */
+    for (intnat r0 = 0; r0 < g->m; r0 += block) {
+      const intnat r1 = g->m - r0 < block ? g->m : r0 + block;
+      intnat d0 = 0;
+      do {
+        jb.len = depth - d0 < chunk ? depth - d0 : chunk;
+        jb.first = d0 == 0;
+        jb.last = d0 + jb.len == depth;
+        jb.bad = 0;
+        double *bp = sb;
+        for (intnat v = v0, nv; v < v1; v += nv, bp += jb.len * nv * VL) {
+          nv = v1 - v < NV ? v1 - v : NV;
+          jb.bad |= FN(widen_b)(g, bt, bp, v * VL, nv * VL, d0, jb.len);
+        }
+        for (intnat i0 = r0, mr; i0 < r1; i0 += mr) {
+          mr = r1 - i0 >= MR ? MR : 1;
+          FN(widen_a)(g, bt, jb.sa, i0, mr, d0, jb.len);
+          bp = sb;
+          for (intnat v = v0, nv; v < v1; v += nv, bp += jb.len * nv * VL) {
+            nv = v1 - v < NV ? v1 - v : NV;
+            double *pp = sp + (i0 - r0) * jb.ldp + (v - v0) * VL;
+            jb.cneg |= mr == MR ? FN(tiles)(MR, nv, &jb, i0, v * VL, bp, pp)
+                                : FN(tiles)(1, nv, &jb, i0, v * VL, bp, pp);
+          }
+        }
+        d0 += jb.len;
+      } while (d0 < depth);
     }
   }
-  if (nvec * VL < g->n) FN(tail)(g, bt, nvec * VL, c, ldc, c_bf16);
 }
 
 #undef VEC
@@ -319,6 +365,7 @@ static void FN(run)(const struct geom *g, const struct batches *bt,
 #undef VECL
 #undef WIDEN
 #undef W
+#undef CHUNK
 #undef ISA
 #undef VL
 #undef MR

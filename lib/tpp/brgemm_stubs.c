@@ -20,10 +20,13 @@
 
    The skip changes a result only when B holds +-inf or NaN or an
    accumulator is -0, and an accumulator can be -0 only where beta = 1
-   loaded a -0 from C. So B is screened once per call, as it is widened,
-   and C once per register tile, as it is loaded; only what fails a
-   screen runs the loop with the skip branch. A call too small to widen
-   reads its operands in place and always takes the skip branch.
+   loaded a -0 from C. The depth runs in chunks, with each register
+   tile's accumulators parked exactly between them. So B is screened once
+   per chunk, as it is widened, C once per register tile, as it is
+   loaded, and the parked partial sums of a call whose C held a -0 once
+   per tile and chunk; only what fails a screen runs the loop with the
+   skip branch. A call too small to widen reads its operands in place and
+   always takes the skip branch.
 
    Only N is vectorised, so every SIMD lane is an independent output and
    the per-output order above is untouched. The loop itself is in
@@ -42,6 +45,7 @@
 #include <caml/mlvalues.h>
 
 #define INLINE static inline __attribute__((always_inline))
+#define NOINLINE static __attribute__((noinline))
 #define UNROLL _Pragma("GCC unroll 8")
 #define CAT2(a, b) a##_##b
 #define CAT(a, b) CAT2(a, b)
@@ -148,10 +152,13 @@ INLINE void store1(float *dst, double x, int bf16)
   memcpy(dst, &u, sizeof u);
 }
 
-/* The panels of a call: 128 KiB per thread, never more. A call whose
-   B panels and A tile need more is cut into column groups, or into depth
-   chunks (see run in brgemm_panel.h). */
+/* The panels of a call: 128 KiB per thread, never more. A call's depth
+   runs in chunks of which one panel and one A tile fit L1_DOUBLES (32
+   KiB, a common L1 data cache); a chunk's B panels, the partial sums
+   parked between chunks and one A tile share the scratch (see run in
+   brgemm_panel.h). */
 #define SCRATCH_DOUBLES 16384
+#define L1_DOUBLES 4096
 static __thread double scratch[SCRATCH_DOUBLES]
     __attribute__((aligned(64)));
 
@@ -162,12 +169,14 @@ struct job {
   float *c;
   intnat ldc;
   int c_bf16;
-  intnat depth; /* count * k: the batches' rows of B, one after another */
-  intnat chunk; /* depth rows widened at once: depth, or fewer */
-  double *sb;   /* B panels, at the start of the scratch */
-  double *sa;   /* one A tile, at its end */
-  int b_bad;    /* the widened panels hold +-inf or NaN */
-  int inplace;  /* no panels: tiles read A and B where they are */
+  int inplace; /* no panels: tiles read A and B where they are */
+  double *sa;  /* one A tile, at the end of the scratch */
+  intnat ldp;  /* row stride of the partial sums */
+  intnat len;  /* depth rows of the current chunk */
+  int first;   /* the chunk is the call's first: accumulators from C */
+  int last;    /* the chunk is its last: accumulators into C */
+  int bad;     /* the chunk's panels hold +-inf or NaN */
+  int cneg;    /* some tile loaded a -0 from C */
 };
 
 /* s[0], ..., s[VL - 1], for a clone's vector initialisers. */

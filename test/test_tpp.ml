@@ -291,15 +291,22 @@ let filled rng s which dtype len =
   t
 
 (* The kernel windows' shapes (m, n, k, count): GEMM 32x32x32, conv
-   56x32x32 over 9 taps and SpMM 16x32x16 over 6 blocks; then shapes
-   whose panels do not all fit the kernel's scratch at once, so it widens
-   them in column groups or depth chunks. The last is 2560 rows deep:
-   every clone cuts it into depth chunks, the baseline too, whose panel
-   and tile take the fewest doubles a row (8, so 2048 rows fit). *)
-let window_shapes = [| (32, 32, 32, 1); (56, 32, 32, 9); (16, 32, 16, 6) |]
+   56x32x32 over 9 taps and SpMM 16x32x16 over 6 blocks, and the full-K
+   calls: the 512^3 GEMM's 16 K blocks and conv at c_step = 2, 18 taps.
+   The kernel cuts a call's depth (count * k rows) into even chunks of at
+   most 113 rows on avx512, 341 on avx2 and 512 on baseline, and parks
+   the partial sums between them. The deep shapes take from 1 to 23
+   chunks: 288 rows (3 on avx512), 512 (5 on avx512, 2 on avx2), 1536
+   and 2560 (several on every clone). The wide one (272 columns) takes
+   two column groups on every clone, and the tall one (520 rows, 3
+   chunks on avx512) takes two row blocks of partial sums there. *)
+let window_shapes =
+  [| (32, 32, 32, 1); (56, 32, 32, 9); (16, 32, 16, 6); (32, 32, 32, 16);
+     (56, 32, 32, 18) |]
 
 let deep_shapes =
-  [| (6, 72, 32, 9); (8, 40, 64, 8); (5, 20, 64, 24); (5, 12, 64, 40) |]
+  [| (6, 72, 32, 9); (8, 40, 64, 8); (5, 20, 64, 24); (5, 12, 64, 40);
+     (6, 272, 32, 3); (520, 8, 64, 4) |]
 
 (* One case: a shape (m, n not multiples of the register tile, padded
    leading dimensions), an exec form, beta, flat FP32 or VNNI BF16 B, an
@@ -400,6 +407,52 @@ let native_vs_reference_case rng ~isa case =
       (Int32.bits_of_float (Tensor.get_flat native i))
       (Int32.bits_of_float (Tensor.get_flat reference i))
 
+(* beta = 1 with C = -0 and finite positive B, 1280 rows deep, so every
+   clone parks partial sums between chunks. Row 0 of A is zero over the
+   whole depth: its outputs stay -0 only if the skip branch runs in every
+   chunk, which only the -0 screen on the parked partial sums decides
+   right. Row 1 is zero over its first 600 depth rows, the first chunk
+   and the start of the second on every clone. *)
+let negzero_across_chunks_case ~isa =
+  let m = 8 and n = 16 and k = 32 and count = 40 in
+  let rng = Prng.create 17 in
+  let a = Tensor.create Datatype.F32 [| count * m * k |] in
+  for i = 0 to count - 1 do
+    for r = 0 to m - 1 do
+      for p = 0 to k - 1 do
+        let zero = r = 0 || (r = 1 && (i * k) + p < 600) in
+        Tensor.set_flat a
+          ((((i * m) + r) * k) + p)
+          (if zero then 0.0 else Prng.uniform rng ~scale:2.0)
+      done
+    done
+  done;
+  let b = Tensor.create Datatype.F32 [| count * k * n |] in
+  for i = 0 to (count * k * n) - 1 do
+    Tensor.set_flat b i (0.5 +. Prng.float rng)
+  done;
+  let c0 = Tensor.create Datatype.F32 [| m * n |] in
+  Tensor.fill c0 (-0.0);
+  let ker = Brgemm.compile (Brgemm.make_config ~beta:1.0 ~m ~n ~k ()) in
+  let run exec_stride =
+    let c = Tensor.copy c0 in
+    exec_stride ker
+      ~a:(Tensor.view_flat a ~off:0 ~rows:m ~cols:k ~ld:k)
+      ~b:(Tensor.view_flat b ~off:0 ~rows:k ~cols:n ~ld:n)
+      ~c:(Tensor.view_flat c ~off:0 ~rows:m ~cols:n ~ld:n)
+      ~stride_a:(m * k) ~stride_b:(k * n) ~count;
+    c
+  in
+  let native = run Brgemm.exec_stride
+  and reference = run Brgemm.Reference.exec_stride in
+  match first_bit_mismatch native reference with
+  | None -> ()
+  | Some i ->
+    Alcotest.failf "%s -0 across chunks: C[%d] native %08lx, reference %08lx"
+      isa i
+      (Int32.bits_of_float (Tensor.get_flat native i))
+      (Int32.bits_of_float (Tensor.get_flat reference i))
+
 (* The same cases on every clone of the native kernel this host can
    execute, not only the one CPUID picks. *)
 let test_brgemm_native_matches_reference () =
@@ -412,7 +465,8 @@ let test_brgemm_native_matches_reference () =
           let rng = Prng.create 2024 in
           for case = 0 to 1199 do
             native_vs_reference_case rng ~isa case
-          done))
+          done;
+          negzero_across_chunks_case ~isa))
     isas;
   match Brgemm.For_tests.with_isa "sse9" ignore with
   | exception Invalid_argument _ -> ()

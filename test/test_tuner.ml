@@ -228,7 +228,12 @@ let test_search_deterministic () =
     (ranked_keys a <> ranked_keys c || a.Search.evaluated = c.Search.evaluated)
 
 let test_search_matches_exhaustive_cheaply () =
-  let cfg = Gemm.make_config ~bm:32 ~bn:32 ~bk:32 ~m:128 ~n:128 ~k:128 () in
+  (* k_step = 1 keeps the K loop's 4 iterations in the space; at the
+     full-K default the space is too small for 100 evaluations to stay
+     under 10% of it *)
+  let cfg =
+    Gemm.make_config ~bm:32 ~bn:32 ~bk:32 ~k_step:1 ~m:128 ~n:128 ~k:128 ()
+  in
   let ex =
     Autotune.tune_gemm ~max_candidates:100_000
       (Autotune.Modeled { platform = Platform.spr; nthreads = 16 })
