@@ -34,18 +34,26 @@ smoke-chaos: build
 	dune exec bench/main.exe -- --chaos --json /tmp/bench-chaos.json
 	@test -s /tmp/bench-chaos.json && echo "smoke-chaos: /tmp/bench-chaos.json ok"
 
-# Cluster smoke (~3 s): a short multi-replica chaos run — 3 sharded
+# Cluster smoke (~5 s): a short multi-replica chaos run — 3 sharded
 # replicas behind the router, replica 1 quarantined mid-run — followed
-# by a disaggregated pass. The bench binary exits non-zero on any
-# router-conservation violation (request lost/double-served, pool not
-# drained fleet-wide, double KV release, identity mismatch); the grep
-# insists the fleet SLO-burn counters actually made it into the JSON.
+# by a disaggregated pass, then 1 s of real-time serving on 2 shards.
+# The bench binary exits non-zero on any router-conservation violation
+# (request lost/double-served, pool not drained fleet-wide, double KV
+# release, identity mismatch); the greps insist the fleet SLO-burn
+# counters actually made it into the JSON and that the sharded serve
+# completed requests.
 smoke-cluster: build
 	dune exec bench/main.exe -- --chaos --replicas 3 --shards 2 --json /tmp/bench-cluster.json
 	@grep -q '"fleet_slo_ttft_breaches"' /tmp/bench-cluster.json \
 	  && grep -q '"fleet_slo_deadline_breaches"' /tmp/bench-cluster.json \
 	  || { echo "smoke-cluster: fleet SLO counters missing from JSON"; exit 1; }
 	dune exec bench/main.exe -- --chaos --replicas 2 --disaggregate --chaos-requests 16
+	dune exec bench/main.exe -- --serve --shards 2 --serve-duration 1 --json /tmp/bench-shards.json
+	@grep -q '"completed":' /tmp/bench-shards.json \
+	  || { echo "smoke-cluster: completed missing from sharded serve JSON"; exit 1; }
+	@grep -q '"completed":0[,}]' /tmp/bench-shards.json \
+	  && { echo "smoke-cluster: sharded serve completed no request"; exit 1; } \
+	  || true
 	@echo "smoke-cluster: /tmp/bench-cluster.json ok"
 
 # Flight-recorder smoke (~2 s): the chaos run again, this time with the

@@ -23,8 +23,8 @@ val default_config : config
 type t
 
 (** [create ?config ?engine ?policy llm ~handoff] — the default engine
-    is the unsharded [Llm.prefill]; pass {!Shard.engine} for
-    tensor-parallel prefill. [policy] is the pool's KV storage policy
+    is [Llm.extend] on [llm]; the router passes its replicas' engine,
+    over [Llm.shard llm ~shards]. [policy] is the pool's KV storage policy
     (default contiguous): under [Paged] the handoff carries block
     tables over this prefiller's arena — the decode tier appends into
     the same blocks and the exactly-once release returns them here. *)

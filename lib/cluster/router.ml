@@ -1,10 +1,11 @@
 (* Front-end router: spreads an arrival stream across N scheduler
    replicas with pluggable placement, optionally behind a dedicated
    prefill replica (disaggregation). Each decode replica owns its own
-   Kv_pool and — when [shards > 1] — runs its model tensor-parallel
-   across its slice of the persistent Team pool via the scheduler's
-   pluggable engine (bit-identical to the unsharded path, so placement
-   and sharding can never change what a request computes).
+   Kv_pool and runs its model as [Llm.shard llm ~shards] through the
+   scheduler's pluggable engine — tensor-parallel across its slice of
+   the persistent Team pool when [shards > 1], bit-identical to one
+   shard, so placement and sharding can never change what a request
+   computes.
 
    Quarantine protocol (the chaos harness's conservation target): a
    quarantined replica receives no new routes or adoptions; its queued
@@ -140,12 +141,14 @@ let replica_indices t =
 let create ?(config = default_config) llm =
   if config.replicas < 1 then Error "Router.create: replicas must be >= 1"
   else
-    match
-      Shard.engine_for ?nthreads:config.scheduler.Serve.Scheduler.nthreads llm
-        ~shards:config.shards
-    with
+    match Llm.shard llm ~shards:config.shards with
     | Error e -> Error e
-    | Ok engine ->
+    | Ok sharded ->
+      let engine =
+        { Serve.Scheduler.extend =
+            Llm.extend ?nthreads:config.scheduler.Serve.Scheduler.nthreads
+              sharded }
+      in
       let scheds =
         Array.init config.replicas (fun i ->
             Serve.Scheduler.create

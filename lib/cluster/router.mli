@@ -1,8 +1,9 @@
 (** Front-end router: spreads an arrival stream across N
     {!Serve.Scheduler} replicas with pluggable placement (round-robin /
     join-shortest-queue / deadline-aware), optional tensor-parallel
-    sharding inside each replica ({!Shard}, bit-identical), and optional
-    prefill/decode disaggregation behind a {!Prefiller} + {!Kv_handoff}.
+    sharding inside each replica ({!Llm.shard}, bit-identical), and
+    optional prefill/decode disaggregation behind a {!Prefiller} +
+    {!Kv_handoff}.
 
     Quarantine protocol: a quarantined replica receives no new routes or
     adoptions; its queued requests are evicted (from queue {e and}
@@ -51,7 +52,8 @@ val default_config : config
 
 type t
 
-(** [Error] when the model shape cannot be split [shards] ways. *)
+(** [Error] when [replicas < 1], or {!Llm.shard}'s error when the model
+    cannot be split [shards] ways (including [shards < 1]). *)
 val create : ?config:config -> Llm.t -> (t, string) result
 
 val config : t -> config

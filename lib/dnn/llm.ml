@@ -20,6 +20,34 @@ let tiny =
   { name = "tiny"; hidden = 32; heads = 2; intermediate = 64; layers = 2;
     vocab = 64; gated_ffn = true }
 
+(* Tensor parallelism is a property of the layer: every projection is
+   column-split (split along its OUTPUT features) into [shards] slices.
+   Shard s owns a contiguous, block-aligned slice of each output and
+   computes it with the full input. The "all-reduce" of Megatron-style
+   row splits never happens — each float of every intermediate tensor is
+   produced by exactly one shard with the same k-reduction order as the
+   unsharded GEMM, and shards only concatenate (disjoint column writes
+   into a shared tensor), so any shard count is bit-identical to one by
+   construction. The price is that every shard reads the full input of
+   each projection; for the bandwidth-bound decode step the weights
+   dominate traffic, and those really are split 1/shards per shard. *)
+
+(* columns [col0, col0 + fc.out_features) of a projection's output *)
+type slice = { fc : Fc.t; col0 : int }
+
+(* one shard's share of a decoder layer *)
+type part = {
+  q : slice;
+  k : slice;
+  v : slice;
+  o : slice;
+  up : slice;
+  gate : slice option;
+  down : slice;
+  h0 : int;  (** first attention head owned by this shard *)
+  h1 : int;  (** one past the last owned head *)
+}
+
 type layer = {
   attention : Attention.t;
   ffn_up : Fc.t;
@@ -29,9 +57,48 @@ type layer = {
   ln1_beta : Tensor.t;
   ln2_gamma : Tensor.t;
   ln2_beta : Tensor.t;
+  parts : part array;  (** one per shard *)
 }
 
 type t = { cfg : config; decoder : layer array }
+
+(* rows [r0, r1) of an [out x in] projection: same block/spec/act/dtype,
+   so the sliced GEMM tiles and reduces exactly like the full one. The
+   whole range is the projection itself, not a copy. *)
+let slice_fc (fc : Fc.t) r0 r1 =
+  if r0 = 0 && r1 = fc.Fc.out_features then { fc; col0 = 0 }
+  else
+    let rows = r1 - r0 in
+    let weights =
+      Tensor.init fc.Fc.dtype [| rows; fc.Fc.in_features |] (fun i ->
+          Tensor.get fc.Fc.weights [| r0 + i.(0); i.(1) |])
+    in
+    let bias =
+      Tensor.init fc.Fc.dtype [| rows |] (fun i ->
+          Tensor.get fc.Fc.bias [| r0 + i.(0) |])
+    in
+    { fc = { fc with Fc.out_features = rows; weights; bias }; col0 = r0 }
+
+(* one shard's heads, hidden columns and intermediate columns *)
+let widths cfg ~shards =
+  let heads = cfg.heads / shards in
+  (heads, heads * (cfg.hidden / cfg.heads), cfg.intermediate / shards)
+
+(* [l]'s weights cut into [shards] parts; the caller has checked that
+   [shards] divides the heads and the intermediate width *)
+let split cfg ~shards (l : layer) =
+  let heads, hchunk, ichunk = widths cfg ~shards in
+  let part s =
+    let h0 = s * hchunk and i0 = s * ichunk in
+    let a = l.attention in
+    let hcols fc = slice_fc fc h0 (h0 + hchunk) in
+    let icols fc = slice_fc fc i0 (i0 + ichunk) in
+    { q = hcols a.Attention.wq; k = hcols a.Attention.wk;
+      v = hcols a.Attention.wv; o = hcols a.Attention.wo;
+      up = icols l.ffn_up; gate = Option.map icols l.ffn_gate;
+      down = hcols l.ffn_down; h0 = s * heads; h1 = (s + 1) * heads }
+  in
+  { l with parts = Array.init shards part }
 
 let ln_params rng hidden =
   ( Tensor.init Datatype.F32 [| 1; hidden |] (fun _ ->
@@ -64,12 +131,47 @@ let create ~rng ?(dtype = Datatype.F32) ?(block = 16) ?(spec = Gemm.default_spec
     in
     let ln1_gamma, ln1_beta = ln_params rng cfg.hidden in
     let ln2_gamma, ln2_beta = ln_params rng cfg.hidden in
-    { attention; ffn_up; ffn_gate; ffn_down; ln1_gamma; ln1_beta; ln2_gamma;
-      ln2_beta }
+    split cfg ~shards:1
+      { attention; ffn_up; ffn_gate; ffn_down; ln1_gamma; ln1_beta;
+        ln2_gamma; ln2_beta; parts = [||] }
   in
   { cfg; decoder = Array.init cfg.layers (fun _ -> mk_layer ()) }
 
 let config t = t.cfg
+let shards t = Array.length t.decoder.(0).parts
+
+let shard t ~shards =
+  let cfg = t.cfg in
+  if shards < 1 then Error "Llm.shard: shards must be >= 1"
+  else if cfg.heads mod shards <> 0 then
+    Error
+      (Printf.sprintf "Llm.shard: heads (%d) not divisible by shards (%d)"
+         cfg.heads shards)
+  else if cfg.intermediate mod shards <> 0 then
+    Error
+      (Printf.sprintf
+         "Llm.shard: intermediate (%d) not divisible by shards (%d)"
+         cfg.intermediate shards)
+  else begin
+    let _, hchunk, ichunk = widths cfg ~shards in
+    let l0 = t.decoder.(0) in
+    let ablock = l0.attention.Attention.wq.Fc.block in
+    let ublock = l0.ffn_up.Fc.block in
+    let oblock = l0.ffn_down.Fc.block in
+    if hchunk mod ablock <> 0 || hchunk mod oblock <> 0 then
+      Error
+        (Printf.sprintf
+           "Llm.shard: hidden slice (%d) not a multiple of the GEMM block \
+            (%d/%d)"
+           hchunk ablock oblock)
+    else if ichunk mod ublock <> 0 then
+      Error
+        (Printf.sprintf
+           "Llm.shard: intermediate slice (%d) not a multiple of the GEMM \
+            block (%d)"
+           ichunk ublock)
+    else Ok { t with decoder = Array.map (split cfg ~shards) t.decoder }
+  end
 
 (* Per-layer K/V store over capacity-backed [cap x hidden] buffers: rows
    [0, used) are valid, appends write in place, capacity doubles when
@@ -317,48 +419,98 @@ let add_inplace a b =
   Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Full ~a:(Tensor.view2d a)
     ~b:(Tensor.view2d b) ~out:(Tensor.view2d a)
 
-(* pre-norm decoder block with a cache: x += Attn(LN1(x)); x += FFN(LN2(x)) *)
-let decoder_block ?nthreads cache (layer : layer) layer_idx x =
+(* write [src : n x w] into columns [col0, col0 + w) of [dst : n x W],
+   a row at a time (all rows at once when [w = W]) — the concat step;
+   shards write disjoint slices, so no synchronization beyond the
+   enclosing region's join/barrier is needed. *)
+let blit_cols ~dst ~col0 (src : Tensor.t) =
+  let d = Tensor.dims src in
+  let n = d.(0) and w = d.(1) in
+  let wd = (Tensor.dims dst).(1) in
+  if w = wd then Bigarray.Array1.blit src.Tensor.data dst.Tensor.data
+  else
+    for r = 0 to n - 1 do
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub src.Tensor.data (r * w) w)
+        (Bigarray.Array1.sub dst.Tensor.data ((r * wd) + col0) w)
+    done
+
+(* Pre-norm decoder block with a cache: x += Attn(LN1(x)); x += FFN(LN2(x)).
+   Each stage is one [Team.run ~nthreads:shards] region in which every
+   shard computes its part:
+   A) q/k/v column slices; (join) cache append by the caller;
+   B) owned heads' attention into a shared ctx, barrier, wo column slice
+      over the full ctx;
+   C) up/gate column slices (+SwiGLU on the slice), barrier, down column
+      slice over the full intermediate.
+   LN / residual / cache glue runs on the caller between regions. One
+   shard runs inline, its kernels on the caller's [nthreads]; with more,
+   parallelism lives at the shard level and the kernels run on one
+   thread, since nested teams would fall back to spawn-per-call. *)
+let decoder_block ?nthreads cache layer_idx (layer : layer) x =
   let n = (Tensor.dims x).(0) in
+  let shards = Array.length layer.parts in
+  let nthreads = if shards = 1 then nthreads else Some 1 in
+  let stage f =
+    Team.run ~nthreads:shards (fun ctx ->
+        f layer.parts.(ctx.Team.tid) ctx.Team.barrier)
+  in
+  let buf (fc : Fc.t) =
+    Tensor.create Datatype.F32 [| n; fc.Fc.out_features |]
+  in
+  let project s inp ~dst =
+    blit_cols ~dst ~col0:s.col0 (Fc.forward ?nthreads s.fc inp)
+  in
+  let a = layer.attention in
   let normed = layernorm layer.ln1_gamma layer.ln1_beta x in
-  let q, k_new, v_new = Attention.project ?nthreads layer.attention normed in
+  let q = buf a.Attention.wq and k_new = buf a.Attention.wk in
+  let v_new = buf a.Attention.wv in
+  stage (fun p _ ->
+      project p.q normed ~dst:q;
+      project p.k normed ~dst:k_new;
+      project p.v normed ~dst:v_new);
+  (* cache append + gather run on the caller between regions — the block
+     table (or contig buffer) is storage the shards only ever read *)
   append_layer cache ~layer:layer_idx ~k_new ~v_new;
   let k_all, v_all = layer_kv cache ~layer:layer_idx ~rows:(cache.len + n) in
-  let ctx =
-    Attention.attend ~causal:true ~heads:layer.attention.Attention.heads q
-      k_all v_all
-  in
-  let att = Fc.forward ?nthreads layer.attention.Attention.wo ctx in
+  let ctx_t = buf a.Attention.wo and att = buf a.Attention.wo in
+  stage (fun p barrier ->
+      Attention.attend_range ~causal:true ~heads:a.Attention.heads ~h0:p.h0
+        ~h1:p.h1 ~out:ctx_t q k_all v_all;
+      barrier ();
+      project p.o ctx_t ~dst:att);
   add_inplace att x;
   (* att now holds x + attention *)
   let normed2 = layernorm layer.ln2_gamma layer.ln2_beta att in
-  let up = Fc.forward ?nthreads layer.ffn_up normed2 in
-  (match layer.ffn_gate with
-  | Some gate_fc ->
-    (* SwiGLU: up := silu(gate) * up *)
-    let gate = Fc.forward ?nthreads gate_fc normed2 in
-    let s = Tensor.create Datatype.F32 (Tensor.dims gate) in
-    Tpp_unary.exec Tpp_unary.Sigmoid ~inp:(Tensor.view2d gate)
-      ~out:(Tensor.view2d s);
-    Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
-      ~a:(Tensor.view2d gate) ~b:(Tensor.view2d s) ~out:(Tensor.view2d gate);
-    Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
-      ~a:(Tensor.view2d up) ~b:(Tensor.view2d gate) ~out:(Tensor.view2d up)
-  | None -> ());
-  let down = Fc.forward ?nthreads layer.ffn_down up in
+  let up = buf layer.ffn_up and down = buf layer.ffn_down in
+  stage (fun p barrier ->
+      let u = Fc.forward ?nthreads p.up.fc normed2 in
+      (match p.gate with
+      | Some g ->
+        (* SwiGLU: u := silu(gate) * u *)
+        let gate = Fc.forward ?nthreads g.fc normed2 in
+        let s = Tensor.create Datatype.F32 (Tensor.dims gate) in
+        Tpp_unary.exec Tpp_unary.Sigmoid ~inp:(Tensor.view2d gate)
+          ~out:(Tensor.view2d s);
+        Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
+          ~a:(Tensor.view2d gate) ~b:(Tensor.view2d s)
+          ~out:(Tensor.view2d gate);
+        Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
+          ~a:(Tensor.view2d u) ~b:(Tensor.view2d gate) ~out:(Tensor.view2d u)
+      | None -> ());
+      blit_cols ~dst:up ~col0:p.up.col0 u;
+      barrier ();
+      project p.down up ~dst:down);
   add_inplace down att;
   down
 
 let run_tokens ?nthreads t cache x =
-  let out =
-    Array.to_list t.decoder
-    |> List.mapi (fun i l -> (i, l))
-    |> List.fold_left
-         (fun acc (i, layer) -> decoder_block ?nthreads cache layer i acc)
-         x
-  in
+  let out = ref x in
+  Array.iteri
+    (fun i layer -> out := decoder_block ?nthreads cache i layer !out)
+    t.decoder;
   cache.len <- cache.len + (Tensor.dims x).(0);
-  out
+  !out
 
 let last_row x =
   let d = Tensor.dims x in
@@ -386,223 +538,12 @@ let forward_full ?nthreads t x =
   run_tokens ?nthreads t cache x
 
 (* a draft model sharing the target's first [layers] decoder layers (and
-   weights) — the proposer half of speculative decoding. No copy: slices
-   reference the same layer records. *)
+   weights and shards) — the proposer half of speculative decoding. No
+   copy: slices reference the same layer records. *)
 let draft t ~layers =
   let layers = max 1 (min layers t.cfg.layers) in
   { cfg = { t.cfg with layers; name = t.cfg.name ^ "-draft" };
     decoder = Array.sub t.decoder 0 layers }
-
-(* ---------- tensor-parallel (sharded) execution ---------- *)
-
-(* Every projection in the decoder block is column-split (split along its
-   OUTPUT features): shard s owns a contiguous, block-aligned slice of the
-   output dimension and computes it with the full input. The "all-reduce"
-   of Megatron-style row splits never happens — each float of every
-   intermediate tensor is produced by exactly one shard with the same
-   k-reduction order as the unsharded GEMM, and shards only concatenate
-   (disjoint column writes into a shared tensor), so the sharded path is
-   bit-identical to the unsharded one by construction. The price is that
-   every shard reads the full input of each projection; for the
-   bandwidth-bound decode step the weights dominate traffic, and those
-   really are split 1/shards per shard. *)
-
-type tp_fc = { pfc : Fc.t; col0 : int }
-
-type tp_layer = {
-  tq : tp_fc;
-  tk : tp_fc;
-  tv : tp_fc;
-  two : tp_fc;
-  tup : tp_fc;
-  tgate : tp_fc option;
-  tdown : tp_fc;
-  th0 : int;  (** first attention head owned by this shard *)
-  th1 : int;  (** one past the last owned head *)
-}
-
-type tp_plan = {
-  tpl : t;
-  shards : int;
-  slices : tp_layer array array;  (** [shard].(layer) *)
-}
-
-(* rows [r0, r1) of an [out x in] projection: same block/spec/act/dtype,
-   so the sliced GEMM tiles and reduces exactly like the full one. *)
-let slice_fc (fc : Fc.t) r0 r1 =
-  let rows = r1 - r0 in
-  let weights =
-    Tensor.init fc.Fc.dtype [| rows; fc.Fc.in_features |] (fun i ->
-        Tensor.get fc.Fc.weights [| r0 + i.(0); i.(1) |])
-  in
-  let bias =
-    Tensor.init fc.Fc.dtype [| rows |] (fun i ->
-        Tensor.get fc.Fc.bias [| r0 + i.(0) |])
-  in
-  { pfc = { fc with Fc.out_features = rows; weights; bias }; col0 = r0 }
-
-let tp_plan t ~shards =
-  let cfg = t.cfg in
-  if shards < 1 then Error "tp_plan: shards must be >= 1"
-  else if cfg.heads mod shards <> 0 then
-    Error
-      (Printf.sprintf "tp_plan: heads (%d) not divisible by shards (%d)"
-         cfg.heads shards)
-  else if cfg.intermediate mod shards <> 0 then
-    Error
-      (Printf.sprintf
-         "tp_plan: intermediate (%d) not divisible by shards (%d)"
-         cfg.intermediate shards)
-  else begin
-    let head_dim = cfg.hidden / cfg.heads in
-    let hchunk = cfg.heads / shards * head_dim in
-    let ichunk = cfg.intermediate / shards in
-    let l0 = t.decoder.(0) in
-    let ablock = l0.attention.Attention.wq.Fc.block in
-    let ublock = l0.ffn_up.Fc.block in
-    let oblock = l0.ffn_down.Fc.block in
-    if hchunk mod ablock <> 0 || hchunk mod oblock <> 0 then
-      Error
-        (Printf.sprintf
-           "tp_plan: hidden slice (%d) not a multiple of the GEMM block \
-            (%d/%d)"
-           hchunk ablock oblock)
-    else if ichunk mod ublock <> 0 then
-      Error
-        (Printf.sprintf
-           "tp_plan: intermediate slice (%d) not a multiple of the GEMM \
-            block (%d)"
-           ichunk ublock)
-    else begin
-      let heads_per = cfg.heads / shards in
-      let slice_layer s (layer : layer) =
-        let h0 = s * hchunk and h1 = (s + 1) * hchunk in
-        let i0 = s * ichunk and i1 = (s + 1) * ichunk in
-        { tq = slice_fc layer.attention.Attention.wq h0 h1;
-          tk = slice_fc layer.attention.Attention.wk h0 h1;
-          tv = slice_fc layer.attention.Attention.wv h0 h1;
-          two = slice_fc layer.attention.Attention.wo h0 h1;
-          tup = slice_fc layer.ffn_up i0 i1;
-          tgate = Option.map (fun g -> slice_fc g i0 i1) layer.ffn_gate;
-          tdown = slice_fc layer.ffn_down h0 h1;
-          th0 = s * heads_per;
-          th1 = (s + 1) * heads_per }
-      in
-      Ok
-        { tpl = t;
-          shards;
-          slices =
-            Array.init shards (fun s -> Array.map (slice_layer s) t.decoder)
-        }
-    end
-  end
-
-let tp_llm p = p.tpl
-let tp_shards p = p.shards
-
-(* write [src : n x w] into columns [col0, col0+w) of [dst : n x W] —
-   the concat step; shards write disjoint slices, so no synchronization
-   beyond the enclosing region's join/barrier is needed. *)
-let scatter_cols ~dst ~col0 src =
-  let d = Tensor.dims src in
-  let n = d.(0) and w = d.(1) in
-  let wd = (Tensor.dims dst).(1) in
-  for r = 0 to n - 1 do
-    for c = 0 to w - 1 do
-      Tensor.set_flat dst ((r * wd) + col0 + c)
-        (Tensor.get_flat src ((r * w) + c))
-    done
-  done
-
-(* One decoder block across [shards] team workers, three parallel regions:
-   A) q/k/v column slices; (join) cache append by the caller;
-   B) owned heads' attention into a shared ctx, barrier, wo column slice
-      over the full ctx;
-   C) up/gate column slices (+SwiGLU on the slice), barrier, down column
-      slice over the full intermediate. LN / residual / cache glue runs on
-      the caller between regions, identical to the unsharded block. All
-      inner kernels run with [~nthreads:1] — parallelism lives at the
-      shard level, and nesting teams would fall back to spawn-per-call. *)
-let decoder_block_tp plan cache entry_idx x =
-  let t = plan.tpl in
-  let layer = t.decoder.(entry_idx) in
-  let n = (Tensor.dims x).(0) in
-  let hidden = t.cfg.hidden in
-  let inter = t.cfg.intermediate in
-  let shards = plan.shards in
-  let sl ctx = plan.slices.(ctx.Team.tid).(entry_idx) in
-  let normed = layernorm layer.ln1_gamma layer.ln1_beta x in
-  let q = Tensor.create Datatype.F32 [| n; hidden |] in
-  let k_new = Tensor.create Datatype.F32 [| n; hidden |] in
-  let v_new = Tensor.create Datatype.F32 [| n; hidden |] in
-  Team.run ~nthreads:shards (fun ctx ->
-      let s = sl ctx in
-      scatter_cols ~dst:q ~col0:s.tq.col0 (Fc.forward ~nthreads:1 s.tq.pfc normed);
-      scatter_cols ~dst:k_new ~col0:s.tk.col0
-        (Fc.forward ~nthreads:1 s.tk.pfc normed);
-      scatter_cols ~dst:v_new ~col0:s.tv.col0
-        (Fc.forward ~nthreads:1 s.tv.pfc normed));
-  (* cache append + gather run on the caller between regions — the block
-     table (or contig buffer) is storage the shards only ever read *)
-  append_layer cache ~layer:entry_idx ~k_new ~v_new;
-  let k_all, v_all = layer_kv cache ~layer:entry_idx ~rows:(cache.len + n) in
-  let ctx_t = Tensor.create Datatype.F32 [| n; hidden |] in
-  let att = Tensor.create Datatype.F32 [| n; hidden |] in
-  Team.run ~nthreads:shards (fun ctx ->
-      let s = sl ctx in
-      Attention.attend_range ~causal:true
-        ~heads:layer.attention.Attention.heads ~h0:s.th0 ~h1:s.th1 ~out:ctx_t
-        q k_all v_all;
-      ctx.Team.barrier ();
-      scatter_cols ~dst:att ~col0:s.two.col0
-        (Fc.forward ~nthreads:1 s.two.pfc ctx_t));
-  add_inplace att x;
-  let normed2 = layernorm layer.ln2_gamma layer.ln2_beta att in
-  let up = Tensor.create Datatype.F32 [| n; inter |] in
-  let down = Tensor.create Datatype.F32 [| n; hidden |] in
-  Team.run ~nthreads:shards (fun ctx ->
-      let s = sl ctx in
-      let u = Fc.forward ~nthreads:1 s.tup.pfc normed2 in
-      (match s.tgate with
-      | Some g ->
-        let gate = Fc.forward ~nthreads:1 g.pfc normed2 in
-        let sig_t = Tensor.create Datatype.F32 (Tensor.dims gate) in
-        Tpp_unary.exec Tpp_unary.Sigmoid ~inp:(Tensor.view2d gate)
-          ~out:(Tensor.view2d sig_t);
-        Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
-          ~a:(Tensor.view2d gate) ~b:(Tensor.view2d sig_t)
-          ~out:(Tensor.view2d gate);
-        Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
-          ~a:(Tensor.view2d u) ~b:(Tensor.view2d gate)
-          ~out:(Tensor.view2d u)
-      | None -> ());
-      scatter_cols ~dst:up ~col0:s.tup.col0 u;
-      ctx.Team.barrier ();
-      scatter_cols ~dst:down ~col0:s.tdown.col0
-        (Fc.forward ~nthreads:1 s.tdown.pfc up));
-  add_inplace down att;
-  down
-
-let run_tokens_tp plan cache x =
-  let t = plan.tpl in
-  let out = ref x in
-  for i = 0 to Array.length t.decoder - 1 do
-    out := decoder_block_tp plan cache i !out
-  done;
-  cache.len <- cache.len + (Tensor.dims x).(0);
-  !out
-
-(* sharded batched extension — same contract (and bit-identity) as
-   {!extend}, with the FLOPs split across the shard team *)
-let extend_tp plan cache x = run_tokens_tp plan cache x
-
-let prefill_tp plan cache x =
-  assert (cache.len = 0);
-  last_row (run_tokens_tp plan cache x)
-
-let decode_step_tp plan cache x =
-  assert ((Tensor.dims x).(0) = 1);
-  run_tokens_tp plan cache x
 
 let embed t ids =
   (* deterministic per-token-id synthetic embedding *)

@@ -25,10 +25,35 @@ val tiny : config
 
 type t
 
+(** A model of one shard: its one slice set is each layer's own weights. *)
 val create :
   rng:Prng.t -> ?dtype:Datatype.t -> ?block:int -> ?spec:string -> config -> t
 
 val config : t -> config
+
+(** [shard t ~shards] is [t] run tensor-parallel over [shards] shards.
+    Every projection of every decoder layer is column-split into
+    [shards] contiguous, block-aligned output slices (attention slices
+    are head-aligned, so each shard owns whole heads). Each shard
+    computes its output columns with the full input and the same
+    k-reduction order as the unsharded GEMM; shards combine by
+    concatenation (disjoint column writes), never by summation — so
+    {!prefill}, {!decode_step} and {!extend} on the result are
+    bit-identical to [t]'s on the same cache state. Each stage of a
+    decoder layer runs as one [Team.run ~nthreads:shards] region whose
+    kernels get the caller's [?nthreads] with one shard and
+    [~nthreads:1] with more, so team regions never nest. A cache made
+    for [t] serves the result too. With one shard the slices are the
+    layers' own weights; with more, each slice copies its rows.
+
+    Returns [Error] with the constraint that failed unless [shards >= 1]
+    divides [heads] and [intermediate] and every per-shard slice is a
+    multiple of the layer's GEMM block. [shards = 1] always succeeds and
+    is {!create}'s model: its one region per stage runs inline. *)
+val shard : t -> shards:int -> (t, string) result
+
+(** The shard count: 1 after {!create}, [shards] after {!shard}. *)
+val shards : t -> int
 
 type kv_cache
 
@@ -118,43 +143,11 @@ val last_row : Tensor.t -> Tensor.t
 val forward_full : ?nthreads:int -> t -> Tensor.t -> Tensor.t
 
 (** [draft t ~layers] — a proposer model sharing the target's first
-    [layers] decoder layers and weights (no copy; clamped to
+    [layers] decoder layers, weights and shards (no copy; clamped to
     [1, t.layers]). The draft half of speculative decoding: cheap
     proposals whose acceptance is decided by the target's batched
     verification pass. *)
 val draft : t -> layers:int -> t
-
-(** {2 Tensor-parallel (sharded) execution}
-
-    A [tp_plan] column-splits every projection of every decoder layer
-    into [shards] contiguous, block-aligned output slices (attention
-    slices are additionally head-aligned). Each shard computes its output
-    columns with the full input and the same k-reduction order as the
-    unsharded GEMM; shards combine by concatenation (disjoint column
-    writes), never by summation — so [prefill_tp]/[decode_step_tp] are
-    bit-identical to {!prefill}/{!decode_step} on the same cache state.
-    Shards execute as one [Team] region per dependency phase of the
-    block, with inner kernels pinned to [~nthreads:1]. *)
-
-type tp_plan
-
-(** Build a plan or explain why the shape can't be sharded: [shards] must
-    divide [heads] and [intermediate], and every per-shard slice must be
-    a multiple of the layer's GEMM block. [shards = 1] always succeeds
-    and degenerates to the unsharded path run inline. *)
-val tp_plan : t -> shards:int -> (tp_plan, string) result
-
-val tp_llm : tp_plan -> t
-val tp_shards : tp_plan -> int
-
-(** Sharded {!prefill}: same contract, bit-identical output. *)
-val prefill_tp : tp_plan -> kv_cache -> Tensor.t -> Tensor.t
-
-(** Sharded {!decode_step}: same contract, bit-identical output. *)
-val decode_step_tp : tp_plan -> kv_cache -> Tensor.t -> Tensor.t
-
-(** Sharded {!extend}: same contract, bit-identical output. *)
-val extend_tp : tp_plan -> kv_cache -> Tensor.t -> Tensor.t
 
 (** Deterministic synthetic embedding matrix for a token-id sequence. *)
 val embed : t -> int array -> Tensor.t

@@ -659,10 +659,6 @@ end
 
 let pool_size () = Pool.size ()
 
-let pool_on = ref (Sys.getenv_opt "PARLOOPER_POOL" <> Some "0")
-let pool_enabled () = !pool_on
-let set_pool_enabled b = pool_on := b
-
 (* caller holds the pool lock; caller executes tid 0 itself *)
 let run_pooled ~nthreads f =
   Pool.ensure (nthreads - 1);
@@ -713,15 +709,15 @@ let run_pooled ~nthreads f =
 let run ~nthreads f =
   assert (nthreads > 0);
   if nthreads = 1 then run_single f
-  else if !pool_on && Mutex.try_lock Pool.pool.lock then (
+  else if Mutex.try_lock Pool.pool.lock then (
     match run_pooled ~nthreads f with
     | () -> Mutex.unlock Pool.pool.lock
     | exception e ->
       Mutex.unlock Pool.pool.lock;
       raise e)
   else
-    (* pool disabled, or a team is already active (nested / concurrent
-       parallel region): spawning preserves full generality *)
+    (* a team is already active (nested / concurrent parallel region):
+       spawning preserves full generality *)
     run_spawn ~nthreads f
 
 let run_sequential ~nthreads f =

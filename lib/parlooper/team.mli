@@ -73,10 +73,3 @@ val domains_for : int -> int
 (** Current number of live pool workers (grows monotonically with the
     largest team seen; the pool persists for the process lifetime). *)
 val pool_size : unit -> int
-
-(** Pool kill-switch, e.g. for A/B measurements: with the pool disabled
-    every {!run} behaves as {!run_spawn}. Defaults to enabled; the
-    environment variable [PARLOOPER_POOL=0] disables it at startup. *)
-val pool_enabled : unit -> bool
-
-val set_pool_enabled : bool -> unit

@@ -73,7 +73,7 @@ val default_config : config
     decode (one row), speculative verification ([k+1] rows) — because
     per-row outputs are bit-identical across batch shapes. The default
     engine wraps [Llm.extend] with the config's [nthreads]; a cluster
-    replica substitutes the tensor-parallel [Llm.extend_tp], which is
+    replica runs the same over [Llm.shard llm ~shards], which is
     bit-identical, so nothing downstream can tell the difference. *)
 type engine = { extend : Llm.kv_cache -> Tensor.t -> Tensor.t }
 

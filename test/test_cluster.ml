@@ -5,47 +5,26 @@
    fleet sizes, per-replica EDF ordering through the router, exactly-once
    KV handoff release, and disaggregated-decode identity. *)
 
+open Fixtures
+
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-let clean () =
-  Telemetry.Registry.reset ();
-  Telemetry.Registry.disable ()
-
-let make_llm () =
-  let rng = Prng.create 7 in
-  Llm.create ~rng ~block:8 Llm.tiny
-
-let bits_equal = Tensor.approx_equal ~tol:0.0
-let frozen_now () = 0.0
-
-let mk_req ?(deadline_s = Float.infinity) ~prompt_len ~new_tokens id =
-  let vocab = Llm.tiny.Llm.vocab in
-  let prompt = Array.init prompt_len (fun i -> (7 + (3 * id) + i) mod vocab) in
-  let gen = Array.init new_tokens (fun i -> (11 + (5 * id) + i) mod vocab) in
-  Serve.Request.make ~id ~prompt ~gen ~deadline_s ()
-
-let replay_sequential llm (req : Serve.Request.t) =
-  let cache = Llm.new_cache llm in
-  let first = Llm.prefill llm cache (Llm.embed llm req.Serve.Request.prompt) in
-  let outs = ref [ first ] in
-  for k = 0 to req.Serve.Request.new_tokens - 2 do
-    let e = Llm.embed llm [| req.Serve.Request.gen.(k) |] in
-    outs := Llm.decode_step llm cache e :: !outs
-  done;
-  List.rev !outs
-
 (* ---- tensor-parallel sharding is bit-identical to unsharded ---- *)
 
+(* Three inputs, each against the unsharded model: a prefill and one-row
+   decodes over a contiguous cache; the same tokens over a paged cache
+   of 8-token blocks, so the gather crosses a block; and a 3-row extend
+   after the prefill, the shape of a speculative verification. *)
 let test_tp_bit_identity () =
   clean ();
   let llm = make_llm () in
-  let plan =
-    match Llm.tp_plan llm ~shards:2 with
-    | Ok p -> p
-    | Error e -> Alcotest.fail ("tp_plan: " ^ e)
+  let sharded =
+    match Llm.shard llm ~shards:2 with
+    | Ok t -> t
+    | Error e -> Alcotest.fail ("shard: " ^ e)
   in
-  checki "shards" 2 (Llm.tp_shards plan);
+  checki "shards" 2 (Llm.shards sharded);
   let prompt = [| 3; 11; 7; 29; 1 |] in
   let gen = [| 5; 17; 23; 2 |] in
   (* unsharded reference *)
@@ -54,26 +33,53 @@ let test_tp_bit_identity () =
   let ref_steps =
     Array.map (fun tok -> Llm.decode_step llm c0 (Llm.embed llm [| tok |])) gen
   in
-  (* sharded run over the same tokens *)
-  let c1 = Llm.new_cache llm in
-  let tp_first = Llm.prefill_tp plan c1 (Llm.embed llm prompt) in
-  checkb "prefill bit-identical" true (bits_equal ref_first tp_first);
-  Array.iteri
-    (fun i tok ->
-      let got = Llm.decode_step_tp plan c1 (Llm.embed llm [| tok |]) in
-      checkb
-        (Printf.sprintf "decode step %d bit-identical" i)
-        true
-        (bits_equal ref_steps.(i) got))
-    gen;
-  checki "cache lengths agree" (Llm.cache_len c0) (Llm.cache_len c1)
+  (* sharded runs over the same tokens *)
+  let paged () =
+    let cfg = Llm.config llm in
+    Llm.new_paged_cache sharded
+      (Kv.Block_manager.create ~block_size:8 ~num_blocks:4
+         ~layers:cfg.Llm.layers ~hidden:cfg.Llm.hidden ())
+  in
+  List.iter
+    (fun (store, c1) ->
+      let tp_first = Llm.prefill sharded c1 (Llm.embed llm prompt) in
+      checkb (store ^ " prefill bit-identical") true
+        (bits_equal ref_first tp_first);
+      Array.iteri
+        (fun i tok ->
+          let got = Llm.decode_step sharded c1 (Llm.embed llm [| tok |]) in
+          checkb
+            (Printf.sprintf "%s decode step %d bit-identical" store i)
+            true
+            (bits_equal ref_steps.(i) got))
+        gen;
+      checki (store ^ " cache lengths agree") (Llm.cache_len c0)
+        (Llm.cache_len c1))
+    [ ("contiguous", Llm.new_cache llm); ("paged", paged ()) ];
+  let verify = Llm.embed llm (Array.sub gen 0 3) in
+  let extend_after_prefill model =
+    let c = Llm.new_cache llm in
+    ignore (Llm.prefill model c (Llm.embed llm prompt));
+    Llm.extend model c verify
+  in
+  checkb "3-row extend bit-identical" true
+    (bits_equal (extend_after_prefill llm) (extend_after_prefill sharded))
 
 let test_tp_plan_rejects_bad_split () =
   clean ();
   let llm = make_llm () in
   (* tiny has 2 heads: 3 shards cannot split them *)
   checkb "3-way split rejected" true
-    (match Llm.tp_plan llm ~shards:3 with Ok _ -> false | Error _ -> true)
+    (match Llm.shard llm ~shards:3 with Ok _ -> false | Error _ -> true);
+  checkb "0 shards rejected" true
+    (match Llm.shard llm ~shards:0 with Ok _ -> false | Error _ -> true);
+  let config =
+    { Cluster.Router.default_config with Cluster.Router.shards = 0 }
+  in
+  checkb "router with 0 shards rejected" true
+    (match Cluster.Router.create ~config llm with
+    | Ok _ -> false
+    | Error _ -> true)
 
 (* ---- chaos: a table of cells for the one chaos check ----
 
@@ -102,6 +108,10 @@ let chaos_cells =
         scheduler = paged default.scheduler; shared_prefix = 8 } );
     ("conservation + quarantine", { default with requests = 16 });
     ("sharded", { default with requests = 12; shards = 2 });
+    ( "sharded paged+spec",
+      { default with
+        requests = 12; shards = 2;
+        scheduler = paged ~spec_k:3 default.scheduler; shared_prefix = 8 } );
     ("hard kill", hard_kill) ]
 
 (* ---- open-loop driver across fleet sizes ----

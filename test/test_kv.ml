@@ -7,21 +7,10 @@
    token-identical to greedy. Arena conservation under faults is a cell
    of the chaos table (test_cluster). *)
 
+open Fixtures
+
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-
-let clean () =
-  Telemetry.Registry.reset ();
-  Telemetry.Registry.disable ()
-
-let make_llm () =
-  let rng = Prng.create 7 in
-  Llm.create ~rng ~block:8 Llm.tiny
-
-(* tol 0.0 = bit-identical for non-NaN values *)
-let bits_equal = Tensor.approx_equal ~tol:0.0
-
-let frozen_now () = 0.0
 
 let mk_mgr ?(block_size = 4) ?(num_blocks = 8) ?(layers = 1) ?(hidden = 4) ()
     =
@@ -361,12 +350,6 @@ let test_pool_denies_on_exhausted_arena () =
   checki "denial counted" 1 (Serve.Kv_pool.denied pool)
 
 (* ---- speculative decoding ---- *)
-
-let mk_req ?(deadline_s = Float.infinity) ~prompt_len ~new_tokens id =
-  let vocab = Llm.tiny.Llm.vocab in
-  let prompt = Array.init prompt_len (fun i -> (7 + (3 * id) + i) mod vocab) in
-  let gen = Array.init new_tokens (fun i -> (11 + (5 * id) + i) mod vocab) in
-  Serve.Request.make ~id ~prompt ~gen ~deadline_s ()
 
 let drain_outputs config reqs =
   let llm = make_llm () in

@@ -376,7 +376,6 @@ let thread_ids_for_run n =
   ids
 
 let test_pool_worker_reuse () =
-  checkb "pool enabled by default" true (Team.pool_enabled ());
   let n = 3 in
   let first = thread_ids_for_run n in
   checkb "caller is tid 0" true
