@@ -124,8 +124,10 @@ smoke-tune: build
 	@echo "smoke-tune: /tmp/bench-tune.json ok"
 
 # Perf-regression smoke (~12 s): rerun the recorder microbench, the
-# measured GEMM points (native BRGEMM, 1 and 2 threads) and the
-# single-replica chaos run, then gate against the committed baseline
+# measured GEMM points (native BRGEMM, 1 and 2 threads), the serving
+# speed of Llm.tiny (a 128-token prefill and a decode step, 1 and 2
+# threads) and the single-replica chaos run, then gate against the
+# committed baseline
 # (bench/baselines/smoke.json), matching entries by name and config,
 # with per-metric tolerances — exact match on correctness counters
 # (violations, mismatched, numeric_errors), a 1.5x band on timing and
@@ -135,9 +137,9 @@ smoke-tune: build
 # recorder bench itself also hard-fails if trace-lane emits cost more
 # than 10% over dense-lane emits. Regenerate the baseline on an
 # intentional perf change with:
-#   dune exec bench/main.exe -- recorder gemm --chaos --json bench/baselines/smoke.json
+#   dune exec bench/main.exe -- recorder gemm llm --chaos --json bench/baselines/smoke.json
 smoke-regress: build
-	dune exec bench/main.exe -- recorder gemm --chaos --compare bench/baselines/smoke.json
+	dune exec bench/main.exe -- recorder gemm llm --chaos --compare bench/baselines/smoke.json
 	@echo "smoke-regress: baseline bench/baselines/smoke.json held"
 
 # Causal-tracing smoke (~3 s): a 3-replica disaggregated serve under

@@ -523,6 +523,59 @@ let run_gemm_points () =
         turn)
     isas
 
+(* ---- serving speed: Llm.tiny prefill and decode (smoke-regress) ----
+
+   The model every serving path runs, at a fixed seed: a 128-token
+   prefill into an empty cache and one decode step at context 32, on 1
+   and 2 threads, the four taking turns; each time is its fastest run.
+   decode_minor_words is what one decode step allocates on the calling
+   domain (all of it on 1 thread; the team's workers are not counted on
+   2). *)
+
+let run_llm () =
+  Modelkit.section "serving speed (Llm.tiny, this host)";
+  let llm = Llm.create ~rng:(Prng.create 2024) Llm.tiny in
+  let vocab = Llm.tiny.Llm.vocab in
+  let prompt = Llm.embed llm (Array.init 128 (fun i -> ((7 * i) + 3) mod vocab)) in
+  let past = Llm.embed llm (Array.init 32 (fun i -> ((5 * i) + 1) mod vocab)) in
+  let next = Llm.embed llm [| 9 |] in
+  let point nthreads =
+    let pc = Llm.new_cache llm and dc = Llm.new_cache llm in
+    ignore (Llm.extend ~nthreads llm dc past);
+    let prefill () =
+      Llm.reset_cache pc;
+      ignore (Llm.extend ~nthreads llm pc prompt)
+    in
+    let decode () =
+      ignore (Llm.extend ~nthreads llm dc next);
+      Llm.truncate_cache dc 32
+    in
+    (nthreads, prefill, decode)
+  in
+  let points = List.map point [ 1; 2 ] in
+  let times =
+    rounds ~secs:0.5
+      (Array.of_list (List.concat_map (fun (_, p, d) -> [ p; d ]) points))
+  in
+  List.iteri
+    (fun i (nthreads, _, decode) ->
+      let prefill_s = fastest times.(2 * i)
+      and decode_s = fastest times.((2 * i) + 1) in
+      let w0 = Gc.minor_words () in
+      decode ();
+      let words = Gc.minor_words () -. w0 in
+      Printf.printf
+        "  llm tiny %d thr: prefill 128 %8.3f ms  decode @32 %8.1f us  %8.0f \
+         minor words/decode\n%!"
+        nthreads (1e3 *. prefill_s) (1e6 *. decode_s) words;
+      record_bench ~name:"llm"
+        ~config:[ ("model", "tiny"); ("nthreads", string_of_int nthreads) ]
+        ~metrics:
+          [ ("prefill_s", prefill_s); ("decode_s", decode_s);
+            ("decode_minor_words", words) ]
+        ())
+    points
+
 (* ---- dispatch-overhead microbenchmark (persistent pool vs spawn) ----
 
    Times Team.run (pool) against Team.run_spawn (the fresh
@@ -1249,6 +1302,7 @@ let experiments =
     ("ablations", Ablations.run);
     ("micro", run_micro);
     ("gemm", run_gemm_points);
+    ("llm", run_llm);
     ("dispatch", run_dispatch);
     ("recorder", run_recorder);
     ("paged", run_paged_width);

@@ -215,7 +215,8 @@ let step t ~now =
           Telemetry.Recorder.emit Telemetry.Recorder.Trace_prefill
             ~label:t.tr_lbl ~a:req.Serve.Request.trace
             ~b:(Array.length prompt - matched);
-          req.Serve.Request.outputs <- [ first ];
+          Serve.Request.reset_outputs req;
+          Serve.Request.push_output req first ~row:0;
           req.Serve.Request.state <- Serve.Request.Decoding;
           t.tokens <- t.tokens + 1;
           if req.Serve.Request.new_tokens <= 1 then

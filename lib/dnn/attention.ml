@@ -42,26 +42,22 @@ let attend_range ?(causal = false) ~heads ~h0 ~h1 ~out q k v =
   let scale = 1.0 /. sqrt (float_of_int d) in
   let scores = Tensor.create Datatype.F32 [| nq; nk |] in
   let kt = Tensor.create Datatype.F32 [| d; nk |] in
-  let score_ker = Brgemm.compile (Brgemm.make_config ~beta:0.0 ~m:nq ~n:nk ~k:d ()) in
-  let ctx_ker = Brgemm.compile (Brgemm.make_config ~beta:0.0 ~m:nq ~n:d ~k:nk ()) in
+  let score_ker =
+    Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:nq ~n:nk ~k:d ())
+  in
+  let ctx_ker =
+    Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:nq ~n:d ~k:nk ())
+  in
   for h = h0 to h1 - 1 do
     let qh = head_view q ~heads ~h in
     let kh = head_view k ~heads ~h in
     let vh = head_view v ~heads ~h in
-    (* S = Q_h x K_h^T, scaled *)
+    (* S = Q_h x K_h^T; scale, causal mask and softmax in one pass a row *)
     Tpp_unary.transpose ~inp:kh ~out:(Tensor.view2d kt);
     Brgemm.exec score_ker ~a:qh ~b:(Tensor.view2d kt) ~c:(Tensor.view2d scores);
-    Tpp_unary.exec (Tpp_unary.Scale scale) ~inp:(Tensor.view2d scores)
-      ~out:(Tensor.view2d scores);
-    if causal then begin
-      let offset = nk - nq in
-      for i = 0 to nq - 1 do
-        for j = i + offset + 1 to nk - 1 do
-          Tensor.set scores [| i; j |] (-1e30)
-        done
-      done
-    end;
-    Blocks.softmax_rows ~inp:(Tensor.view2d scores) ~out:(Tensor.view2d scores);
+    Blocks.softmax_rows ~scale
+      ?causal:(if causal then Some (nk - nq) else None)
+      ~inp:(Tensor.view2d scores) ~out:(Tensor.view2d scores) ();
     (* C_h = S x V_h *)
     let oh = head_view out ~heads ~h in
     Brgemm.exec ctx_ker ~a:(Tensor.view2d scores) ~b:vh ~c:oh

@@ -30,7 +30,11 @@ val project : ?nthreads:int -> t -> Tensor.t -> Tensor.t * Tensor.t * Tensor.t
 (** [attend ~heads ~causal q k v] — scaled-dot-product attention per head.
     [q : Nq x hidden], [k v : Nk x hidden]; returns [Nq x hidden].
     With [causal], query i attends keys j <= i + (Nk - Nq), which is the
-    standard decode-with-cache alignment. *)
+    standard decode-with-cache alignment. Per head, one BRGEMM computes
+    the scores, one pass per score row scales, masks and normalises them
+    ({!Blocks.softmax_rows} with [~scale ~causal], bit for bit the
+    separate scale, mask and softmax passes), and one BRGEMM forms the
+    context; both kernels come from {!Dispatch.brgemm}'s cache. *)
 val attend :
   ?causal:bool -> heads:int -> Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
 

@@ -1,5 +1,9 @@
 type activation = Linear | Relu_act | Gelu_act
 
+(* W^T packed as the GEMM's B operand, and the weights it was packed
+   from *)
+type packed = { src : Tensor.t; wt : Tensor.t }
+
 type t = {
   in_features : int;
   out_features : int;
@@ -9,7 +13,38 @@ type t = {
   block : int;
   dtype : Datatype.t;
   spec : string;
+  packed : packed option Atomic.t;
 }
+
+(* Tokens are the GEMM's M, read in place as row-major rows, in blocks
+   of [block] rows with a short last block; output features are its N,
+   in blocks of [block] columns. k_step = 1: one BRGEMM call per K
+   block, each rounding C to FP32, as serving has always computed; a
+   full-K reduction would change its bits *)
+let gemm_cfg t ~n =
+  Gemm.make_config ~layout:Gemm.Rows ~bm:t.block ~bn:t.block ~bk:t.block
+    ~dtype:t.dtype ~k_step:1 ~m:n ~n:t.out_features ~k:t.in_features ()
+
+(* transpose a logical [rows x cols] tensor into [cols x rows] *)
+let transpose t0 =
+  let d = Tensor.dims t0 in
+  Tensor.init (Tensor.dtype t0) [| d.(1); d.(0) |] (fun i ->
+      Tensor.get t0 [| i.(1); i.(0) |])
+
+(* pack_b rounds to the layer's dtype *)
+let pack t =
+  { src = t.weights; wt = Gemm.pack_b (gemm_cfg t ~n:1) (transpose t.weights) }
+
+(* The packed W^T of [t.weights]. A record made by [{ fc with weights }]
+   shares its cell with [fc], so the cell names the tensor it holds and
+   a layer whose weights are another tensor packs them afresh. *)
+let packed_weights t =
+  match Atomic.get t.packed with
+  | Some p when p.src == t.weights -> p.wt
+  | _ ->
+    let p = pack t in
+    Atomic.set t.packed (Some p);
+    p.wt
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -26,59 +61,82 @@ let create ~rng ?(dtype = Datatype.F32) ?(act = Linear) ?(block = 32)
   in
   let bias = Tensor.create Datatype.F32 [| out_features |] in
   Tensor.fill_random bias rng ~scale:0.01;
-  { in_features; out_features; weights; bias; act; block; dtype; spec }
+  let t =
+    { in_features; out_features; weights; bias; act; block; dtype; spec;
+      packed = Atomic.make None }
+  in
+  ignore (packed_weights t);
+  t
 
-(* transpose a logical [N x F] activation into the GEMM B layout
-   ([F x N] blocked as [Nb][Kb][bk][bn]) and back *)
-let transpose t0 =
-  let d = Tensor.dims t0 in
-  Tensor.init (Tensor.dtype t0) [| d.(1); d.(0) |] (fun i ->
-      Tensor.get t0 [| i.(1); i.(0) |])
-
-(* largest divisor of n not exceeding cap (>= 1) *)
-let divisor_block n cap =
-  let rec go d = if d >= 1 && n mod d = 0 then d else go (d - 1) in
-  go (min cap n)
-
-(* k_step = 1: one BRGEMM call per K block, each rounding C to FP32, as
-   serving has always computed; a full-K reduction would change its bits *)
-let gemm_cfg t ~n =
-  Gemm.make_config ~bm:t.block ~bn:(divisor_block n t.block) ~bk:t.block
-    ~dtype:t.dtype ~k_step:1 ~m:t.out_features ~n ~k:t.in_features ()
+let slice t ~r0 ~r1 =
+  if r0 = 0 && r1 = t.out_features then t
+  else begin
+    let rows = r1 - r0 in
+    let weights =
+      Tensor.init t.dtype [| rows; t.in_features |] (fun i ->
+          Tensor.get t.weights [| r0 + i.(0); i.(1) |])
+    in
+    (* the bias keeps its own dtype (FP32), as the whole layer's does *)
+    let bias =
+      Tensor.init (Tensor.dtype t.bias) [| rows |] (fun i ->
+          Tensor.get t.bias [| r0 + i.(0) |])
+    in
+    let s =
+      { t with out_features = rows; weights; bias; packed = Atomic.make None }
+    in
+    ignore (packed_weights s);
+    s
+  end
 
 let act_unary = function
   | Linear -> None
   | Relu_act -> Some Tpp_unary.Relu
   | Gelu_act -> Some Tpp_unary.Gelu
 
+(* act(X W^T + b) into columns [col0, col0 + out) of [out]: X is the
+   GEMM's A in place (a BF16 layer rounds a copy of it once), the bias
+   and [act] are fused on each finished C block *)
+let gemm_into ?nthreads t x ~act ~out ~col0 =
+  let dx = Tensor.dims x in
+  assert (Array.length dx = 2 && dx.(1) = t.in_features);
+  (* routed through the spec-resolver hook: with online tuning enabled the
+     per-shape cache may substitute a tuned (config, spec) here *)
+  let g = Gemm.create_resolved (gemm_cfg t ~n:dx.(0)) t.spec in
+  let a =
+    if Datatype.equal t.dtype Datatype.F32
+       || Datatype.equal (Tensor.dtype x) t.dtype
+    then x
+    else Tensor.cast x t.dtype
+  in
+  let bias = t.bias and block = t.block in
+  let post ~im:_ ~in_ ~c_block =
+    let bias_row =
+      Tensor.view_flat bias ~off:(in_ * block) ~rows:1 ~cols:block ~ld:block
+    in
+    Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Row ~a:c_block
+      ~b:bias_row ~out:c_block;
+    match act with
+    | None -> ()
+    | Some op -> Tpp_unary.exec op ~inp:c_block ~out:c_block
+  in
+  Gemm.run ?nthreads ~post ~col0 g ~a ~b:(packed_weights t) ~c:out
+
+let forward_into ?nthreads t x ~out ~col0 =
+  gemm_into ?nthreads t x ~act:(act_unary t.act) ~out ~col0
+
+let forward ?nthreads t x =
+  let out = Tensor.create Datatype.F32 [| (Tensor.dims x).(0); t.out_features |] in
+  forward_into ?nthreads t x ~out ~col0:0;
+  out
+
 type ctx = {
   input : Tensor.t;  (** logical [N x in] *)
   pre_act : Tensor.t;  (** logical [N x out], before activation *)
 }
 
-let forward_internal ?nthreads t x =
-  let dx = Tensor.dims x in
-  assert (Array.length dx = 2 && dx.(1) = t.in_features);
-  let n = dx.(0) in
-  (* any token count works: bn falls back to the largest divisor of n *)
-  let cfg = gemm_cfg t ~n in
-  (* routed through the spec-resolver hook: with online tuning enabled the
-     per-shape cache may substitute a tuned (config, spec) here *)
-  let g = Gemm.create_resolved cfg t.spec in
-  let a = Gemm.pack_a cfg t.weights in
-  let b = Gemm.pack_b cfg (transpose x) in
-  let c = Gemm.alloc_c cfg in
-  let bias = t.bias in
-  let block = t.block in
-  let post ~im ~in_:_ ~c_block =
-    let bias_col = Tensor.view_flat bias ~off:(im * block) ~rows:block ~cols:1 ~ld:1 in
-    Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Col ~a:c_block ~b:bias_col
-      ~out:c_block
-  in
-  Gemm.run ?nthreads ~post g ~a ~b ~c;
-  (* unpack to logical [N x out] (transpose of the GEMM C) *)
-  let o = Gemm.unpack_c cfg c in
-  let pre = transpose o in
+let forward_ctx ?nthreads t x =
+  let pre = Tensor.create Datatype.F32 [| (Tensor.dims x).(0); t.out_features |] in
+  gemm_into ?nthreads t x ~act:None ~out:pre ~col0:0;
   let y =
     match act_unary t.act with
     | None -> Tensor.copy pre
@@ -88,9 +146,6 @@ let forward_internal ?nthreads t x =
       y
   in
   (y, { input = x; pre_act = pre })
-
-let forward ?nthreads t x = fst (forward_internal ?nthreads t x)
-let forward_ctx ?nthreads t x = forward_internal ?nthreads t x
 
 type grads = { d_input : Tensor.t; d_weights : Tensor.t; d_bias : Tensor.t }
 
@@ -150,7 +205,8 @@ let sgd_update t grads ~lr =
   for i = 0 to Tensor.numel t.bias - 1 do
     Tensor.set_flat t.bias i
       (Tensor.get_flat t.bias i -. (lr *. Tensor.get_flat grads.d_bias i))
-  done
+  done;
+  Atomic.set t.packed (Some (pack t))
 
 let flops t ~n =
   2.0 *. float_of_int n *. float_of_int t.in_features

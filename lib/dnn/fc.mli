@@ -3,11 +3,17 @@
 
     Convention (matching BERT-style layers): activations are row-major
     [N x in_features]; weights are [out_features x in_features];
-    [forward] computes Y = X W^T + b. Internally the GEMM runs on blocked
-    tensors with W as the A operand and X^T as the B operand, exactly the
-    paper's fully-connected formulation O = W x I. *)
+    [forward] computes Y = X W^T + b. The GEMM takes the activations as
+    its A operand, read in place as row-major token rows ({!Gemm.Rows}),
+    and W^T as its B operand, packed once per weight tensor, as the
+    paper's and TPP's layers block their weights once and hand every
+    call to BRGEMM. Y is written in place. *)
 
 type activation = Linear | Relu_act | Gelu_act
+
+(** W^T in the GEMM's B layout, and the weight tensor it was packed
+    from. *)
+type packed
 
 type t = {
   in_features : int;
@@ -18,6 +24,12 @@ type t = {
   block : int;
   dtype : Datatype.t;
   spec : string;
+  packed : packed option Atomic.t;
+      (** W^T packed from [weights]. {!create}, {!slice} and
+          {!sgd_update} pack at once. A layer made by
+          [{ fc with weights }] shares the cell with [fc] and packs its
+          own weights on its first forward; the two repack whenever
+          calls alternate between them. *)
 }
 
 val create :
@@ -31,13 +43,31 @@ val create :
   unit ->
   t
 
+(** Output features [\[r0, r1)] as a layer of their own (the column
+    split of a tensor-parallel shard): the same block, spec, activation
+    and dtype, so it tiles and reduces each output exactly as the whole
+    layer does. The whole range is the layer itself. *)
+val slice : t -> r0:int -> r1:int -> t
+
 (** [forward t x] with [x : N x in] returns [N x out]. Any token count
-    works: the GEMM's N block is the largest divisor of [N] not above the
-    block size. The GEMM runs with [k_step = 1], one BRGEMM call per K
-    block, not at {!Gemm.make_config}'s full-K default: a full-K
-    reduction rounds differently, and serving's outputs keep their bits
-    (a tuned spec keeps the same K-loop space too). *)
+    works: tokens are the GEMM's M, in blocks of [block] rows with a
+    short last block, and output features its N, in blocks of [block]
+    columns, so a single token runs on full vectors too. The GEMM runs
+    with [bk = block] and [k_step = 1], one BRGEMM call per K block, not
+    at {!Gemm.make_config}'s full-K default: a full-K reduction rounds
+    differently, and serving's outputs keep their bits (a tuned spec
+    keeps the same K-loop space too). Each output keeps the K order and
+    FP32 rounding points it had when W was the A operand. The kernel
+    skips zero elements of A, which are now X's rather than W's; that
+    changes a result only where a zero meets an infinite or NaN operand,
+    or a K-block partial sum that rounded to -0. *)
 val forward : ?nthreads:int -> t -> Tensor.t -> Tensor.t
+
+(** [forward_into t x ~out ~col0] writes [forward t x] into columns
+    [\[col0, col0 + out_features)] of the FP32 tensor [out : N x W], in
+    place. *)
+val forward_into :
+  ?nthreads:int -> t -> Tensor.t -> out:Tensor.t -> col0:int -> unit
 
 (** Saved context from a forward pass used by backward. *)
 type ctx
@@ -50,7 +80,7 @@ type grads = { d_input : Tensor.t; d_weights : Tensor.t; d_bias : Tensor.t }
     upstream gradient [N x out]. *)
 val backward : ?nthreads:int -> t -> ctx -> dy:Tensor.t -> grads
 
-(** Apply SGD update in place: w -= lr * dw. *)
+(** Apply SGD update in place: w -= lr * dw; repacks W^T. *)
 val sgd_update : t -> grads -> lr:float -> unit
 
 (** Forward FLOPs for [n] tokens: 2 * n * in * out. *)

@@ -62,22 +62,8 @@ type layer = {
 
 type t = { cfg : config; decoder : layer array }
 
-(* rows [r0, r1) of an [out x in] projection: same block/spec/act/dtype,
-   so the sliced GEMM tiles and reduces exactly like the full one. The
-   whole range is the projection itself, not a copy. *)
-let slice_fc (fc : Fc.t) r0 r1 =
-  if r0 = 0 && r1 = fc.Fc.out_features then { fc; col0 = 0 }
-  else
-    let rows = r1 - r0 in
-    let weights =
-      Tensor.init fc.Fc.dtype [| rows; fc.Fc.in_features |] (fun i ->
-          Tensor.get fc.Fc.weights [| r0 + i.(0); i.(1) |])
-    in
-    let bias =
-      Tensor.init fc.Fc.dtype [| rows |] (fun i ->
-          Tensor.get fc.Fc.bias [| r0 + i.(0) |])
-    in
-    { fc = { fc with Fc.out_features = rows; weights; bias }; col0 = r0 }
+(* output features [r0, r1) of a projection, written from column r0 *)
+let slice_fc (fc : Fc.t) r0 r1 = { fc = Fc.slice fc ~r0 ~r1; col0 = r0 }
 
 (* one shard's heads, hidden columns and intermediate columns *)
 let widths cfg ~shards =
@@ -419,22 +405,6 @@ let add_inplace a b =
   Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Full ~a:(Tensor.view2d a)
     ~b:(Tensor.view2d b) ~out:(Tensor.view2d a)
 
-(* write [src : n x w] into columns [col0, col0 + w) of [dst : n x W],
-   a row at a time (all rows at once when [w = W]) — the concat step;
-   shards write disjoint slices, so no synchronization beyond the
-   enclosing region's join/barrier is needed. *)
-let blit_cols ~dst ~col0 (src : Tensor.t) =
-  let d = Tensor.dims src in
-  let n = d.(0) and w = d.(1) in
-  let wd = (Tensor.dims dst).(1) in
-  if w = wd then Bigarray.Array1.blit src.Tensor.data dst.Tensor.data
-  else
-    for r = 0 to n - 1 do
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub src.Tensor.data (r * w) w)
-        (Bigarray.Array1.sub dst.Tensor.data ((r * wd) + col0) w)
-    done
-
 (* Pre-norm decoder block with a cache: x += Attn(LN1(x)); x += FFN(LN2(x)).
    Each stage is one [Team.run ~nthreads:shards] region in which every
    shard computes its part:
@@ -443,7 +413,8 @@ let blit_cols ~dst ~col0 (src : Tensor.t) =
       over the full ctx;
    C) up/gate column slices (+SwiGLU on the slice), barrier, down column
       slice over the full intermediate.
-   LN / residual / cache glue runs on the caller between regions. One
+   Every projection writes its slice's columns of the stage tensor in
+   place. LN / residual / cache glue runs on the caller between regions. One
    shard runs inline, its kernels on the caller's [nthreads]; with more,
    parallelism lives at the shard level and the kernels run on one
    thread, since nested teams would fall back to spawn-per-call. *)
@@ -459,7 +430,7 @@ let decoder_block ?nthreads cache layer_idx (layer : layer) x =
     Tensor.create Datatype.F32 [| n; fc.Fc.out_features |]
   in
   let project s inp ~dst =
-    blit_cols ~dst ~col0:s.col0 (Fc.forward ?nthreads s.fc inp)
+    Fc.forward_into ?nthreads s.fc inp ~out:dst ~col0:s.col0
   in
   let a = layer.attention in
   let normed = layernorm layer.ln1_gamma layer.ln1_beta x in
@@ -483,22 +454,18 @@ let decoder_block ?nthreads cache layer_idx (layer : layer) x =
   (* att now holds x + attention *)
   let normed2 = layernorm layer.ln2_gamma layer.ln2_beta att in
   let up = buf layer.ffn_up and down = buf layer.ffn_down in
+  let gate = Option.map buf layer.ffn_gate in
   stage (fun p barrier ->
-      let u = Fc.forward ?nthreads p.up.fc normed2 in
-      (match p.gate with
-      | Some g ->
-        (* SwiGLU: u := silu(gate) * u *)
-        let gate = Fc.forward ?nthreads g.fc normed2 in
-        let s = Tensor.create Datatype.F32 (Tensor.dims gate) in
-        Tpp_unary.exec Tpp_unary.Sigmoid ~inp:(Tensor.view2d gate)
-          ~out:(Tensor.view2d s);
-        Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
-          ~a:(Tensor.view2d gate) ~b:(Tensor.view2d s)
-          ~out:(Tensor.view2d gate);
-        Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full
-          ~a:(Tensor.view2d u) ~b:(Tensor.view2d gate) ~out:(Tensor.view2d u)
-      | None -> ());
-      blit_cols ~dst:up ~col0:p.up.col0 u;
+      project p.up normed2 ~dst:up;
+      (match (p.gate, gate) with
+      | Some g, Some gate ->
+        (* SwiGLU on the slice: u := u * silu(gate) *)
+        project g normed2 ~dst:gate;
+        let cols t =
+          Tensor.view t [| 0; g.col0 |] ~rows:n ~cols:g.fc.Fc.out_features
+        in
+        Blocks.swiglu ~gate:(cols gate) ~inp:(cols up) ~out:(cols up)
+      | _ -> ());
       barrier ();
       project p.down up ~dst:down);
   add_inplace down att;

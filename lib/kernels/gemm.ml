@@ -1,3 +1,5 @@
+type layout = Blocked | Rows
+
 type config = {
   m : int;
   n : int;
@@ -7,6 +9,7 @@ type config = {
   bk : int;
   dtype : Datatype.t;
   vnni_b : bool;
+  layout : layout;
   k_step : int;
   mk_blocks : int list;
   nk_blocks : int list;
@@ -14,17 +17,19 @@ type config = {
 }
 
 let make_config ?(bm = 32) ?(bn = 32) ?(bk = 32) ?(dtype = Datatype.F32)
-    ?(vnni_b = false) ?k_step ?(mk_blocks = []) ?(nk_blocks = [])
-    ?(kk_blocks = []) ~m ~n ~k () =
+    ?(vnni_b = false) ?(layout = Blocked) ?k_step ?(mk_blocks = [])
+    ?(nk_blocks = []) ?(kk_blocks = []) ~m ~n ~k () =
   let bm = min bm m and bn = min bn n and bk = min bk k in
   let k_step = Option.value k_step ~default:(k / bk) in
-  if m mod bm <> 0 || n mod bn <> 0 || k mod bk <> 0 then
-    invalid_arg "Gemm.make_config: block sizes must divide M, N, K";
+  if (layout = Blocked && m mod bm <> 0) || n mod bn <> 0 || k mod bk <> 0
+  then invalid_arg "Gemm.make_config: block sizes must divide M, N, K";
   if vnni_b && bk mod Datatype.vnni_factor dtype <> 0 then
     invalid_arg "Gemm.make_config: bk must be divisible by the VNNI factor";
-  { m; n; k; bm; bn; bk; dtype; vnni_b; k_step; mk_blocks; nk_blocks; kk_blocks }
+  { m; n; k; bm; bn; bk; dtype; vnni_b; layout; k_step; mk_blocks; nk_blocks;
+    kk_blocks }
 
-let mb c = c.m / c.bm
+(* a row-major config's last M block may be short *)
+let mb c = (c.m + c.bm - 1) / c.bm
 let nb c = c.n / c.bn
 let kb c = c.k / c.bk
 
@@ -44,20 +49,30 @@ type t = {
   loop : Threaded_loop.t;
   ker_first : Brgemm.kernel;  (** beta = 0: zeroing fold of the first visit *)
   ker_acc : Brgemm.kernel;  (** beta = 1 *)
+  tail_first : Brgemm.kernel;  (** the same pair for the last M block *)
+  tail_acc : Brgemm.kernel;
 }
 
 let create cfg spec_string =
   let b_layout = if cfg.vnni_b then Brgemm.Vnni else Brgemm.Flat in
-  let mk beta =
+  let mk ~m beta =
     Dispatch.brgemm
-      (Brgemm.make_config ~dtype:cfg.dtype ~b_layout ~beta ~m:cfg.bm ~n:cfg.bn
+      (Brgemm.make_config ~dtype:cfg.dtype ~b_layout ~beta ~m ~n:cfg.bn
          ~k:cfg.bk ())
+  in
+  let ker_first = mk ~m:cfg.bm 0.0 and ker_acc = mk ~m:cfg.bm 1.0 in
+  let tail = cfg.m - ((mb cfg - 1) * cfg.bm) in
+  let tail_first, tail_acc =
+    if tail = cfg.bm then (ker_first, ker_acc)
+    else (mk ~m:tail 0.0, mk ~m:tail 1.0)
   in
   {
     cfg;
     loop = Threaded_loop.create (loop_specs cfg) spec_string;
-    ker_first = mk 0.0;
-    ker_acc = mk 1.0;
+    ker_first;
+    ker_acc;
+    tail_first;
+    tail_acc;
   }
 
 (* ---- spec resolver hook ----
@@ -92,10 +107,13 @@ let spec t = Threaded_loop.spec_string t.loop
 
 let pack_a c a =
   assert (Tensor.dims a = [| c.m; c.k |]);
-  Tensor.init c.dtype
-    [| mb c; kb c; c.bm; c.bk |]
-    (fun i ->
-      Tensor.get a [| (i.(0) * c.bm) + i.(2); (i.(1) * c.bk) + i.(3) |])
+  match c.layout with
+  | Rows -> Tensor.cast a c.dtype
+  | Blocked ->
+    Tensor.init c.dtype
+      [| mb c; kb c; c.bm; c.bk |]
+      (fun i ->
+        Tensor.get a [| (i.(0) * c.bm) + i.(2); (i.(1) * c.bk) + i.(3) |])
 
 let pack_b c b =
   assert (Tensor.dims b = [| c.k; c.n |]);
@@ -118,18 +136,26 @@ let pack_b c b =
 
 let pack_c c t =
   assert (Tensor.dims t = [| c.m; c.n |]);
-  Tensor.init Datatype.F32
-    [| nb c; mb c; c.bm; c.bn |]
-    (fun i ->
-      Tensor.get t [| (i.(1) * c.bm) + i.(2); (i.(0) * c.bn) + i.(3) |])
+  match c.layout with
+  | Rows -> Tensor.cast t Datatype.F32
+  | Blocked ->
+    Tensor.init Datatype.F32
+      [| nb c; mb c; c.bm; c.bn |]
+      (fun i ->
+        Tensor.get t [| (i.(1) * c.bm) + i.(2); (i.(0) * c.bn) + i.(3) |])
 
 let unpack_c c t =
-  Tensor.init Datatype.F32 [| c.m; c.n |] (fun i ->
-      Tensor.get t
-        [| i.(1) / c.bn; i.(0) / c.bm; i.(0) mod c.bm; i.(1) mod c.bn |])
+  match c.layout with
+  | Rows -> t
+  | Blocked ->
+    Tensor.init Datatype.F32 [| c.m; c.n |] (fun i ->
+        Tensor.get t
+          [| i.(1) / c.bn; i.(0) / c.bm; i.(0) mod c.bm; i.(1) mod c.bn |])
 
 let alloc_c ?(dtype = Datatype.F32) c =
-  Tensor.create dtype [| nb c; mb c; c.bm; c.bn |]
+  match c.layout with
+  | Rows -> Tensor.create dtype [| c.m; c.n |]
+  | Blocked -> Tensor.create dtype [| nb c; mb c; c.bm; c.bn |]
 
 (* ---- execution (the paper's Listing 1 body) ---- *)
 
@@ -148,22 +174,41 @@ let instance_of t =
   Printf.sprintf "%dx%dx%d %s %s" c.m c.n c.k (Datatype.to_string c.dtype)
     (Threaded_loop.spec_string t.loop)
 
-let run ?nthreads ?post t ~a ~b ~c =
+let run ?nthreads ?post ?(col0 = 0) t ~a ~b ~c =
   let cfg = t.cfg in
   let v = Datatype.vnni_factor cfg.dtype in
-  let stride_a = cfg.bm * cfg.bk in
   let stride_b = block_elems_b cfg in
-  let a_row = cfg.k * cfg.bm in
-  (* elements per [im] block row of A *)
   let b_row = cfg.k * cfg.bn in
-  let c_row = cfg.m * cfg.bn in
+  (* where block (im, ik) of A starts, A's row length and the distance
+     from one of its K blocks to the next; where block (im, in) of C
+     starts and C's row length *)
+  let a_off, lda, stride_a, c_off, ldc =
+    match cfg.layout with
+    | Blocked ->
+      assert (col0 = 0);
+      let stride_a = cfg.bm * cfg.bk in
+      ( (fun im ik -> (im * cfg.k * cfg.bm) + (ik * stride_a)),
+        cfg.bk,
+        stride_a,
+        (fun im in_ -> (in_ * cfg.m * cfg.bn) + (im * cfg.bm * cfg.bn)),
+        cfg.bn )
+    | Rows ->
+      let dc = c.Tensor.dims in
+      assert (a.Tensor.dims = [| cfg.m; cfg.k |]);
+      assert (Array.length dc = 2 && dc.(0) = cfg.m && col0 + cfg.n <= dc.(1));
+      ( (fun im ik -> (im * cfg.bm * cfg.k) + (ik * cfg.bk)),
+        cfg.k,
+        cfg.bk,
+        (fun im in_ -> (im * cfg.bm * dc.(1)) + col0 + (in_ * cfg.bn)),
+        dc.(1) )
+  in
+  let last = mb cfg - 1 in
   let body ind =
     let ik = ind.(0) and im = ind.(1) and in_ = ind.(2) in
     let brcount = min cfg.k_step (kb cfg - ik) in
+    let rows = if im = last then cfg.m - (im * cfg.bm) else cfg.bm in
     let av =
-      Tensor.view_flat a
-        ~off:((im * a_row) + (ik * stride_a))
-        ~rows:cfg.bm ~cols:cfg.bk ~ld:cfg.bk
+      Tensor.view_flat a ~off:(a_off im ik) ~rows ~cols:cfg.bk ~ld:lda
     in
     let bv =
       if cfg.vnni_b then
@@ -176,11 +221,15 @@ let run ?nthreads ?post t ~a ~b ~c =
           ~rows:cfg.bk ~cols:cfg.bn ~ld:cfg.bn
     in
     let cv =
-      Tensor.view_flat c
-        ~off:((in_ * c_row) + (im * cfg.bm * cfg.bn))
-        ~rows:cfg.bm ~cols:cfg.bn ~ld:cfg.bn
+      Tensor.view_flat c ~off:(c_off im in_) ~rows ~cols:cfg.bn ~ld:ldc
     in
-    let ker = if ik = 0 then t.ker_first else t.ker_acc in
+    let ker =
+      match (ik = 0, im = last) with
+      | true, false -> t.ker_first
+      | false, false -> t.ker_acc
+      | true, true -> t.tail_first
+      | false, true -> t.tail_acc
+    in
     Brgemm.exec_stride ker ~a:av ~b:bv ~c:cv ~stride_a ~stride_b ~count:brcount;
     (* fused post-op on the finished C block (bias, activation, ...) *)
     match post with

@@ -1,10 +1,14 @@
 (** Blocked GEMM via PARLOOPER + BRGEMM TPP — the paper's Listing 1.
 
     Logical tensors are [A: M x K], [B: K x N], [C: M x N] with
-    [C += A x B]; storage is blocked:
-    - A as [Mb][Kb][bm][bk]
-    - B as [Nb][Kb][bk][bn]        (or its VNNI packing for BF16)
-    - C as [Nb][Mb][bm][bn]
+    [C += A x B]. B is always blocked, as [Nb][Kb][bk][bn] (or its VNNI
+    packing for BF16). A and C follow the config's {!layout}:
+    - [Blocked]: A as [Mb][Kb][bm][bk], C as [Nb][Mb][bm][bn];
+    - [Rows]: A and C row-major, as [M x K] and [M x N], read and
+      written in place; M need not be a multiple of [bm], and the last
+      M block then has [M mod bm] rows. C may be a column window of a
+      wider tensor (see {!run}). This is how a layer runs its
+      activations: token rows on M, with no packing or transposing.
 
     Three logical loops are declared — a: Kb (step [k_step], the
     batch-reduce count), b: Mb, c: Nb — and the instantiation is entirely
@@ -13,6 +17,8 @@
     beta = 0. At the default [k_step], all of Kb, a C block has one visit:
     one call reduces its whole K strip with the accumulators in FP64, as
     in Listing 1. The code is identical for all precisions. *)
+
+type layout = Blocked | Rows
 
 type config = {
   m : int;
@@ -23,6 +29,7 @@ type config = {
   bk : int;
   dtype : Datatype.t;
   vnni_b : bool;  (** store B VNNI-packed (required path for BF16 HW) *)
+  layout : layout;  (** storage of A and C *)
   k_step : int;  (** K-loop step in block units = batch-reduce count *)
   mk_blocks : int list;  (** blocking steps for the M loop (block units) *)
   nk_blocks : int list;  (** blocking steps for the N loop *)
@@ -30,15 +37,18 @@ type config = {
 }
 
 (** [make_config ~m ~n ~k ()] with defaults: 32x32x32 blocks (clamped to
-    the problem), FP32, flat B, k_step = k / bk (every K block in one
-    BRGEMM call), no extra blocking steps. A smaller [k_step] rounds C
-    to FP32 after every call, so it gives different bits. *)
+    the problem), FP32, flat B, [Blocked] layout, k_step = k / bk (every
+    K block in one BRGEMM call), no extra blocking steps. A smaller
+    [k_step] rounds C to FP32 after every call, so it gives different
+    bits. The blocks must divide their dimensions, except [bm] in a
+    [Rows] layout. *)
 val make_config :
   ?bm:int ->
   ?bn:int ->
   ?bk:int ->
   ?dtype:Datatype.t ->
   ?vnni_b:bool ->
+  ?layout:layout ->
   ?k_step:int ->
   ?mk_blocks:int list ->
   ?nk_blocks:int list ->
@@ -49,7 +59,7 @@ val make_config :
   unit ->
   config
 
-val mb : config -> int  (** M / bm *)
+val mb : config -> int  (** M / bm, rounded up *)
 val nb : config -> int
 val kb : config -> int
 
@@ -96,7 +106,9 @@ val clear_spec_resolver : unit -> unit
     [create_resolved]. *)
 val create_resolved : config -> string -> t
 
-(** Layout helpers between logical rank-2 tensors and blocked storage. *)
+(** Layout helpers between logical rank-2 tensors and the config's
+    storage. In a [Rows] layout, [pack_a] and [pack_c] copy (rounding A
+    to the config's dtype) and [unpack_c] returns its argument. *)
 val pack_a : config -> Tensor.t -> Tensor.t
 val pack_b : config -> Tensor.t -> Tensor.t
 val pack_c : config -> Tensor.t -> Tensor.t
@@ -106,15 +118,19 @@ val unpack_c : config -> Tensor.t -> Tensor.t
     the input dtype to emulate low-precision activation stores). *)
 val alloc_c : ?dtype:Datatype.t -> config -> Tensor.t
 
-(** [run ?nthreads ?post t ~a ~b ~c] with blocked tensors; C is
-    overwritten (each block is zeroed on its first K-visit). [post], if
-    given, is invoked on each C block right after its last K-visit — the
-    fusion point for bias/activation TPPs (requires a spec in which, for a
-    fixed (im, in), all K iterations run on one thread in order, which
-    holds whenever the K loop is not parallelized). *)
+(** [run ?nthreads ?post t ~a ~b ~c] with tensors in the config's
+    storage; C is overwritten (each block is zeroed on its first
+    K-visit). [post], if given, is invoked on each C block right after
+    its last K-visit — the fusion point for bias/activation TPPs
+    (requires a spec in which, for a fixed (im, in), all K iterations
+    run on one thread in order, which holds whenever the K loop is not
+    parallelized). In a [Rows] layout, [c] is an [M x W] tensor with
+    [W >= col0 + N], and the product lands in its columns
+    [\[col0, col0 + N)]; [col0] must be 0 for [Blocked]. *)
 val run :
   ?nthreads:int ->
   ?post:(im:int -> in_:int -> c_block:Tensor.View.t -> unit) ->
+  ?col0:int ->
   t ->
   a:Tensor.t ->
   b:Tensor.t ->

@@ -65,7 +65,11 @@ type t = {
   mutable ttft_s : float;  (* first-token latency; nan until prefilled *)
   mutable finish_s : float;  (* total latency; nan until finished *)
   mutable outputs : Tensor.t list;  (* per-token hidden states, newest first *)
+  mutable out_rows : rows option;
 }
+
+(* [outputs]' backing store: views of [buf]'s first [used] rows *)
+and rows = { buf : Tensor.t; view : int -> Tensor.t; mutable used : int }
 
 let make ~id ?trace ~prompt ~gen ?(deadline_s = Float.infinity) () =
   assert (Array.length prompt > 0);
@@ -73,12 +77,39 @@ let make ~id ?trace ~prompt ~gen ?(deadline_s = Float.infinity) () =
   let trace = match trace with Some tr -> tr | None -> id in
   { id; trace; prompt; gen; new_tokens = Array.length gen; deadline_s;
     arrival_s = 0.0; state = Queued; ttft_s = Float.nan;
-    finish_s = Float.nan; outputs = [] }
+    finish_s = Float.nan; outputs = []; out_rows = None }
 
 (* absolute deadline on the serving clock *)
 let deadline_abs t = t.arrival_s +. t.deadline_s
 
 let met_deadline t = t.state = Finished && t.finish_s <= t.deadline_s
+
+let reset_outputs t =
+  t.outputs <- [];
+  t.out_rows <- None
+
+(* A kept token costs a view and its row of one per-request buffer, not
+   a tensor of its own: a closed loop that keeps every finished request
+   holds memory in proportion to the tokens it served. *)
+let push_output t x ~row =
+  let cols = x.Tensor.dims.(1) in
+  let r =
+    match t.out_rows with
+    | Some r
+      when r.used < r.buf.Tensor.dims.(0) && r.buf.Tensor.dims.(1) = cols ->
+      r
+    | _ ->
+      let buf = Tensor.create Datatype.F32 [| t.new_tokens; cols |] in
+      let r = { buf; view = Tensor.row_views buf; used = 0 } in
+      t.out_rows <- Some r;
+      r
+  in
+  let v = r.view r.used in
+  Bigarray.Array1.blit
+    (Bigarray.Array1.sub x.Tensor.data (row * cols) cols)
+    v.Tensor.data;
+  r.used <- r.used + 1;
+  t.outputs <- v :: t.outputs
 
 (* per-token hidden states in emission order *)
 let outputs t = List.rev t.outputs

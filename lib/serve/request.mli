@@ -43,7 +43,12 @@ type t = {
   mutable ttft_s : float;  (** time-to-first-token; [nan] until prefilled *)
   mutable finish_s : float;  (** total latency; [nan] until finished *)
   mutable outputs : Tensor.t list;  (** hidden states, newest first *)
+  mutable out_rows : rows option;
+      (** the buffer [outputs]' rows live in: one [new_tokens x hidden]
+          tensor per request, so a kept token costs its row and a view *)
 }
+
+and rows
 
 (** [make ~id ~prompt ~gen ()] — [new_tokens] is [Array.length gen];
     default deadline is infinite (never violates the SLO); default
@@ -64,3 +69,11 @@ val met_deadline : t -> bool
 
 (** Per-token hidden states in emission order. *)
 val outputs : t -> Tensor.t list
+
+(** Forget the outputs; the next {!push_output} starts a new buffer, so
+    rows already handed out keep their values. *)
+val reset_outputs : t -> unit
+
+(** [push_output t x ~row] appends a copy of row [row] of [x : n x hidden]
+    to [t]'s outputs, as a row of the request's output buffer. *)
+val push_output : t -> Tensor.t -> row:int -> unit

@@ -355,12 +355,6 @@ let pop_next t =
 
 let embed t ids = Llm.embed t.llm ids
 
-(* copy of row [r] of an [n x hidden] output — per-token outputs must not
-   alias the (recycled) batched output tensor *)
-let row_copy x r =
-  let d = Tensor.dims x in
-  Tensor.init Datatype.F32 [| 1; d.(1) |] (fun i -> Tensor.get x [| r; i.(1) |])
-
 (* deterministic draft-acceptance draw: splitmix64 over (request id,
    token position) mapped to [0,1). No mutable RNG state — replays and
    the chaos reference run see identical accept/reject sequences. *)
@@ -599,7 +593,8 @@ let admit_one t ~now =
           ~label:t.tr_lbl ~a:req.Request.trace ~b:(plen - matched);
         Telemetry.Recorder.emit Telemetry.Recorder.Sched_admit ~label:lbl_sched
           ~a:req.Request.id ~b:(List.length t.queue);
-        req.Request.outputs <- [ first ];
+        Request.reset_outputs req;
+        Request.push_output req first ~row:0;
         req.Request.state <- Request.Decoding;
         t.tokens <- t.tokens + 1;
         let s =
@@ -641,7 +636,7 @@ let decode_greedy t (s : session) ~now =
       ~a:s.req.Request.trace
       ~b:(List.length t.active);
     s.last_token_s <- now_s;
-    s.req.Request.outputs <- out :: s.req.Request.outputs;
+    Request.push_output s.req out ~row:0;
     s.emitted <- s.emitted + 1;
     t.tokens <- t.tokens + 1;
     if s.emitted >= s.req.Request.new_tokens then finish t s ~now_s
@@ -737,7 +732,7 @@ let decode_spec t (s : session) dc ~now =
       ~value_ms:dt_ms ~id:req.Request.trace;
     for j = 0 to a - 1 do
       observe2 t t.tpot_h (fun r -> r.r_tpot) dt_ms;
-      s.req.Request.outputs <- row_copy out j :: s.req.Request.outputs
+      Request.push_output s.req out ~row:j
     done;
     s.last_token_s <- now_s;
     s.emitted <- s.emitted + a;

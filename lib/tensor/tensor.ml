@@ -137,6 +137,15 @@ let sub_rows t n =
     dtype = t.dtype;
   }
 
+let row_views t =
+  assert (rank t = 2);
+  let rows = t.dims.(0) and cols = t.dims.(1) in
+  let dims = [| 1; cols |] and strides = [| cols; 1 |] in
+  fun r ->
+    assert (0 <= r && r < rows);
+    { data = Bigarray.Array1.sub t.data (r * cols) cols; dims; strides;
+      dtype = t.dtype }
+
 let cast t dtype =
   if Datatype.equal dtype t.dtype then copy t
   else begin

@@ -85,6 +85,11 @@ val reshape : t -> int array -> t
     valid prefix. *)
 val sub_rows : t -> int -> t
 
+(** [row_views t] for a rank-2 [t]: [row_views t r] is row [r] as a
+    [1 x cols] tensor sharing [t]'s storage. The views of one call share
+    their shape arrays. *)
+val row_views : t -> int -> t
+
 (** Convert to another datatype (rounding values as needed). *)
 val cast : t -> Datatype.t -> t
 

@@ -1,21 +1,86 @@
 module View = Tensor.View
 
-let softmax_rows ~inp ~out =
+(* dune's default profile compiles the library with -opaque, without
+   cross-module inlining, so each [View.get] and [View.set] is a call
+   that boxes its float. Serving's hot loops here (softmax_rows and
+   swiglu) use these copies instead, as [Tpp_binary.exec] does. [mul] is
+   [*.] returning the first operand's NaN when both are NaN, as
+   [Tpp_binary.Mul] does: which NaN an x86 multiply returns depends on
+   the operand order the compiler picks for it. *)
+let[@inline] get (v : View.t) i j =
+  Bigarray.Array1.unsafe_get v.View.data (v.View.off + (i * v.View.ld) + j)
+
+let[@inline] set (v : View.t) i j x =
+  let at = v.View.off + (i * v.View.ld) + j in
+  match v.View.dtype with
+  | Datatype.F32 -> Bigarray.Array1.unsafe_set v.View.data at x
+  | Datatype.BF16 -> Bigarray.Array1.unsafe_set v.View.data at (Bf16.round x)
+
+let[@inline] mul a b = if Float.is_nan a then a else a *. b
+
+(* [Float.max], whose sign-bit tests are C calls, taken only where the
+   two values are equal or one is NaN *)
+let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
+
+(* -1e30 as an FP32 store rounds it: the value a masked score holds *)
+let masked_score = Int32.float_of_bits (Int32.bits_of_float (-1e30))
+
+(* Each step reads what the separate scale, mask and softmax passes
+   stored, in their order: max over the row, then exp and the sum in
+   column order, then the normalisation. The masked tail is a run of one
+   value, so its max and exp are taken once. *)
+let softmax_rows ?scale ?causal ~inp ~out () =
   assert (inp.View.rows = out.View.rows && inp.View.cols = out.View.cols);
+  let cols = inp.View.cols in
+  (* a scaled row is stored first and read back from [out] *)
+  let scaled = Option.is_some scale in
+  let src = if scaled then out else inp in
+  (* a local float, kept unboxed *)
+  let a = ref 1.0 in
+  (match scale with Some s -> a := s | None -> ());
   for i = 0 to inp.View.rows - 1 do
+    let live =
+      match causal with
+      | None -> cols
+      | Some offset -> Int.max 0 (Int.min cols (i + offset + 1))
+    in
     let mx = ref neg_infinity in
-    for j = 0 to inp.View.cols - 1 do
-      mx := Float.max !mx (View.get inp i j)
+    for j = 0 to live - 1 do
+      if scaled then set out i j (mul !a (get inp i j));
+      mx := fmax !mx (get src i j)
     done;
+    if live < cols then mx := fmax !mx masked_score;
     let sum = ref 0.0 in
-    for j = 0 to inp.View.cols - 1 do
-      let e = exp (View.get inp i j -. !mx) in
-      View.set out i j e;
+    for j = 0 to live - 1 do
+      let e = exp (get src i j -. !mx) in
+      set out i j e;
       sum := !sum +. e
     done;
+    if live < cols then begin
+      let e = exp (masked_score -. !mx) in
+      for j = live to cols - 1 do
+        set out i j e;
+        sum := !sum +. e
+      done
+    end;
     let inv = 1.0 /. !sum in
-    for j = 0 to inp.View.cols - 1 do
-      View.set out i j (View.get out i j *. inv)
+    for j = 0 to cols - 1 do
+      set out i j (mul (get out i j) inv)
+    done
+  done
+
+(* x rounded to FP32, as a store into an FP32 tensor rounds it *)
+let fl32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+let swiglu ~gate ~inp ~out =
+  assert (gate.View.rows = out.View.rows && gate.View.cols = out.View.cols);
+  assert (inp.View.rows = out.View.rows && inp.View.cols = out.View.cols);
+  for i = 0 to out.View.rows - 1 do
+    for j = 0 to out.View.cols - 1 do
+      let g = get gate i j in
+      (* Tpp_unary.Sigmoid's formula *)
+      let silu = fl32 (mul g (fl32 (1.0 /. (1.0 +. exp (-.g))))) in
+      set out i j (mul (get inp i j) silu)
     done
   done
 

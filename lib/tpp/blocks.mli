@@ -4,8 +4,31 @@
     Bert-Output, scale + softmax in attention, batchnorm after ResNet
     convolutions). *)
 
-(** Row-wise numerically-stabilized softmax: out may alias inp. *)
-val softmax_rows : inp:Tensor.View.t -> out:Tensor.View.t -> unit
+(** Row-wise numerically-stabilized softmax: out may alias inp.
+
+    [scale] and [causal] fold attention's two earlier passes into the
+    same per-row pass: each score is first multiplied by [scale] and
+    stored, and with [causal = offset], the columns of row [i] past
+    [i + offset] are masked to [-1e30] (rounded to FP32) before the
+    softmax. The result is bit for bit that of a separate
+    [Tpp_unary.Scale], a mask store and [softmax_rows] over the row, for
+    every input, NaN and [+-inf] included: each value is rounded where
+    the separate passes store it, and the max, the exponentials and the
+    sum run in the same order. *)
+val softmax_rows :
+  ?scale:float ->
+  ?causal:int ->
+  inp:Tensor.View.t ->
+  out:Tensor.View.t ->
+  unit ->
+  unit
+
+(** SwiGLU's gating in one pass: out := inp * (gate * sigmoid gate),
+    rounding the sigmoid and [gate * sigmoid gate] to FP32 where a
+    [Tpp_unary.Sigmoid] and two [Tpp_binary.Mul] calls store them, so the
+    result is theirs bit for bit. out may alias inp. *)
+val swiglu :
+  gate:Tensor.View.t -> inp:Tensor.View.t -> out:Tensor.View.t -> unit
 
 (** Backward of row softmax: given saved output [y] and upstream grad [dy],
     dx := y * (dy - rowsum(dy * y)). *)

@@ -12,13 +12,31 @@ let op_to_string = function
   | Max -> "max"
   | Min -> "min"
 
-let fn = function
-  | Add -> ( +. )
-  | Sub -> ( -. )
-  | Mul -> ( *. )
-  | Div -> ( /. )
-  | Max -> Float.max
-  | Min -> Float.min
+(* dune's default profile builds the library with -opaque, so a
+   [View.get] or [View.set] here would be a cross-module call that boxes
+   its float; [exec], every layer's bias and residual add, uses local
+   copies (as [Blocks] does). Of two NaN operands, [apply]'s [Add] and
+   [Mul] return the first, as a call through the closures [( +. )] and
+   [( *. )] does: which NaN an x86 instruction returns depends on the
+   operand order the compiler picks for an inline [+.] or [*.]. [-.]
+   and [/.] keep their order. *)
+let[@inline] get (v : View.t) i j =
+  Bigarray.Array1.unsafe_get v.View.data (v.View.off + (i * v.View.ld) + j)
+
+let[@inline] set (v : View.t) i j x =
+  let at = v.View.off + (i * v.View.ld) + j in
+  match v.View.dtype with
+  | Datatype.F32 -> Bigarray.Array1.unsafe_set v.View.data at x
+  | Datatype.BF16 -> Bigarray.Array1.unsafe_set v.View.data at (Bf16.round x)
+
+let[@inline] apply op x y =
+  match op with
+  | Add -> if Float.is_nan x then x else x +. y
+  | Sub -> x -. y
+  | Mul -> if Float.is_nan x then x else x *. y
+  | Div -> x /. y
+  | Max -> Float.max x y
+  | Min -> Float.min x y
 
 let exec op ?(bcast = Full) ~a ~b ~out =
   assert (a.View.rows = out.View.rows && a.View.cols = out.View.cols);
@@ -27,17 +45,16 @@ let exec op ?(bcast = Full) ~a ~b ~out =
   | Row -> assert (b.View.rows = 1 && b.View.cols = out.View.cols)
   | Col -> assert (b.View.cols = 1 && b.View.rows = out.View.rows)
   | Scalar -> assert (b.View.rows = 1 && b.View.cols = 1));
-  let f = fn op in
-  let bval i j =
-    match bcast with
-    | Full -> View.get b i j
-    | Row -> View.get b 0 j
-    | Col -> View.get b i 0
-    | Scalar -> View.get b 0 0
-  in
   for i = 0 to out.View.rows - 1 do
     for j = 0 to out.View.cols - 1 do
-      View.set out i j (f (View.get a i j) (bval i j))
+      let y =
+        match bcast with
+        | Full -> get b i j
+        | Row -> get b 0 j
+        | Col -> get b i 0
+        | Scalar -> get b 0 0
+      in
+      set out i j (apply op (get a i j) y)
     done
   done
 

@@ -51,17 +51,18 @@ let tunes_c = Telemetry.Counter.find_or_create Telemetry.Registry.tuner_cache_tu
 (* the caller's spec is part of the key: two call sites hitting the same
    shape with different baseline specs tune independently *)
 let key_of (c : Gemm.config) spec =
-  Printf.sprintf "%dx%dx%d/b%dx%dx%d/%s%s/ks%d/%s" c.Gemm.m c.Gemm.n c.Gemm.k
+  Printf.sprintf "%dx%dx%d/b%dx%dx%d/%s%s%s/ks%d/%s" c.Gemm.m c.Gemm.n c.Gemm.k
     c.Gemm.bm c.Gemm.bn c.Gemm.bk
     (Datatype.to_string c.Gemm.dtype)
     (if c.Gemm.vnni_b then "v" else "")
+    (match c.Gemm.layout with Gemm.Blocked -> "" | Gemm.Rows -> "r")
     c.Gemm.k_step spec
 
 (* ---- bit-identity probe ----
    run default and candidate instantiations on the same deterministic
    inputs and require every C bit to match. Packing depends only on
-   shape/blocks/dtype (not on blocking lists or spec), so one packed
-   A/B pair serves both. nthreads:1 suffices: thread assignment cannot
+   shape/blocks/dtype/layout (not on blocking lists or spec), so one
+   packed A/B pair serves both. nthreads:1 suffices: thread assignment cannot
    change per-block accumulation order for any reachable spec. *)
 let bit_identical (base : Gemm.config) base_spec (cand : Gemm.config)
     cand_spec =

@@ -65,6 +65,21 @@ let test_tp_bit_identity () =
   checkb "3-row extend bit-identical" true
     (bits_equal (extend_after_prefill llm) (extend_after_prefill sharded))
 
+(* a BF16 model's shards slice its FP32 biases without rounding them, so
+   they stay bit-identical to the unsharded model *)
+let test_tp_bf16_bit_identity () =
+  clean ();
+  let llm = Llm.create ~rng:(Prng.create 7) ~block:8 ~dtype:Datatype.BF16 Llm.tiny in
+  let sharded = Result.get_ok (Llm.shard llm ~shards:2) in
+  let run model =
+    let c = Llm.new_cache model in
+    let first = Llm.extend model c (Llm.embed llm [| 3; 11; 7; 29; 1 |]) in
+    first :: List.map (fun tok -> Llm.extend model c (Llm.embed llm [| tok |])) [ 5; 17 ]
+  in
+  List.iter2
+    (fun a b -> checkb "bf16 sharded bit-identical" true (bits_equal a b))
+    (run llm) (run sharded)
+
 let test_tp_plan_rejects_bad_split () =
   clean ();
   let llm = make_llm () in
@@ -603,6 +618,8 @@ let () =
             test_tp_bit_identity;
           Alcotest.test_case "tp_plan rejects bad split" `Quick
             test_tp_plan_rejects_bad_split;
+          Alcotest.test_case "tp = unsharded, BF16 (bit-identical)" `Quick
+            test_tp_bf16_bit_identity;
         ] );
       ( "chaos",
         List.map

@@ -108,6 +108,122 @@ let test_fc_sgd_reduces_loss () =
   done;
   checkb "loss decreased" true (mse () < 0.5 *. before)
 
+(* The FC forward before activations became the GEMM's A, kept as the
+   oracle of the row-major one: W packed as A, X^T as B with the largest
+   divisor of the token count up to the block as bn, k_step = 1, the bias
+   added on each finished C block, then unpack and transpose. *)
+let fc_forward_w_as_a ?nthreads (fc : Fc.t) x =
+  let n = (Tensor.dims x).(0) in
+  let transpose t0 =
+    let d = Tensor.dims t0 in
+    Tensor.init (Tensor.dtype t0) [| d.(1); d.(0) |] (fun i ->
+        Tensor.get t0 [| i.(1); i.(0) |])
+  in
+  let rec divisor d = if n mod d = 0 then d else divisor (d - 1) in
+  let block = fc.Fc.block in
+  let cfg =
+    Gemm.make_config ~bm:block ~bn:(divisor (min block n)) ~bk:block
+      ~dtype:fc.Fc.dtype ~k_step:1 ~m:fc.Fc.out_features ~n
+      ~k:fc.Fc.in_features ()
+  in
+  let g = Gemm.create cfg fc.Fc.spec in
+  let a = Gemm.pack_a cfg fc.Fc.weights in
+  let b = Gemm.pack_b cfg (transpose x) in
+  let c = Gemm.alloc_c cfg in
+  let post ~im ~in_:_ ~c_block =
+    let bias_col =
+      Tensor.view_flat fc.Fc.bias ~off:(im * block) ~rows:block ~cols:1 ~ld:1
+    in
+    Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Col ~a:c_block
+      ~b:bias_col ~out:c_block
+  in
+  Gemm.run ?nthreads ~post g ~a ~b ~c;
+  let pre = transpose (Gemm.unpack_c cfg c) in
+  let act =
+    match fc.Fc.act with
+    | Fc.Linear -> None
+    | Fc.Relu_act -> Some Tpp_unary.Relu
+    | Fc.Gelu_act -> Some Tpp_unary.Gelu
+  in
+  match act with
+  | None -> pre
+  | Some op ->
+    let y = Tensor.create Datatype.F32 (Tensor.dims pre) in
+    Tpp_unary.exec op ~inp:(Tensor.view2d pre) ~out:(Tensor.view2d y);
+    y
+
+let check_bits what expect got =
+  checki (what ^ ": elements") (Tensor.numel expect) (Tensor.numel got);
+  for i = 0 to Tensor.numel expect - 1 do
+    let e = Int32.bits_of_float (Tensor.get_flat expect i)
+    and g = Int32.bits_of_float (Tensor.get_flat got i) in
+    if e <> g then
+      Alcotest.failf "%s: element %d is %08lx, expected %08lx" what i g e
+  done
+
+(* tokens on M (a short last block at every count not a multiple of 16,
+   primes included) give each output the bits it had on N *)
+let test_fc_rows_match_w_as_a () =
+  let rng = Prng.create 41 in
+  List.iter
+    (fun (dtype, act, (fin, fout)) ->
+      let fc =
+        Fc.create ~rng ~dtype ~act ~block:16 ~in_features:fin
+          ~out_features:fout ()
+      in
+      for n = 1 to 70 do
+        let x = random_tensor rng [| n; fin |] in
+        List.iter
+          (fun nthreads ->
+            check_bits
+              (Printf.sprintf "%s %s %d->%d, %d tokens, %d threads"
+                 (Datatype.to_string dtype)
+                 (match act with
+                 | Fc.Linear -> "linear"
+                 | Fc.Relu_act -> "relu"
+                 | Fc.Gelu_act -> "gelu")
+                 fin fout n nthreads)
+              (fc_forward_w_as_a ~nthreads fc x)
+              (Fc.forward ~nthreads fc x))
+          [ 1; 2 ]
+      done)
+    (List.concat_map
+       (fun dtype ->
+         List.concat_map
+           (fun act -> [ (dtype, act, (32, 64)); (dtype, act, (48, 80)) ])
+           [ Fc.Linear; Fc.Relu_act; Fc.Gelu_act ])
+       [ Datatype.F32; Datatype.BF16 ])
+
+(* W^T is packed once per weight tensor: new weights must not run on a
+   stale packed copy *)
+let test_fc_forward_follows_new_weights () =
+  let rng = Prng.create 42 in
+  let mk () = Fc.create ~rng ~block:8 ~in_features:16 ~out_features:24 () in
+  let fc = mk () in
+  let x = random_tensor rng [| 5; 16 |] in
+  (* a freshly created layer given [w] and [b] *)
+  let fresh w b =
+    { (mk ()) with Fc.weights = Tensor.copy w; bias = Tensor.copy b }
+  in
+  let before = Fc.forward fc x in
+  let y, ctx = Fc.forward_ctx fc x in
+  check_bits "forward_ctx" before y;
+  let g = Fc.backward fc ctx ~dy:(random_tensor rng [| 5; 24 |]) in
+  Fc.sgd_update fc g ~lr:0.1;
+  let after = Fc.forward fc x in
+  check_bits "after sgd_update" (Fc.forward (fresh fc.Fc.weights fc.Fc.bias) x)
+    after;
+  check_bits "after sgd_update, oracle" (fc_forward_w_as_a fc x) after;
+  let w = Tensor.copy fc.Fc.weights in
+  Tensor.set w [| 3; 7 |] 5.0;
+  let fc' = { fc with Fc.weights = w } in
+  check_bits "{ fc with weights }" (Fc.forward (fresh w fc.Fc.bias) x)
+    (Fc.forward fc' x);
+  check_bits "{ fc with weights }, oracle" (fc_forward_w_as_a fc' x)
+    (Fc.forward fc' x);
+  (* the original layer still runs its own weights *)
+  check_bits "original after the copy ran" after (Fc.forward fc x)
+
 (* ---- attention ---- *)
 
 let test_attention_matches_reference () =
@@ -343,6 +459,10 @@ let () =
           Alcotest.test_case "single token" `Quick test_fc_single_token;
           Alcotest.test_case "backward fd" `Quick test_fc_backward_finite_diff;
           Alcotest.test_case "sgd" `Quick test_fc_sgd_reduces_loss;
+          Alcotest.test_case "tokens on M == W as A, bit for bit" `Quick
+            test_fc_rows_match_w_as_a;
+          Alcotest.test_case "forward follows new weights" `Quick
+            test_fc_forward_follows_new_weights;
         ] );
       ( "attention",
         [

@@ -627,7 +627,7 @@ let test_softmax_matches_reference () =
   let rng = Prng.create 9 in
   let x = random_tensor rng 5 7 in
   let y = Tensor.create Datatype.F32 [| 5; 7 |] in
-  Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y);
+  Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y) ();
   checkb "softmax" true
     (Tensor.approx_equal ~tol:1e-5 y (Reference.softmax_rows x))
 
@@ -638,7 +638,7 @@ let prop_softmax_rows_sum_to_one =
       let rng = Prng.create ((r * 31) + c) in
       let x = random_tensor rng r c in
       let y = Tensor.create Datatype.F32 [| r; c |] in
-      Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y);
+      Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y) ();
       let ok = ref true in
       for i = 0 to r - 1 do
         let s = ref 0.0 in
@@ -655,7 +655,7 @@ let test_softmax_backward () =
   (* numeric check of the Jacobian-vector product *)
   let x = tensor_of 1 3 (fun _ j -> float_of_int j *. 0.5) in
   let y = Tensor.create Datatype.F32 [| 1; 3 |] in
-  Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y);
+  Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y) ();
   let dy = tensor_of 1 3 (fun _ j -> float_of_int (j + 1)) in
   let dx = Tensor.create Datatype.F32 [| 1; 3 |] in
   Blocks.softmax_rows_backward ~y:(Tensor.view2d y) ~dy:(Tensor.view2d dy)
@@ -676,6 +676,184 @@ let test_softmax_backward () =
     done;
     Alcotest.(check (float 1e-3)) "softmax bwd" !fd (Tensor.get dx [| 0; j |])
   done
+
+(* A score: uniform, a large magnitude, or one of +-NaN, +-inf, +-0. *)
+let score_value rng =
+  let u = Prng.float rng in
+  if u < 0.015 then Float.nan
+  else if u < 0.03 then -.Float.nan
+  else if u < 0.06 then Float.infinity
+  else if u < 0.09 then Float.neg_infinity
+  else if u < 0.12 then -0.0
+  else if u < 0.15 then 0.0
+  else if u < 0.2 then Prng.uniform rng ~scale:1e3
+  else Prng.uniform rng ~scale:4.0
+
+let check_same_bits what expect got =
+  for i = 0 to Tensor.numel expect - 1 do
+    let e = Int32.bits_of_float (Tensor.get_flat expect i)
+    and g = Int32.bits_of_float (Tensor.get_flat got i) in
+    if e <> g then
+      Alcotest.failf "%s: element %d is %08lx, expected %08lx" what i g e
+  done
+
+(* Attention's score passes before they became one, kept as the oracle:
+   scale, then the causal mask store, then the softmax as
+   [Blocks.softmax_rows] computed it, all through [View.get] and
+   [View.set]. *)
+let scores_in_three_passes ~scale ~causal s =
+  let module View = Tensor.View in
+  let v = Tensor.view2d s in
+  Tpp_unary.exec (Tpp_unary.Scale scale) ~inp:v ~out:v;
+  (match causal with
+  | None -> ()
+  | Some offset ->
+    let d = Tensor.dims s in
+    for i = 0 to d.(0) - 1 do
+      for j = i + offset + 1 to d.(1) - 1 do
+        Tensor.set s [| i; j |] (-1e30)
+      done
+    done);
+  for i = 0 to v.View.rows - 1 do
+    let mx = ref neg_infinity in
+    for j = 0 to v.View.cols - 1 do
+      mx := Float.max !mx (View.get v i j)
+    done;
+    let sum = ref 0.0 in
+    for j = 0 to v.View.cols - 1 do
+      let e = exp (View.get v i j -. !mx) in
+      View.set v i j e;
+      sum := !sum +. e
+    done;
+    let inv = 1.0 /. !sum in
+    for j = 0 to v.View.cols - 1 do
+      View.set v i j (View.get v i j *. inv)
+    done
+  done
+
+let test_softmax_scores_one_pass () =
+  let rng = Prng.create 61 in
+  let scale = 1.0 /. sqrt 16.0 in
+  List.iter
+    (fun (nq, past, causal) ->
+      let nk = nq + past in
+      let s = Tensor.init Datatype.F32 [| nq; nk |] (fun _ -> score_value rng) in
+      (* one row whose unmasked scores are all -inf *)
+      let r = nq / 2 in
+      let live = if causal then r + past + 1 else nk in
+      for j = 0 to live - 1 do
+        Tensor.set s [| r; j |] Float.neg_infinity
+      done;
+      (* and, where there are 4 columns, a first row holding NaNs of both
+         signs: the max, the sum and each output then carry different
+         NaNs, so the operand order of every step shows *)
+      if nk >= 4 && r > 0 then
+        List.iteri
+          (fun j x -> Tensor.set s [| 0; j |] x)
+          [ 1.0; -.Float.nan; Float.nan; 2.0 ];
+      let causal = if causal then Some past else None in
+      let expect = Tensor.copy s in
+      scores_in_three_passes ~scale ~causal expect;
+      let what =
+        Printf.sprintf "nq %d, nk %d, %s" nq nk
+          (if causal = None then "full" else "causal")
+      in
+      (* in place, as attention runs it, and into another tensor *)
+      let inplace = Tensor.copy s in
+      Blocks.softmax_rows ~scale ?causal ~inp:(Tensor.view2d inplace)
+        ~out:(Tensor.view2d inplace) ();
+      check_same_bits (what ^ ", in place") expect inplace;
+      let out = Tensor.create Datatype.F32 [| nq; nk |] in
+      Blocks.softmax_rows ~scale ?causal ~inp:(Tensor.view2d s)
+        ~out:(Tensor.view2d out) ();
+      check_same_bits what expect out)
+    (List.concat_map
+       (fun nq ->
+         List.concat_map
+           (fun past -> [ (nq, past, false); (nq, past, true) ])
+           [ 0; 9 ])
+       [ 1; 3; 24 ])
+
+let test_swiglu_one_pass () =
+  let rng = Prng.create 62 in
+  let rows = 9 and cols = 37 in
+  let mk () =
+    Tensor.init Datatype.F32 [| rows; cols |] (fun _ -> score_value rng)
+  in
+  let gate = mk () and u = mk () in
+  let v = Tensor.view2d in
+  (* the three TPP calls SwiGLU ran before *)
+  let expect = Tensor.copy u and g = Tensor.copy gate in
+  let s = Tensor.create Datatype.F32 [| rows; cols |] in
+  Tpp_unary.exec Tpp_unary.Sigmoid ~inp:(v g) ~out:(v s);
+  Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full ~a:(v g) ~b:(v s)
+    ~out:(v g);
+  Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full ~a:(v expect) ~b:(v g)
+    ~out:(v expect);
+  let got = Tensor.copy u in
+  Blocks.swiglu ~gate:(v gate) ~inp:(v got) ~out:(v got);
+  check_same_bits "swiglu" expect got
+
+(* [Tpp_binary.exec] as it was, through closures and [View.get] /
+   [View.set], kept as the oracle of the inlined loop *)
+let binary_exec_with_closures op bcast ~a ~b ~out =
+  let module View = Tensor.View in
+  let f =
+    match op with
+    | Tpp_binary.Add -> ( +. )
+    | Tpp_binary.Sub -> ( -. )
+    | Tpp_binary.Mul -> ( *. )
+    | Tpp_binary.Div -> ( /. )
+    | Tpp_binary.Max -> Float.max
+    | Tpp_binary.Min -> Float.min
+  in
+  let bval i j =
+    match bcast with
+    | Tpp_binary.Full -> View.get b i j
+    | Tpp_binary.Row -> View.get b 0 j
+    | Tpp_binary.Col -> View.get b i 0
+    | Tpp_binary.Scalar -> View.get b 0 0
+  in
+  for i = 0 to out.View.rows - 1 do
+    for j = 0 to out.View.cols - 1 do
+      View.set out i j (f (View.get a i j) (bval i j))
+    done
+  done
+
+let test_binary_matches_closures () =
+  let rng = Prng.create 63 in
+  let rows = 9 and cols = 37 in
+  (* NaNs of both signs in both operands, so pairs of them meet *)
+  let value i =
+    match i mod 4 with
+    | 0 -> Float.nan
+    | 1 -> -.Float.nan
+    | _ -> score_value rng
+  in
+  List.iter
+    (fun (bcast, br, bc) ->
+      List.iter
+        (fun op ->
+          List.iter
+            (fun dtype ->
+              let a =
+                Tensor.init dtype [| rows; cols |] (fun i ->
+                    value (i.(0) + (i.(1) / 2)))
+              in
+              let b = Tensor.init dtype [| br; bc |] (fun i -> value i.(1)) in
+              let v = Tensor.view2d in
+              let expect = Tensor.copy a and got = Tensor.copy a in
+              binary_exec_with_closures op bcast ~a:(v expect) ~b:(v b)
+                ~out:(v expect);
+              Tpp_binary.exec op ~bcast ~a:(v got) ~b:(v b) ~out:(v got);
+              check_same_bits
+                (Printf.sprintf "%s %s" (Tpp_binary.op_to_string op)
+                   (Datatype.to_string dtype))
+                expect got)
+            [ Datatype.F32; Datatype.BF16 ])
+        Tpp_binary.[ Add; Sub; Mul; Div; Max; Min ])
+    Tpp_binary.
+      [ (Full, rows, cols); (Row, 1, cols); (Col, rows, 1); (Scalar, 1, 1) ]
 
 let test_layernorm_matches_reference () =
   let rng = Prng.create 10 in
@@ -1004,6 +1182,8 @@ let () =
           Alcotest.test_case "broadcast modes" `Quick
             test_binary_broadcast_row_col;
           Alcotest.test_case "muladd/axpy" `Quick test_muladd_axpy;
+          Alcotest.test_case "inlined loop == closures, bit for bit" `Quick
+            test_binary_matches_closures;
         ] );
       ( "brgemm",
         [
@@ -1038,6 +1218,10 @@ let () =
           Alcotest.test_case "dropout p=0" `Quick test_dropout_p0_identity;
           Alcotest.test_case "dropout mask" `Quick test_dropout_mask_consistency;
           Alcotest.test_case "batchnorm" `Quick test_batchnorm_apply;
+          Alcotest.test_case "scale+mask+softmax in one pass, bit for bit"
+            `Quick test_softmax_scores_one_pass;
+          Alcotest.test_case "swiglu in one pass, bit for bit" `Quick
+            test_swiglu_one_pass;
         ] );
       ( "arena",
         [
