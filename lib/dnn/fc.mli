@@ -18,7 +18,13 @@ type packed
 type t = {
   in_features : int;
   out_features : int;
-  weights : Tensor.t;  (** logical [out x in] *)
+  weights : Tensor.t;
+      (** logical [out x in]. {!forward} reads the W^T copy in
+          [packed], which is keyed on this tensor's physical identity,
+          not on its contents: write it in place only through
+          {!sgd_update}, which repacks. Any other in-place write is not
+          seen by [forward]; to change the weights otherwise, make a
+          layer with [{ fc with weights = w }] and a fresh tensor [w]. *)
   bias : Tensor.t;  (** [out] *)
   act : activation;
   block : int;

@@ -26,18 +26,17 @@ let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
 let masked_score = Int32.float_of_bits (Int32.bits_of_float (-1e30))
 
 (* Each step reads what the separate scale, mask and softmax passes
-   stored, in their order: max over the row, then exp and the sum in
-   column order, then the normalisation. The masked tail is a run of one
-   value, so its max and exp are taken once. *)
-let softmax_rows ?scale ?causal ~inp ~out () =
+   stored, in their order: the scaled row, stored and read back, then
+   the max over the row, exp and the sum in column order, then the
+   normalisation. The masked tail is a run of one value, so its max and
+   exp are taken once. *)
+let softmax_rows ~scale ?causal ~inp ~out () =
   assert (inp.View.rows = out.View.rows && inp.View.cols = out.View.cols);
   let cols = inp.View.cols in
-  (* a scaled row is stored first and read back from [out] *)
-  let scaled = Option.is_some scale in
-  let src = if scaled then out else inp in
-  (* a local float, kept unboxed *)
+  (* a local float, kept unboxed: [mul scale x] boxes its result, which
+     one branch takes from the boxed argument *)
   let a = ref 1.0 in
-  (match scale with Some s -> a := s | None -> ());
+  a := scale;
   for i = 0 to inp.View.rows - 1 do
     let live =
       match causal with
@@ -46,13 +45,13 @@ let softmax_rows ?scale ?causal ~inp ~out () =
     in
     let mx = ref neg_infinity in
     for j = 0 to live - 1 do
-      if scaled then set out i j (mul !a (get inp i j));
-      mx := fmax !mx (get src i j)
+      set out i j (mul !a (get inp i j));
+      mx := fmax !mx (get out i j)
     done;
     if live < cols then mx := fmax !mx masked_score;
     let sum = ref 0.0 in
     for j = 0 to live - 1 do
-      let e = exp (get src i j -. !mx) in
+      let e = exp (get out i j -. !mx) in
       set out i j e;
       sum := !sum +. e
     done;

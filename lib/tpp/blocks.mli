@@ -4,19 +4,22 @@
     Bert-Output, scale + softmax in attention, batchnorm after ResNet
     convolutions). *)
 
-(** Row-wise numerically-stabilized softmax: out may alias inp.
+(** Row-wise numerically-stabilized softmax of [scale * inp]: out may
+    alias inp.
 
-    [scale] and [causal] fold attention's two earlier passes into the
-    same per-row pass: each score is first multiplied by [scale] and
-    stored, and with [causal = offset], the columns of row [i] past
+    Attention's scale and causal mask are folded into the same per-row
+    pass: each score is first multiplied by [scale] and stored into
+    [out] (rounded to its dtype), every later step reads the stored
+    value, and with [causal = offset], the columns of row [i] past
     [i + offset] are masked to [-1e30] (rounded to FP32) before the
     softmax. The result is bit for bit that of a separate
-    [Tpp_unary.Scale], a mask store and [softmax_rows] over the row, for
+    [Tpp_unary.Scale], a mask store and a softmax over the row, for
     every input, NaN and [+-inf] included: each value is rounded where
     the separate passes store it, and the max, the exponentials and the
-    sum run in the same order. *)
+    sum run in the same order. [~scale:1.0] is the plain softmax:
+    multiplying by 1 keeps every bit, NaNs included. *)
 val softmax_rows :
-  ?scale:float ->
+  scale:float ->
   ?causal:int ->
   inp:Tensor.View.t ->
   out:Tensor.View.t ->

@@ -627,7 +627,8 @@ let test_softmax_matches_reference () =
   let rng = Prng.create 9 in
   let x = random_tensor rng 5 7 in
   let y = Tensor.create Datatype.F32 [| 5; 7 |] in
-  Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y) ();
+  Blocks.softmax_rows ~scale:1.0 ~inp:(Tensor.view2d x)
+    ~out:(Tensor.view2d y) ();
   checkb "softmax" true
     (Tensor.approx_equal ~tol:1e-5 y (Reference.softmax_rows x))
 
@@ -638,7 +639,8 @@ let prop_softmax_rows_sum_to_one =
       let rng = Prng.create ((r * 31) + c) in
       let x = random_tensor rng r c in
       let y = Tensor.create Datatype.F32 [| r; c |] in
-      Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y) ();
+      Blocks.softmax_rows ~scale:1.0 ~inp:(Tensor.view2d x)
+        ~out:(Tensor.view2d y) ();
       let ok = ref true in
       for i = 0 to r - 1 do
         let s = ref 0.0 in
@@ -655,7 +657,8 @@ let test_softmax_backward () =
   (* numeric check of the Jacobian-vector product *)
   let x = tensor_of 1 3 (fun _ j -> float_of_int j *. 0.5) in
   let y = Tensor.create Datatype.F32 [| 1; 3 |] in
-  Blocks.softmax_rows ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y) ();
+  Blocks.softmax_rows ~scale:1.0 ~inp:(Tensor.view2d x)
+    ~out:(Tensor.view2d y) ();
   let dy = tensor_of 1 3 (fun _ j -> float_of_int (j + 1)) in
   let dx = Tensor.create Datatype.F32 [| 1; 3 |] in
   Blocks.softmax_rows_backward ~y:(Tensor.view2d y) ~dy:(Tensor.view2d dy)
