@@ -338,8 +338,8 @@ let spmm_bench ~name ~sparsity dim =
   in
   let b = Tensor.create Datatype.F32 [| dim; dim |] in
   Tensor.fill_random b rng ~scale:1.0;
-  let cfg = Spmm_kernel.make_config ~bn:32 ~m:dim ~n:dim ~k:dim ~bm:16 ~bk:16 () in
-  let sp = Spmm_kernel.create cfg "AB" in
+  let cfg = Spmm_kernel.make_config ~m:dim ~n:dim ~k:dim ~bm:16 ~bk:16 () in
+  let sp = Spmm_kernel.create cfg Spmm_kernel.default_spec in
   let bp = Spmm_kernel.pack_b cfg b in
   let c = Tensor.create Datatype.F32 [| dim; dim |] in
   Test.make ~name (Staged.stage (fun () -> Spmm_kernel.run sp ~a ~b:bp ~c))
@@ -463,9 +463,45 @@ let run_gemm_points () =
     in
     ((fun () -> Gemm.run ?nthreads g ~a:ap ~b:bp ~c:cp), report)
   in
+  (* perfbench's Block-SpMM case: 512^3, 16x16 blocks at 80% sparsity,
+     the default config and spec on 2 pool threads; the rate counts only
+     the stored blocks *)
+  let spmm_point =
+    let dim = 512 and block = 16 and sparsity = 0.8 and nthreads = 2 in
+    let rng = Prng.create 99 in
+    let a =
+      Bcsc.random ~rng ~dtype:Datatype.F32 ~rows:dim ~cols:dim ~bm:block
+        ~bk:block ~sparsity
+    in
+    let b = Tensor.create Datatype.F32 [| dim; dim |] in
+    Tensor.fill_random b rng ~scale:1.0;
+    let cfg =
+      Spmm_kernel.make_config ~m:dim ~n:dim ~k:dim ~bm:block ~bk:block ()
+    in
+    let sp = Spmm_kernel.create cfg Spmm_kernel.default_spec in
+    let bp = Spmm_kernel.pack_b cfg b in
+    let c = Tensor.create Datatype.F32 [| dim; dim |] in
+    let report best =
+      let gflops = Spmm_kernel.effective_flops cfg ~a /. best /. 1e9 in
+      Printf.printf
+        "  spmm %4dx%4dx%4d f32 %.0f%% sparse %dx%d %d thr (pool) %8.3f ms  \
+         %8.2f GFLOPS\n%!"
+        dim dim dim (100.0 *. sparsity) block block nthreads (1e3 *. best)
+        gflops;
+      record_bench ~name:"spmm"
+        ~config:
+          [ ("m", string_of_int dim); ("n", string_of_int dim);
+            ("k", string_of_int dim); ("block", string_of_int block);
+            ("sparsity", Printf.sprintf "%g" sparsity); ("dtype", "f32");
+            ("nthreads", string_of_int nthreads) ]
+        ~metrics:[ ("gflops", gflops) ] ()
+    in
+    ((fun () -> Spmm_kernel.run ~nthreads sp ~a ~b:bp ~c), report)
+  in
   let points =
     List.map point
       [ (128, None); (256, None); (128, Some 2); (256, Some 2); (512, Some 2) ]
+    @ [ spmm_point ]
   in
   let times = rounds ~secs:1.0 (Array.of_list (List.map fst points)) in
   List.iteri (fun i (_, report) -> report (fastest times.(i))) points;

@@ -37,10 +37,8 @@ let () =
     in
     let b = Tensor.create Datatype.F32 [| dim; dim |] in
     Tensor.fill_random b rng ~scale:1.0;
-    let cfg =
-      Spmm_kernel.make_config ~bn:32 ~m:dim ~n:dim ~k:dim ~bm:16 ~bk:16 ()
-    in
-    let sp = Spmm_kernel.create cfg "AB" in
+    let cfg = Spmm_kernel.make_config ~m:dim ~n:dim ~k:dim ~bm:16 ~bk:16 () in
+    let sp = Spmm_kernel.create cfg Spmm_kernel.default_spec in
     let bp = Spmm_kernel.pack_b cfg b in
     let c = Tensor.create Datatype.F32 [| dim; dim |] in
     Spmm_kernel.run sp ~a ~b:bp ~c;

@@ -99,11 +99,9 @@ let transpose t0 =
       Tensor.get t0 [| i.(1); i.(0) |])
 
 let sfc_forward ?nthreads sfc x =
-  let n = (Tensor.dims x).(0) in
-  let bn = if n mod 16 = 0 then 16 else if n mod 8 = 0 then 8 else 1 in
   let cfg =
-    Spmm_kernel.make_config ~bn ~m:sfc.out_features ~n ~k:sfc.in_features
-      ~bm:(Bcsc.(sfc.a.bm)) ~bk:(Bcsc.(sfc.a.bk)) ()
+    Spmm_kernel.make_config ~m:sfc.out_features ~n:(Tensor.dims x).(0)
+      ~k:sfc.in_features ~bm:(Bcsc.(sfc.a.bm)) ~bk:(Bcsc.(sfc.a.bk)) ()
   in
   let sp = Spmm_kernel.create cfg Spmm_kernel.default_spec in
   let ct = Spmm_kernel.run_logical ?nthreads sp ~a:sfc.a ~b:(transpose x) in

@@ -8,10 +8,10 @@ type config = {
   dtype : Datatype.t;
 }
 
-let make_config ?(bn = 32) ?(dtype = Datatype.F32) ~m ~n ~k ~bm ~bk () =
+let make_config ?bn ?(dtype = Datatype.F32) ~m ~n ~k ~bm ~bk () =
   if m mod bm <> 0 || k mod bk <> 0 then
     invalid_arg "Spmm_kernel.make_config: bm/bk must divide M/K";
-  let bn = min bn n in
+  let bn = min n (Option.value bn ~default:n) in
   if n mod bn <> 0 then
     invalid_arg "Spmm_kernel.make_config: bn must divide N";
   { m; n; k; bm; bk; bn; dtype }
@@ -27,7 +27,7 @@ let loop_specs c =
     Loop_spec.make ~bound:(c.n / c.bn) ~step:1 ();
   ]
 
-let default_spec = "AB"
+let default_spec = "AB @ schedule(dynamic,1)"
 
 type t = {
   cfg : config;

@@ -255,6 +255,58 @@ let test_spmm_bf16_and_specs () =
   spmm_case ~sparsity:0.5 ~bm:8 ~bk:8 ~dtype:Datatype.F32 ~spec:"BA" ();
   spmm_case ~sparsity:0.5 ~bm:8 ~bk:8 ~dtype:Datatype.F32 ~spec:"ab" ()
 
+(* Each C element sums its block row's stored blocks in column order, p in
+   order, so its bits cannot depend on the panel width, the schedule or
+   the team size; B carries signed zeros, infinities and NaN. *)
+let spmm_bits_case ~dtype ~n ~blk ~sparsity =
+  let m, k = (64, 64) in
+  let rng = Prng.create 16 in
+  let a = Bcsc.random ~rng ~dtype ~rows:m ~cols:k ~bm:blk ~bk:blk ~sparsity in
+  let b = random_tensor ~dtype rng [| k; n |] in
+  Array.iteri
+    (fun i x ->
+      Tensor.set b [| ((13 * i) + 3) mod k; ((5 * i) + 1) mod n |] x;
+      Tensor.set b [| ((29 * i) + 40) mod k; ((11 * i) + 7) mod n |] x)
+    [| 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan |];
+  let run ?bn ~nthreads spec =
+    let cfg = Spmm_kernel.make_config ?bn ~dtype ~m ~n ~k ~bm:blk ~bk:blk () in
+    let c = Spmm_kernel.run_logical ~nthreads (Spmm_kernel.create cfg spec) ~a ~b in
+    Array.init (Tensor.numel c) (fun i -> Int32.bits_of_float (Tensor.get_flat c i))
+  in
+  let expect = run ~nthreads:1 Spmm_kernel.default_spec in
+  let panels =
+    List.concat_map
+      (fun bn -> if n mod bn = 0 then [ (Some bn, "AB"); (Some bn, "BA") ] else [])
+      [ 8; 16 ]
+  in
+  List.iter
+    (fun (bn, spec) ->
+      List.iter
+        (fun nthreads ->
+          if run ?bn ~nthreads spec <> expect then
+            Alcotest.failf "spmm %s n=%d %dx%d %.1f bn=%s %S %d thr: bits differ"
+              (Datatype.to_string dtype) n blk blk sparsity
+              (Option.fold ~none:"N" ~some:string_of_int bn)
+              spec nthreads)
+        [ 1; 2; 3 ])
+    ([ (None, Spmm_kernel.default_spec); (Some 1, Spmm_kernel.default_spec);
+       (None, "ab") ]
+    @ panels)
+
+let test_spmm_bits_invariant () =
+  List.iter
+    (fun dtype ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun blk ->
+              List.iter
+                (fun sparsity -> spmm_bits_case ~dtype ~n ~blk ~sparsity)
+                [ 0.0; 0.5; 0.8; 1.0 ])
+            [ 4; 8; 16 ])
+        [ 31; 48; 64 ])
+    [ Datatype.F32; Datatype.BF16 ]
+
 let test_spmm_effective_flops () =
   let rng = Prng.create 15 in
   let a =
@@ -305,6 +357,8 @@ let () =
           Alcotest.test_case "sparsity sweep" `Quick test_spmm_sparsities;
           Alcotest.test_case "block sizes" `Quick test_spmm_block_sizes;
           Alcotest.test_case "bf16 + specs" `Quick test_spmm_bf16_and_specs;
+          Alcotest.test_case "bits invariant to panel, schedule, team" `Quick
+            test_spmm_bits_invariant;
           Alcotest.test_case "effective flops" `Quick test_spmm_effective_flops;
         ] );
     ]
