@@ -420,6 +420,46 @@ let overhead_pct a b =
   Array.sort Float.compare r;
   100.0 *. (r.(Array.length r / 2) -. 1.0)
 
+(* ---- perfbench's set-up transforms (smoke-regress) ----
+
+   Every layout transform perfbench's kernel cases run before their
+   timed window, at its shapes: a 512^2 fill_random and BF16 cast, the
+   512^3 GEMM's pack_a and VNNI pack_b, the 2x64x56x56 conv's pack_input
+   and unpack_output, and the Block-SpMM's pack_b. Each is one strided
+   copy; the entry records each one's fastest run, in seconds. *)
+
+let run_pack_points () =
+  let rng = Prng.create 99 in
+  let dim = 512 in
+  let a = Tensor.random Datatype.F32 [| dim; dim |] rng ~scale:1.0 in
+  let gemm = Gemm.make_config ~m:dim ~n:dim ~k:dim () in
+  let vnni =
+    Gemm.make_config ~dtype:Datatype.BF16 ~vnni_b:true ~m:dim ~n:dim ~k:dim ()
+  in
+  let conv = Conv.make_config ~pad:1 ~n:2 ~c:64 ~k:64 ~h:56 ~w:56 ~r:3 ~s:3 () in
+  let img = Tensor.random Datatype.F32 [| 2; 64; 56; 56 |] rng ~scale:1.0 in
+  let out = Conv.alloc_output conv in
+  let spmm = Spmm_kernel.make_config ~m:dim ~n:dim ~k:dim ~bm:16 ~bk:16 () in
+  let points =
+    [
+      ("fill_random_s", fun () -> Tensor.fill_random a rng ~scale:1.0);
+      ("cast_bf16_s", fun () -> ignore (Tensor.cast a Datatype.BF16));
+      ("pack_a_s", fun () -> ignore (Gemm.pack_a gemm a));
+      ("pack_b_vnni_s", fun () -> ignore (Gemm.pack_b vnni a));
+      ("conv_pack_input_s", fun () -> ignore (Conv.pack_input conv img));
+      ("conv_unpack_output_s", fun () -> ignore (Conv.unpack_output conv out));
+      ("spmm_pack_b_s", fun () -> ignore (Spmm_kernel.pack_b spmm a));
+    ]
+  in
+  let times = rounds ~secs:0.5 (Array.of_list (List.map snd points)) in
+  let metrics = List.mapi (fun i (name, _) -> (name, fastest times.(i))) points in
+  List.iter
+    (fun (name, s) -> Printf.printf "  pack %-22s %8.3f ms\n%!" name (1e3 *. s))
+    metrics;
+  record_bench ~name:"pack"
+    ~config:[ ("dim", string_of_int dim); ("conv", "2x64x56x56") ]
+    ~metrics ()
+
 (* ---- quick measured GEMM points (real timings, BENCH_gemm.json) ---- *)
 
 let run_gemm_points () =
@@ -505,6 +545,7 @@ let run_gemm_points () =
   in
   let times = rounds ~secs:1.0 (Array.of_list (List.map fst points)) in
   List.iteri (fun i (_, report) -> report (fastest times.(i))) points;
+  run_pack_points ();
   (* the native kernel alone, one thread, once per clone this host can
      execute: 32^3 blocks accumulated into C, one a call or 16 (the
      512-deep calls of the 512^3 GEMM), the two taking turns *)

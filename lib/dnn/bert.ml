@@ -45,10 +45,7 @@ let ln_params rng hidden =
     Tensor.init Datatype.F32 [| 1; hidden |] (fun _ ->
         1.0 +. Prng.uniform rng ~scale:0.02)
   in
-  let beta =
-    Tensor.init Datatype.F32 [| 1; hidden |] (fun _ ->
-        Prng.uniform rng ~scale:0.02)
-  in
+  let beta = Tensor.random Datatype.F32 [| 1; hidden |] rng ~scale:0.02 in
   (gamma, beta)
 
 let create ~rng ?(dtype = Datatype.F32) ?(block = 32) ?(spec = Gemm.default_spec)
@@ -75,10 +72,7 @@ let create ~rng ?(dtype = Datatype.F32) ?(block = 32) ?(spec = Gemm.default_spec
     { attention; att_output; att_gamma; att_beta; intermediate_fc; out_fc;
       out_gamma; out_beta }
   in
-  let emb scale rows =
-    Tensor.init Datatype.F32 [| rows; cfg.hidden |] (fun _ ->
-        Prng.uniform rng ~scale)
-  in
+  let emb scale rows = Tensor.random Datatype.F32 [| rows; cfg.hidden |] rng ~scale in
   let emb_gamma, emb_beta = ln_params rng cfg.hidden in
   {
     cfg;

@@ -25,15 +25,10 @@ let gemm_cfg t ~n =
   Gemm.make_config ~layout:Gemm.Rows ~bm:t.block ~bn:t.block ~bk:t.block
     ~dtype:t.dtype ~k_step:1 ~m:n ~n:t.out_features ~k:t.in_features ()
 
-(* transpose a logical [rows x cols] tensor into [cols x rows] *)
-let transpose t0 =
-  let d = Tensor.dims t0 in
-  Tensor.init (Tensor.dtype t0) [| d.(1); d.(0) |] (fun i ->
-      Tensor.get t0 [| i.(1); i.(0) |])
-
 (* pack_b rounds to the layer's dtype *)
 let pack t =
-  { src = t.weights; wt = Gemm.pack_b (gemm_cfg t ~n:1) (transpose t.weights) }
+  { src = t.weights;
+    wt = Gemm.pack_b (gemm_cfg t ~n:1) (Tensor.transpose t.weights) }
 
 (* The packed W^T of [t.weights]. A record made by [{ fc with weights }]
    shares its cell with [fc], so the cell names the tensor it holds and
@@ -55,12 +50,8 @@ let create ~rng ?(dtype = Datatype.F32) ?(act = Linear) ?(block = 32)
   let rec fit b = if b >= 1 && g mod b = 0 then b else fit (b - 1) in
   let block = fit (min block g) in
   let scale = sqrt (2.0 /. float_of_int in_features) in
-  let weights =
-    Tensor.init dtype [| out_features; in_features |] (fun _ ->
-        Prng.uniform rng ~scale)
-  in
-  let bias = Tensor.create Datatype.F32 [| out_features |] in
-  Tensor.fill_random bias rng ~scale:0.01;
+  let weights = Tensor.random dtype [| out_features; in_features |] rng ~scale in
+  let bias = Tensor.random Datatype.F32 [| out_features |] rng ~scale:0.01 in
   let t =
     { in_features; out_features; weights; bias; act; block; dtype; spec;
       packed = Atomic.make None }
@@ -73,13 +64,13 @@ let slice t ~r0 ~r1 =
   else begin
     let rows = r1 - r0 in
     let weights =
-      Tensor.init t.dtype [| rows; t.in_features |] (fun i ->
-          Tensor.get t.weights [| r0 + i.(0); i.(1) |])
+      Tensor.gather t.dtype [| rows; t.in_features |] t.weights
+        ~off:(r0 * t.in_features) ~strides:[| t.in_features; 1 |]
     in
     (* the bias keeps its own dtype (FP32), as the whole layer's does *)
     let bias =
-      Tensor.init (Tensor.dtype t.bias) [| rows |] (fun i ->
-          Tensor.get t.bias [| r0 + i.(0) |])
+      Tensor.gather (Tensor.dtype t.bias) [| rows |] t.bias ~off:r0
+        ~strides:[| 1 |]
     in
     let s =
       { t with out_features = rows; weights; bias; packed = Atomic.make None }
@@ -187,7 +178,8 @@ let backward ?nthreads t ctx ~dy =
   let d_input = gemm_logical ?nthreads ~block:t.block ~spec:t.spec dpre t.weights in
   (* dW[out x in] = dPre^T[out x N] * X[N x in] *)
   let d_weights =
-    gemm_logical ?nthreads ~block:t.block ~spec:t.spec (transpose dpre) ctx.input
+    gemm_logical ?nthreads ~block:t.block ~spec:t.spec (Tensor.transpose dpre)
+      ctx.input
   in
   (* db[out] = column sums of dPre *)
   let d_bias = Tensor.create Datatype.F32 [| t.out_features |] in

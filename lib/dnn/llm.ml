@@ -89,8 +89,7 @@ let split cfg ~shards (l : layer) =
 let ln_params rng hidden =
   ( Tensor.init Datatype.F32 [| 1; hidden |] (fun _ ->
         1.0 +. Prng.uniform rng ~scale:0.02),
-    Tensor.init Datatype.F32 [| 1; hidden |] (fun _ ->
-        Prng.uniform rng ~scale:0.02) )
+    Tensor.random Datatype.F32 [| 1; hidden |] rng ~scale:0.02 )
 
 let create ~rng ?(dtype = Datatype.F32) ?(block = 16) ?(spec = Gemm.default_spec)
     cfg =
@@ -481,8 +480,8 @@ let run_tokens ?nthreads t cache x =
 
 let last_row x =
   let d = Tensor.dims x in
-  Tensor.init Datatype.F32 [| 1; d.(1) |] (fun i ->
-      Tensor.get x [| d.(0) - 1; i.(1) |])
+  Tensor.gather Datatype.F32 [| 1; d.(1) |] x ~off:((d.(0) - 1) * d.(1))
+    ~strides:[| 0; 1 |]
 
 (* batched extension over an already-filled cache: append [n] token rows
    and return all [n] output rows. Per-row outputs are bit-identical to

@@ -94,8 +94,7 @@ let make_bn rng k =
     scale =
       Tensor.init Datatype.F32 [| 1; k |] (fun _ ->
           1.0 +. Prng.uniform rng ~scale:0.1);
-    shift =
-      Tensor.init Datatype.F32 [| 1; k |] (fun _ -> Prng.uniform rng ~scale:0.1);
+    shift = Tensor.random Datatype.F32 [| 1; k |] rng ~scale:0.1;
   }
 
 let make_conv ~rng ~dtype ~spec ~relu ~n ~c ~k ~h ~w =
@@ -105,9 +104,7 @@ let make_conv ~rng ~dtype ~spec ~relu ~n ~c ~k ~h ~w =
   in
   let conv = Conv.create cfg spec in
   let scale = sqrt (2.0 /. float_of_int (c * 9)) in
-  let logical =
-    Tensor.init dtype [| k; c; 3; 3 |] (fun _ -> Prng.uniform rng ~scale)
-  in
+  let logical = Tensor.random dtype [| k; c; 3; 3 |] rng ~scale in
   { conv; weights = Conv.pack_weights cfg logical; bn = make_bn rng k;
     relu }
 

@@ -93,19 +93,14 @@ let achieved_sparsity t =
   List.fold_left (fun acc s -> acc +. Bcsc.sparsity s.a) 0.0 all
   /. float_of_int (List.length all)
 
-let transpose t0 =
-  let d = Tensor.dims t0 in
-  Tensor.init (Tensor.dtype t0) [| d.(1); d.(0) |] (fun i ->
-      Tensor.get t0 [| i.(1); i.(0) |])
-
 let sfc_forward ?nthreads sfc x =
   let cfg =
     Spmm_kernel.make_config ~m:sfc.out_features ~n:(Tensor.dims x).(0)
       ~k:sfc.in_features ~bm:(Bcsc.(sfc.a.bm)) ~bk:(Bcsc.(sfc.a.bk)) ()
   in
   let sp = Spmm_kernel.create cfg Spmm_kernel.default_spec in
-  let ct = Spmm_kernel.run_logical ?nthreads sp ~a:sfc.a ~b:(transpose x) in
-  let y = transpose ct in
+  let ct = Spmm_kernel.run_logical ?nthreads sp ~a:sfc.a ~b:(Tensor.transpose x) in
+  let y = Tensor.transpose ct in
   (* bias + activation *)
   let bias_row =
     Tensor.view_flat sfc.bias ~off:0 ~rows:1 ~cols:sfc.out_features

@@ -89,38 +89,46 @@ let config t = t.cfg
 
 let padded_dims cfg = (cfg.h + (2 * cfg.pad), cfg.w + (2 * cfg.pad))
 
+(* [N][Cb][H + 2 pad][W + 2 pad][bc]: the input goes into the interior
+   of the zeroed padded tensor, a row of W pixels of one channel at a
+   time *)
 let pack_input cfg inp =
   assert (Tensor.dims inp = [| cfg.n; cfg.c; cfg.h; cfg.w |]);
   let hp, wp = padded_dims cfg in
-  Tensor.init cfg.dtype
-    [| cfg.n; cb cfg; hp; wp; cfg.bc |]
-    (fun i ->
-      let ih = i.(2) - cfg.pad and iw = i.(3) - cfg.pad in
-      if ih < 0 || ih >= cfg.h || iw < 0 || iw >= cfg.w then 0.0
-      else Tensor.get inp [| i.(0); (i.(1) * cfg.bc) + i.(4); ih; iw |])
+  let p = Tensor.create cfg.dtype [| cfg.n; cb cfg; hp; wp; cfg.bc |] in
+  let plane = cfg.h * cfg.w and i_cblk = hp * wp * cfg.bc in
+  Tensor.strided_copy cfg.dtype
+    [| cfg.n; cb cfg; cfg.h; cfg.bc; cfg.w |]
+    ~src:inp.Tensor.data ~src_off:0
+    ~src_strides:[| cfg.c * plane; cfg.bc * plane; cfg.w; plane; 1 |]
+    ~dst:p.Tensor.data
+    ~dst_off:((cfg.pad * wp * cfg.bc) + (cfg.pad * cfg.bc))
+    ~dst_strides:[| cb cfg * i_cblk; i_cblk; wp * cfg.bc; 1; cfg.bc |];
+  p
 
+(* [Kb][Cb][R][S][bc][bk] *)
 let pack_weights cfg w =
   assert (Tensor.dims w = [| cfg.k; cfg.c; cfg.r; cfg.s |]);
-  Tensor.init cfg.dtype
+  let tap = cfg.r * cfg.s in
+  Tensor.gather cfg.dtype
     [| kb cfg; cb cfg; cfg.r; cfg.s; cfg.bc; cfg.bk |]
-    (fun i ->
-      Tensor.get w
-        [|
-          (i.(0) * cfg.bk) + i.(5);
-          (i.(1) * cfg.bc) + i.(4);
-          i.(2);
-          i.(3);
-        |])
+    w ~off:0
+    ~strides:[| cfg.bk * cfg.c * tap; cfg.bc * tap; cfg.s; 1; tap; cfg.c * tap |]
 
 let alloc_output ?(dtype = Datatype.F32) cfg =
   let p, q = out_dims cfg in
   Tensor.create dtype [| cfg.n; kb cfg; p; q; cfg.bk |]
 
+(* [N; K; P; Q] from [N][Kb][P][Q][bk], one output channel at a time *)
 let unpack_output cfg o =
   let p, q = out_dims cfg in
-  Tensor.init Datatype.F32 [| cfg.n; cfg.k; p; q |] (fun i ->
-      Tensor.get o
-        [| i.(0); i.(1) / cfg.bk; i.(2); i.(3); i.(1) mod cfg.bk |])
+  let pq = p * q in
+  Tensor.reshape
+    (Tensor.gather Datatype.F32
+       [| cfg.n; kb cfg; cfg.bk; p; q |]
+       o ~off:0
+       ~strides:[| kb cfg * pq * cfg.bk; pq * cfg.bk; 1; q * cfg.bk; cfg.bk |])
+    [| cfg.n; cfg.k; p; q |]
 
 (* logical data moved once per run: input + weights in dtype, output f32 *)
 let traffic_bytes cfg =

@@ -103,54 +103,64 @@ let create_resolved cfg spec_string =
 let config t = t.cfg
 let spec t = Threaded_loop.spec_string t.loop
 
-(* ---- layout helpers ---- *)
+(* ---- layout helpers ----
+   Each is one strided copy: the destination's dims in order, and where
+   each of its indices steps in the logical row-major source. *)
 
 let pack_a c a =
   assert (Tensor.dims a = [| c.m; c.k |]);
   match c.layout with
   | Rows -> Tensor.cast a c.dtype
   | Blocked ->
-    Tensor.init c.dtype
+    (* [Mb][Kb][bm][bk] *)
+    Tensor.gather c.dtype
       [| mb c; kb c; c.bm; c.bk |]
-      (fun i ->
-        Tensor.get a [| (i.(0) * c.bm) + i.(2); (i.(1) * c.bk) + i.(3) |])
+      a ~off:0
+      ~strides:[| c.bm * c.k; c.bk; c.k; 1 |]
 
 let pack_b c b =
   assert (Tensor.dims b = [| c.k; c.n |]);
   if c.vnni_b then begin
     let v = Datatype.vnni_factor c.dtype in
-    (* [Nb][Kb][bk/v][bn][v] *)
-    Tensor.init c.dtype
-      [| nb c; kb c; c.bk / v; c.bn; v |]
-      (fun i ->
-        Tensor.get b
-          [|
-            (i.(1) * c.bk) + (i.(2) * v) + i.(4); (i.(0) * c.bn) + i.(3);
-          |])
+    (* [Nb][Kb][bk/v][bn][v], filled a row of B's block at a time *)
+    let p = Tensor.create c.dtype [| nb c; kb c; c.bk / v; c.bn; v |] in
+    Tensor.strided_copy c.dtype
+      [| nb c; kb c; c.bk / v; v; c.bn |]
+      ~src:b.Tensor.data ~src_off:0
+      ~src_strides:[| c.bn; c.bk * c.n; v * c.n; c.n; 1 |]
+      ~dst:p.Tensor.data ~dst_off:0
+      ~dst_strides:[| kb c * c.bk * c.bn; c.bk * c.bn; c.bn * v; 1; v |];
+    p
   end
   else
-    Tensor.init c.dtype
+    (* [Nb][Kb][bk][bn] *)
+    Tensor.gather c.dtype
       [| nb c; kb c; c.bk; c.bn |]
-      (fun i ->
-        Tensor.get b [| (i.(1) * c.bk) + i.(2); (i.(0) * c.bn) + i.(3) |])
+      b ~off:0
+      ~strides:[| c.bn; c.bk * c.n; c.n; 1 |]
 
 let pack_c c t =
   assert (Tensor.dims t = [| c.m; c.n |]);
   match c.layout with
   | Rows -> Tensor.cast t Datatype.F32
   | Blocked ->
-    Tensor.init Datatype.F32
+    (* [Nb][Mb][bm][bn] *)
+    Tensor.gather Datatype.F32
       [| nb c; mb c; c.bm; c.bn |]
-      (fun i ->
-        Tensor.get t [| (i.(1) * c.bm) + i.(2); (i.(0) * c.bn) + i.(3) |])
+      t ~off:0
+      ~strides:[| c.bn; c.bm * c.n; c.n; 1 |]
 
 let unpack_c c t =
   match c.layout with
   | Rows -> t
   | Blocked ->
-    Tensor.init Datatype.F32 [| c.m; c.n |] (fun i ->
-        Tensor.get t
-          [| i.(1) / c.bn; i.(0) / c.bm; i.(0) mod c.bm; i.(1) mod c.bn |])
+    (* [M; N] as [Mb][bm][Nb][bn] *)
+    Tensor.reshape
+      (Tensor.gather Datatype.F32
+         [| mb c; c.bm; nb c; c.bn |]
+         t ~off:0
+         ~strides:[| c.bm * c.bn; c.bn; c.m * c.bn; 1 |])
+      [| c.m; c.n |]
 
 let alloc_c ?(dtype = Datatype.F32) c =
   match c.layout with

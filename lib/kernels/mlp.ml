@@ -44,10 +44,7 @@ let create ~rng ?(dtype = Datatype.F32) ?(bias = true) ?(act = Relu)
         let gemm = Gemm.create cfg spec in
         (* Xavier-ish init *)
         let scale = sqrt (2.0 /. float_of_int fin) in
-        let w_logical =
-          Tensor.init dtype [| fout; fin |] (fun _ ->
-              Prng.uniform rng ~scale)
-        in
+        let w_logical = Tensor.random dtype [| fout; fin |] rng ~scale in
         let weights = Gemm.pack_a cfg w_logical in
         let bias =
           if bias then begin

@@ -47,7 +47,7 @@ let config t = t.cfg
 
 let pack_b cfg b =
   assert (Tensor.dims b = [| cfg.k; cfg.n |]);
-  Vnni.pack (Tensor.cast b cfg.dtype)
+  Vnni.pack ~dtype:cfg.dtype b
 
 (* logical data moved once per run: the stored (dense) fraction of A plus
    dense B in dtype, C in f32 *)

@@ -29,10 +29,11 @@ let build_row_index ~mblocks ~colptr ~rowind =
   done;
   Array.map Array.of_list acc
 
-(* Build from a predicate + element reader.
-   [keep ib jb] decides if block (ib, jb) is stored;
-   [read i j] gives the dense element. *)
-let build ~dtype ~rows ~cols ~bm ~bk ~keep ~read =
+(* Build from a predicate and a payload writer. [keep ib jb] decides if
+   block (ib, jb) is stored; slots run down each block column in turn.
+   [fill values stored] writes the payloads into the zeroed
+   [max 1 nnzb; bm; bk] tensor, given the (ib, jb) of each slot. *)
+let build ~dtype ~rows ~cols ~bm ~bk ~keep ~fill =
   assert (rows mod bm = 0 && cols mod bk = 0);
   let mblocks = rows / bm and kblocks = cols / bk in
   let colptr = Array.make (kblocks + 1) 0 in
@@ -51,15 +52,7 @@ let build ~dtype ~rows ~cols ~bm ~bk ~keep ~read =
   let stored = Array.of_list (List.rev !blocks) in
   let rowind = Array.map fst stored in
   let values = Tensor.create dtype [| max 1 !count; bm; bk |] in
-  Array.iteri
-    (fun slot (ib, jb) ->
-      for i = 0 to bm - 1 do
-        for j = 0 to bk - 1 do
-          Tensor.set values [| slot; i; j |]
-            (read ((ib * bm) + i) ((jb * bk) + j))
-        done
-      done)
-    stored;
+  fill values stored;
   {
     rows;
     cols;
@@ -71,6 +64,33 @@ let build ~dtype ~rows ~cols ~bm ~bk ~keep ~read =
     row_index = build_row_index ~mblocks ~colptr ~rowind;
     dtype;
   }
+
+(* Each stored block between the dense [rows x cols] buffer [dense] and
+   its slot in [values], one strided copy a block, rounded to [dtype]. *)
+let copy_blocks ~to_dense ~dtype ~cols ~bm ~bk (dense : Tensor.t)
+    (values : Tensor.t) stored =
+  let dims = [| bm; bk |] and dense_strides = [| cols; 1 |]
+  and slot_strides = [| bk; 1 |] in
+  Array.iteri
+    (fun slot (ib, jb) ->
+      let dense_off = (ib * bm * cols) + (jb * bk)
+      and slot_off = slot * bm * bk in
+      if to_dense then
+        Tensor.strided_copy dtype dims ~src:values.Tensor.data
+          ~src_off:slot_off ~src_strides:slot_strides ~dst:dense.Tensor.data
+          ~dst_off:dense_off ~dst_strides:dense_strides
+      else
+        Tensor.strided_copy dtype dims ~src:dense.Tensor.data
+          ~src_off:dense_off ~src_strides:dense_strides
+          ~dst:values.Tensor.data ~dst_off:slot_off ~dst_strides:slot_strides)
+    stored
+
+(* the stored blocks of the dense [a] *)
+let build_from ~keep ~bm ~bk a =
+  let dims = Tensor.dims a in
+  let rows = dims.(0) and cols = dims.(1) and dtype = Tensor.dtype a in
+  build ~dtype ~rows ~cols ~bm ~bk ~keep
+    ~fill:(copy_blocks ~to_dense:false ~dtype ~cols ~bm ~bk a)
 
 let of_dense ~bm ~bk a =
   assert (Tensor.rank a = 2);
@@ -86,24 +106,18 @@ let of_dense ~bm ~bk a =
     done;
     !nz
   in
-  build ~dtype:(Tensor.dtype a) ~rows ~cols ~bm ~bk ~keep:nonzero
-    ~read:(fun i j -> Tensor.get a [| i; j |])
+  build_from ~keep:nonzero ~bm ~bk a
 
 let to_dense t =
   let d = Tensor.create t.dtype [| t.rows; t.cols |] in
-  let kblocks = t.cols / t.bk in
-  for jb = 0 to kblocks - 1 do
+  let stored = Array.make (nnz_blocks t) (0, 0) in
+  for jb = 0 to (t.cols / t.bk) - 1 do
     for slot = t.colptr.(jb) to t.colptr.(jb + 1) - 1 do
-      let ib = t.rowind.(slot) in
-      for i = 0 to t.bm - 1 do
-        for j = 0 to t.bk - 1 do
-          Tensor.set d
-            [| (ib * t.bm) + i; (jb * t.bk) + j |]
-            (Tensor.get t.values [| slot; i; j |])
-        done
-      done
+      stored.(slot) <- (t.rowind.(slot), jb)
     done
   done;
+  copy_blocks ~to_dense:true ~dtype:t.dtype ~cols:t.cols ~bm:t.bm ~bk:t.bk d
+    t.values stored;
   d
 
 let random ~rng ~dtype ~rows ~cols ~bm ~bk ~sparsity =
@@ -115,9 +129,12 @@ let random ~rng ~dtype ~rows ~cols ~bm ~bk ~sparsity =
       mask.(ib).(jb) <- not (Prng.bernoulli rng ~p:sparsity)
     done
   done;
+  (* the payloads are the next nnzb * bm * bk draws, in slot order; an
+     all-zero matrix draws nothing *)
   build ~dtype ~rows ~cols ~bm ~bk
     ~keep:(fun ib jb -> mask.(ib).(jb))
-    ~read:(fun _ _ -> Prng.uniform rng ~scale:1.0)
+    ~fill:(fun values stored ->
+      if Array.length stored > 0 then Tensor.fill_random values rng ~scale:1.0)
 
 let block_view t slot =
   Tensor.view t.values [| slot; 0; 0 |] ~rows:t.bm ~cols:t.bk
@@ -152,6 +169,5 @@ let prune_dense ~bm ~bk ~sparsity a =
   Array.iteri
     (fun rank (_, id) -> if rank < to_drop then Hashtbl.replace dropped id ())
     norms;
-  build ~dtype:(Tensor.dtype a) ~rows ~cols ~bm ~bk
+  build_from ~bm ~bk a
     ~keep:(fun ib jb -> not (Hashtbl.mem dropped ((ib * kblocks) + jb)))
-    ~read:(fun i j -> Tensor.get a [| i; j |])

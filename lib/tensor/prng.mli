@@ -18,6 +18,15 @@ val float : t -> float
 (** Uniform float in [-scale, scale). *)
 val uniform : t -> scale:float -> float
 
+(** [fill_uniform t ~scale buf] stores [Array1.dim buf] draws of
+    {!uniform} into [buf], in index order: the same values, rounded to
+    FP32, and the same state after, as that many [uniform] calls. *)
+val fill_uniform :
+  t ->
+  scale:float ->
+  (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  unit
+
 (** Standard normal via Box-Muller. *)
 val gaussian : t -> float
 

@@ -69,8 +69,14 @@ val offset : t -> int array -> int
 
 val fill : t -> float -> unit
 
-(** Fill with uniform values in [-scale, scale) from [rng]. *)
+(** Fill with uniform values in [-scale, scale) from [rng]: element [i]
+    holds the [i]-th {!Prng.uniform} draw, rounded to the dtype, and [rng]
+    ends where that many draws leave it. *)
 val fill_random : t -> Prng.t -> scale:float -> unit
+
+(** [random dtype dims rng ~scale] is a fresh tensor filled by
+    {!fill_random}. *)
+val random : Datatype.t -> int array -> Prng.t -> scale:float -> t
 
 (** Deep copy (same dtype and contents). *)
 val copy : t -> t
@@ -92,6 +98,49 @@ val row_views : t -> int -> t
 
 (** Convert to another datatype (rounding values as needed). *)
 val cast : t -> Datatype.t -> t
+
+(** The [cols x rows] transpose of a rank-2 tensor, in its dtype. *)
+val transpose : t -> t
+
+(** {2 Strided copy}
+
+    The one primitive behind every pack, unpack, cast and transpose.
+    [strided_copy dtype dims ~src ~src_off ~src_strides ~dst ~dst_off
+    ~dst_strides] stores, for every multi-index [idx] of [dims], the
+    element at [src_off + Σ idx.(d) * src_strides.(d)] of [src] at
+    [dst_off + Σ idx.(d) * dst_strides.(d)] of [dst]. Strides may be zero
+    or negative. The copy runs in rows along the last dimension (after
+    dropping 1s and merging dimensions both sides cross as one run), so
+    the caller picks the order that reads or writes contiguously.
+
+    - Rounding: a value is stored as {!set_flat} on a [dtype] tensor
+      stores it. [F32] keeps it; [BF16] rounds it to nearest even, bit
+      for bit as {!Bf16.round} does.
+    - NaN: a NaN is stored as it is, sign and payload kept; a signalling
+      NaN is stored quiet, because each value passes through a float.
+    - Extent: the lowest and highest element each side reaches are
+      checked against its buffer once per call, before anything is
+      stored; [Invalid_argument] names the side, the reach and the length.
+      A [dims] holding a 0 copies nothing and checks nothing.
+    - Overlap: [src] and [dst] may be the same elements, index for index
+      (an in-place rounding); any other overlap gives unspecified values.
+
+    [dims] and both stride arrays must have one rank of at least 1. *)
+val strided_copy :
+  Datatype.t ->
+  int array ->
+  src:buffer ->
+  src_off:int ->
+  src_strides:int array ->
+  dst:buffer ->
+  dst_off:int ->
+  dst_strides:int array ->
+  unit
+
+(** [gather dtype dims t ~off ~strides] is a fresh contiguous [dtype]
+    tensor of [dims] whose element [idx] is read from [t]'s buffer at
+    [off + Σ idx.(d) * strides.(d)]: {!strided_copy} into a new tensor. *)
+val gather : Datatype.t -> int array -> t -> off:int -> strides:int array -> t
 
 (** Element-wise maximum absolute difference. Dims must match. *)
 val max_abs_diff : t -> t -> float

@@ -5,10 +5,11 @@
     packed together: a logical [K x N] matrix is stored as [K/v][N][v].
     For BF16, v = 2; for FP32, v = 1 (identity). *)
 
-(** [pack b] reformats a rank-2 [K x N] tensor into VNNI layout
-    [K/v; N; v] where [v = Datatype.vnni_factor (dtype b)].
-    K must be divisible by [v]. *)
-val pack : Tensor.t -> Tensor.t
+(** [pack ?dtype b] reformats a rank-2 [K x N] tensor into VNNI layout
+    [K/v; N; v] where [v = Datatype.vnni_factor dtype], rounding each
+    value to [dtype] on the way ([dtype] defaults to [b]'s). K must be
+    divisible by [v]. *)
+val pack : ?dtype:Datatype.t -> Tensor.t -> Tensor.t
 
 (** Inverse of {!pack}: rank-3 [K/v; N; v] back to [K; N]. *)
 val unpack : Tensor.t -> Tensor.t

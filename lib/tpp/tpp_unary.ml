@@ -66,9 +66,18 @@ let scalar_fn = function
 let check_same_shape (a : View.t) (b : View.t) =
   assert (a.rows = b.rows && a.cols = b.cols)
 
+(* [inp] into [out] through the strided copy, rounded to [out]'s dtype;
+   [transpose] swaps the source's strides *)
+let copy_view ?(transpose = false) (inp : View.t) (out : View.t) =
+  Tensor.strided_copy out.View.dtype [| inp.View.rows; inp.View.cols |]
+    ~src:inp.View.data ~src_off:inp.View.off
+    ~src_strides:[| inp.View.ld; 1 |] ~dst:out.View.data ~dst_off:out.View.off
+    ~dst_strides:(if transpose then [| 1; out.View.ld |] else [| out.View.ld; 1 |])
+
 let exec op ~inp ~out =
   check_same_shape inp out;
   match op with
+  | Copy -> copy_view inp out
   | Zero ->
     for i = 0 to out.View.rows - 1 do
       for j = 0 to out.View.cols - 1 do
@@ -130,11 +139,7 @@ let reduce kind axis ~inp ~out =
 
 let transpose ~inp ~out =
   assert (out.View.rows = inp.View.cols && out.View.cols = inp.View.rows);
-  for i = 0 to inp.View.rows - 1 do
-    for j = 0 to inp.View.cols - 1 do
-      View.set out j i (View.get inp i j)
-    done
-  done
+  copy_view ~transpose:true inp out
 
 let convert ~inp ~out = exec Copy ~inp ~out
 

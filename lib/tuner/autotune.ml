@@ -29,14 +29,8 @@ let candidate_config (base : Gemm.config) (c : Spec_gen.candidate) =
 let measure_gemm ~nthreads ~repeats cfg spec =
   let g = Gemm.create cfg spec in
   let rng = Prng.create 1234 in
-  let a =
-    Tensor.init cfg.Gemm.dtype [| cfg.Gemm.m; cfg.Gemm.k |] (fun _ ->
-        Prng.uniform rng ~scale:1.0)
-  in
-  let b =
-    Tensor.init cfg.Gemm.dtype [| cfg.Gemm.k; cfg.Gemm.n |] (fun _ ->
-        Prng.uniform rng ~scale:1.0)
-  in
+  let a = Tensor.random cfg.Gemm.dtype [| cfg.Gemm.m; cfg.Gemm.k |] rng ~scale:1.0 in
+  let b = Tensor.random cfg.Gemm.dtype [| cfg.Gemm.k; cfg.Gemm.n |] rng ~scale:1.0 in
   let ap = Gemm.pack_a cfg a and bp = Gemm.pack_b cfg b in
   let cp = Gemm.alloc_c cfg in
   (* warm-up resolves JIT compilation outside the timed region *)

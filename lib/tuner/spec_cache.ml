@@ -71,12 +71,10 @@ let bit_identical (base : Gemm.config) base_spec (cand : Gemm.config)
     let g1 = Gemm.create cand cand_spec in
     let rng = Prng.create 20260808 in
     let a =
-      Tensor.init base.Gemm.dtype [| base.Gemm.m; base.Gemm.k |] (fun _ ->
-          Prng.uniform rng ~scale:1.0)
+      Tensor.random base.Gemm.dtype [| base.Gemm.m; base.Gemm.k |] rng ~scale:1.0
     in
     let b =
-      Tensor.init base.Gemm.dtype [| base.Gemm.k; base.Gemm.n |] (fun _ ->
-          Prng.uniform rng ~scale:1.0)
+      Tensor.random base.Gemm.dtype [| base.Gemm.k; base.Gemm.n |] rng ~scale:1.0
     in
     let ap = Gemm.pack_a base a and bp = Gemm.pack_b base b in
     let c0 = Gemm.alloc_c base and c1 = Gemm.alloc_c cand in

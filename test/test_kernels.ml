@@ -307,6 +307,179 @@ let test_spmm_bits_invariant () =
         [ 31; 48; 64 ])
     [ Datatype.F32; Datatype.BF16 ]
 
+(* ---- layout transforms ----
+   Every pack, unpack, cast and transpose is one strided copy; each keeps
+   the bits of the Tensor.init formula it replaced (Layout_oracle), over
+   inputs holding every special value, and allocates next to nothing. *)
+
+module O = Layout_oracle
+
+let dtypes = [ Datatype.F32; Datatype.BF16 ]
+let dt_name = Datatype.to_string
+
+let test_gemm_layout_bits () =
+  let rng = Prng.create 41 in
+  let m = 18 and n = 12 and k = 16 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dtype ->
+          List.iter
+            (fun (layout, vnni_b, bm, bn, bk) ->
+              let cfg =
+                Gemm.make_config ~layout ~dtype ~vnni_b ~bm ~bn ~bk ~m ~n ~k ()
+              in
+              let tag =
+                Printf.sprintf "%s->%s %s %s B, %dx%dx%d" (dt_name src)
+                  (dt_name dtype)
+                  (if layout = Gemm.Rows then "rows" else "blocked")
+                  (if vnni_b then "vnni" else "flat")
+                  bm bn bk
+              in
+              let a = O.special_tensor rng src [| m; k |] in
+              O.check_bits ("pack_a " ^ tag) (Gemm.pack_a cfg a)
+                (O.pack_a cfg a);
+              let b = O.special_tensor rng src [| k; n |] in
+              O.check_bits ("pack_b " ^ tag) (Gemm.pack_b cfg b)
+                (O.pack_b cfg b);
+              let c = O.special_tensor rng src [| m; n |] in
+              O.check_bits ("pack_c " ^ tag) (Gemm.pack_c cfg c)
+                (O.pack_c cfg c);
+              let cp =
+                O.special_tensor rng src
+                  (Tensor.dims (Gemm.alloc_c ~dtype:src cfg))
+              in
+              O.check_bits ("unpack_c " ^ tag) (Gemm.unpack_c cfg cp)
+                (O.unpack_c cfg cp))
+            [
+              (Gemm.Blocked, false, 6, 4, 8); (Gemm.Blocked, true, 6, 4, 8);
+              (Gemm.Rows, false, 5, 3, 4); (Gemm.Rows, true, 5, 6, 2);
+            ])
+        dtypes)
+    dtypes
+
+let test_conv_layout_bits () =
+  let rng = Prng.create 43 in
+  List.iter
+    (fun (src, dtype) ->
+      List.iter
+        (fun (pad, stride, bc, bk) ->
+          let cfg =
+            Conv.make_config ~dtype ~pad ~stride ~bc ~bk ~n:2 ~c:4 ~k:6 ~h:6
+              ~w:5 ~r:3 ~s:3 ()
+          in
+          let tag =
+            Printf.sprintf "%s->%s pad %d stride %d bc %d bk %d" (dt_name src)
+              (dt_name dtype) pad stride bc bk
+          in
+          let inp = O.special_tensor rng src [| 2; 4; 6; 5 |] in
+          O.check_bits ("pack_input " ^ tag) (Conv.pack_input cfg inp)
+            (O.conv_pack_input cfg inp);
+          let w = O.special_tensor rng src [| 6; 4; 3; 3 |] in
+          O.check_bits ("pack_weights " ^ tag) (Conv.pack_weights cfg w)
+            (O.conv_pack_weights cfg w);
+          let o =
+            O.special_tensor rng src
+              (Tensor.dims (Conv.alloc_output ~dtype:src cfg))
+          in
+          O.check_bits ("unpack_output " ^ tag) (Conv.unpack_output cfg o)
+            (O.conv_unpack_output cfg o))
+        [ (0, 1, 2, 3); (1, 1, 4, 2); (2, 2, 2, 6); (1, 2, 4, 3); (2, 1, 2, 2) ])
+    [
+      (Datatype.F32, Datatype.F32); (Datatype.F32, Datatype.BF16);
+      (Datatype.BF16, Datatype.BF16); (Datatype.BF16, Datatype.F32);
+    ]
+
+(* the old TPP loops: a View.get/View.set per element *)
+let view_copy ~transpose (inp : Tensor.View.t) (out : Tensor.View.t) =
+  for i = 0 to inp.Tensor.View.rows - 1 do
+    for j = 0 to inp.Tensor.View.cols - 1 do
+      if transpose then Tensor.View.set out j i (Tensor.View.get inp i j)
+      else Tensor.View.set out i j (Tensor.View.get inp i j)
+    done
+  done
+
+let test_other_layout_bits () =
+  let rng = Prng.create 47 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dtype ->
+          let tag = dt_name src ^ "->" ^ dt_name dtype in
+          let b = O.special_tensor rng src [| 20; 12 |] in
+          let cfg =
+            Spmm_kernel.make_config ~dtype ~m:8 ~n:12 ~k:20 ~bm:4 ~bk:4 ()
+          in
+          O.check_bits ("spmm pack_b " ^ tag) (Spmm_kernel.pack_b cfg b)
+            (O.spmm_pack_b cfg b);
+          (* 7x5 windows inside 20x12 and 12x20 tensors, off their origin *)
+          let x = O.special_tensor rng src [| 20; 12 |] in
+          let inp = Tensor.view x [| 3; 2 |] ~rows:7 ~cols:5 in
+          List.iter
+            (fun transpose ->
+              let dims = if transpose then [| 12; 20 |] else [| 20; 12 |] in
+              let r, c = if transpose then (5, 7) else (7, 5) in
+              let got = O.special_tensor rng dtype dims in
+              let want = Tensor.copy got in
+              let out t = Tensor.view t [| 4; 1 |] ~rows:r ~cols:c in
+              if transpose then
+                Tpp_unary.transpose ~inp ~out:(out got)
+              else Tpp_unary.convert ~inp ~out:(out got);
+              view_copy ~transpose inp (out want);
+              O.check_bits
+                ((if transpose then "tpp transpose " else "tpp convert ") ^ tag)
+                got want;
+              if not transpose then begin
+                let got2 = Tensor.copy want in
+                Tpp_unary.exec Tpp_unary.Copy ~inp ~out:(out got2);
+                O.check_bits ("tpp copy " ^ tag) got2 want
+              end)
+            [ false; true ])
+        dtypes;
+      let x = O.special_tensor rng src [| 9; 7 |] in
+      O.check_bits ("last_row " ^ dt_name src) (Llm.last_row x) (O.last_row x))
+    dtypes;
+  List.iter
+    (fun dtype ->
+      let fc =
+        Fc.create ~rng ~dtype ~block:4 ~in_features:8 ~out_features:12 ()
+      in
+      let s = Fc.slice fc ~r0:4 ~r1:12 in
+      O.check_bits ("fc slice weights " ^ dt_name dtype) s.Fc.weights
+        (O.fc_slice_weights fc ~r0:4 ~r1:12);
+      O.check_bits ("fc slice bias " ^ dt_name dtype) s.Fc.bias
+        (O.fc_slice_bias fc ~r0:4 ~r1:12))
+    dtypes
+
+(* perfbench's set-up transforms, each well under a word per element *)
+let test_transforms_allocation () =
+  let rng = Prng.create 3 in
+  let dim = 512 in
+  let check name f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    let w = Gc.minor_words () -. w0 in
+    checkb (Printf.sprintf "%s: %.0f minor words < 1000" name w) true
+      (w < 1000.0)
+  in
+  let a = Tensor.create Datatype.F32 [| dim; dim |] in
+  check "fill_random 512^2" (fun () -> Tensor.fill_random a rng ~scale:1.0);
+  check "cast 512^2 to bf16" (fun () -> Tensor.cast a Datatype.BF16);
+  let f32 = Gemm.make_config ~m:dim ~n:dim ~k:dim () in
+  let bf16 =
+    Gemm.make_config ~dtype:Datatype.BF16 ~vnni_b:true ~m:dim ~n:dim ~k:dim ()
+  in
+  check "gemm pack_a" (fun () -> Gemm.pack_a f32 a);
+  check "gemm pack_b flat" (fun () -> Gemm.pack_b f32 a);
+  check "gemm pack_b vnni" (fun () -> Gemm.pack_b bf16 a);
+  let cfg = Conv.make_config ~pad:1 ~n:2 ~c:64 ~k:64 ~h:56 ~w:56 ~r:3 ~s:3 () in
+  let inp = random_tensor rng [| 2; 64; 56; 56 |] in
+  check "conv pack_input" (fun () -> Conv.pack_input cfg inp);
+  let out = Conv.alloc_output cfg in
+  check "conv unpack_output" (fun () -> Conv.unpack_output cfg out);
+  let scfg = Spmm_kernel.make_config ~m:dim ~n:dim ~k:dim ~bm:16 ~bk:16 () in
+  check "spmm pack_b" (fun () -> Spmm_kernel.pack_b scfg a)
+
 let test_spmm_effective_flops () =
   let rng = Prng.create 15 in
   let a =
@@ -360,5 +533,16 @@ let () =
           Alcotest.test_case "bits invariant to panel, schedule, team" `Quick
             test_spmm_bits_invariant;
           Alcotest.test_case "effective flops" `Quick test_spmm_effective_flops;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "gemm packs keep their bits" `Quick
+            test_gemm_layout_bits;
+          Alcotest.test_case "conv packs keep their bits" `Quick
+            test_conv_layout_bits;
+          Alcotest.test_case "spmm, tpp, fc, llm keep their bits" `Quick
+            test_other_layout_bits;
+          Alcotest.test_case "set-up transforms allocate < 1000 words" `Quick
+            test_transforms_allocation;
         ] );
     ]

@@ -256,6 +256,136 @@ let test_prune_keeps_largest () =
   checkf "large block kept" 10.0 (Tensor.get d [| 5; 5 |]);
   checkf "small block pruned" 0.0 (Tensor.get d [| 0; 0 |])
 
+(* ---- the strided copy ----
+   Every transform built on it keeps the bits of the Tensor.init formula
+   it replaced (Layout_oracle), over inputs holding every special value. *)
+
+module O = Layout_oracle
+
+let dtypes = [ Datatype.F32; Datatype.BF16 ]
+let dt_name = Datatype.to_string
+
+let test_tensor_transforms_bits () =
+  let rng = Prng.create 31 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          let tag = dt_name src ^ "->" ^ dt_name dst in
+          let x = O.special_tensor rng src [| 12; 10 |] in
+          O.check_bits ("cast " ^ tag) (Tensor.cast x dst) (O.cast x dst);
+          (* v = 2 for a BF16 target, 1 for FP32 *)
+          O.check_bits ("vnni pack ~dtype " ^ tag) (Vnni.pack ~dtype:dst x)
+            (O.vnni_pack (O.cast x dst)))
+        dtypes;
+      let tag = dt_name src in
+      let b = O.special_tensor rng src [| 12; 10 |] in
+      let p = Vnni.pack b in
+      O.check_bits ("vnni pack " ^ tag) p (O.vnni_pack b);
+      let p = O.special_tensor rng src (Tensor.dims p) in
+      O.check_bits ("vnni unpack " ^ tag) (Vnni.unpack p) (O.vnni_unpack p);
+      O.check_bits ("transpose " ^ tag) (Tensor.transpose b) (O.transpose b);
+      let s = Bcsc.of_dense ~bm:4 ~bk:5 b in
+      O.check_bits ("bcsc of_dense " ^ tag) s.Bcsc.values (O.bcsc_values s b);
+      let s = Bcsc.prune_dense ~bm:3 ~bk:2 ~sparsity:0.5 b in
+      O.check_bits ("bcsc prune " ^ tag) s.Bcsc.values (O.bcsc_values s b);
+      O.check_bits ("bcsc to_dense " ^ tag) (Bcsc.to_dense s)
+        (O.bcsc_to_dense s))
+    dtypes
+
+(* one fill over n elements is n [Prng.uniform] draws, and leaves the
+   generator where they would *)
+let test_fill_random_draws () =
+  List.iter
+    (fun dtype ->
+      List.iter
+        (fun n ->
+          let r1 = Prng.create 77 and r2 = Prng.create 77 in
+          let t = Tensor.create dtype [| n |] in
+          Tensor.fill_random t r1 ~scale:0.5;
+          let want =
+            Tensor.init dtype [| n |] (fun _ -> Prng.uniform r2 ~scale:0.5)
+          in
+          O.check_bits (Printf.sprintf "%s x%d" (dt_name dtype) n) t want;
+          checkb "next draw" true (Prng.next_int64 r1 = Prng.next_int64 r2))
+        [ 1; 7; 4099 ])
+    dtypes
+
+(* the old Bcsc.random: the mask, then one draw per stored element in
+   slot order; all-zero draws no payload *)
+let test_bcsc_random_draws () =
+  List.iter
+    (fun (dtype, sparsity) ->
+      let rows = 16 and cols = 12 and bm = 4 and bk = 3 in
+      let r1 = Prng.create 5 and r2 = Prng.create 5 in
+      let s = Bcsc.random ~rng:r1 ~dtype ~rows ~cols ~bm ~bk ~sparsity in
+      let mask =
+        Array.init (rows / bm) (fun _ ->
+            Array.init (cols / bk) (fun _ ->
+                not (Prng.bernoulli r2 ~p:sparsity)))
+      in
+      let want = Tensor.create dtype (Tensor.dims s.Bcsc.values) in
+      let slot = ref 0 in
+      for jb = 0 to (cols / bk) - 1 do
+        for ib = 0 to (rows / bm) - 1 do
+          if mask.(ib).(jb) then begin
+            for i = 0 to bm - 1 do
+              for j = 0 to bk - 1 do
+                Tensor.set want [| !slot; i; j |] (Prng.uniform r2 ~scale:1.0)
+              done
+            done;
+            incr slot
+          end
+        done
+      done;
+      let tag = Printf.sprintf "%s %.1f" (dt_name dtype) sparsity in
+      checki ("stored " ^ tag) !slot (Bcsc.nnz_blocks s);
+      O.check_bits ("values " ^ tag) s.Bcsc.values want;
+      checkb ("next draw " ^ tag) true (Prng.next_int64 r1 = Prng.next_int64 r2))
+    [ (Datatype.F32, 0.5); (Datatype.BF16, 0.3); (Datatype.F32, 1.0) ]
+
+let copy1 ?(dtype = Datatype.F32) ~n ~src ~src_off ~ss ~dst ~dst_off ~ds () =
+  Tensor.strided_copy dtype [| n |] ~src:src.Tensor.data ~src_off
+    ~src_strides:[| ss |] ~dst:dst.Tensor.data ~dst_off ~dst_strides:[| ds |]
+
+let test_strided_copy_contract () =
+  let src = Tensor.init Datatype.F32 [| 6 |] (fun i -> float_of_int i.(0)) in
+  let dst = Tensor.create Datatype.F32 [| 6 |] in
+  (* a negative stride walks backwards *)
+  copy1 ~n:6 ~src ~src_off:5 ~ss:(-1) ~dst ~dst_off:0 ~ds:1 ();
+  checkb "reversed" true (Tensor.to_list dst = [ 5.; 4.; 3.; 2.; 1.; 0. ]);
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  rejects "source past the end" (fun () ->
+      copy1 ~n:4 ~src ~src_off:3 ~ss:1 ~dst ~dst_off:0 ~ds:1 ());
+  rejects "source before the start" (fun () ->
+      copy1 ~n:2 ~src ~src_off:0 ~ss:(-1) ~dst ~dst_off:0 ~ds:1 ());
+  rejects "destination past the end" (fun () ->
+      copy1 ~n:3 ~src ~src_off:0 ~ss:1 ~dst ~dst_off:0 ~ds:3 ());
+  rejects "rank mismatch" (fun () ->
+      Tensor.strided_copy Datatype.F32 [| 2; 2 |] ~src:src.Tensor.data
+        ~src_off:0 ~src_strides:[| 1 |] ~dst:dst.Tensor.data ~dst_off:0
+        ~dst_strides:[| 2; 1 |]);
+  (* nothing is stored before the check fails *)
+  checkb "untouched on failure" true
+    (Tensor.to_list dst = [ 5.; 4.; 3.; 2.; 1.; 0. ]);
+  (* an empty copy neither stores nor checks *)
+  copy1 ~n:0 ~src ~src_off:100 ~ss:1 ~dst ~dst_off:100 ~ds:1 ();
+  (* a signalling NaN is stored quiet, its sign and payload kept *)
+  let r = O.raw src in
+  r.{0} <- 0x7FA00001l;
+  r.{1} <- 0xFF800005l;
+  List.iter
+    (fun dtype ->
+      copy1 ~dtype ~n:2 ~src ~src_off:0 ~ss:1 ~dst ~dst_off:0 ~ds:1 ();
+      let d = O.raw dst in
+      checkb ("quiet NaN " ^ dt_name dtype) true
+        (d.{0} = 0x7FE00001l && d.{1} = 0xFFC00005l))
+    dtypes
+
 (* ---- Datatype ---- *)
 
 let test_datatype_basics () =
@@ -322,6 +452,16 @@ let () =
             test_prune_dense_hits_target;
           Alcotest.test_case "prune keeps largest" `Quick
             test_prune_keeps_largest;
+        ] );
+      ( "strided copy",
+        [
+          Alcotest.test_case "transforms keep their bits" `Quick
+            test_tensor_transforms_bits;
+          Alcotest.test_case "fill_random is uniform draws" `Quick
+            test_fill_random_draws;
+          Alcotest.test_case "bcsc random draws" `Quick test_bcsc_random_draws;
+          Alcotest.test_case "extent, NaN, stride contract" `Quick
+            test_strided_copy_contract;
         ] );
       ( "datatype",
         [ Alcotest.test_case "basics" `Quick test_datatype_basics ] );
