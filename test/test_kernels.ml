@@ -534,7 +534,7 @@ let () =
             test_spmm_bits_invariant;
           Alcotest.test_case "effective flops" `Quick test_spmm_effective_flops;
         ] );
-      ( "layout",
+      ( "pack",
         [
           Alcotest.test_case "gemm packs keep their bits" `Quick
             test_gemm_layout_bits;
