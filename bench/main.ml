@@ -131,6 +131,8 @@ let write_bench_json path =
      most 1.5x over the baseline;
    - higher-is-better rates (gflops, tokens_per_s, events_per_s,
      ..._gflops) may shrink to at worst 1/1.5 of the baseline;
+   - allocation counts (..._words) may grow at most 1.1x: they are
+     deterministic, so a rise means something boxes;
    - signed overheads (..._pct) may rise at most 5 points above the
      baseline, a negative baseline counting as 0: a ratio band around a
      value near zero is either vacuous (a negative baseline) or tighter
@@ -197,6 +199,7 @@ type tolerance =
   | Presence  (* key must exist; value unconstrained *)
 
 let perf_band = 1.5
+let words_band = 1.1
 let pct_points = 5.0
 
 let tolerance_of metric =
@@ -211,6 +214,7 @@ let tolerance_of metric =
   | "seconds" -> Lower_better perf_band
   | _ when suffix "_gflops" -> Higher_better perf_band
   | _ when suffix "_pct" -> Points pct_points
+  | _ when suffix "_words" -> Lower_better words_band
   | _ when suffix "_ms" || suffix "_ns" || suffix "_s" ->
     Lower_better perf_band
   | _ -> Presence
@@ -740,11 +744,7 @@ let run_dispatch () =
         ("workers_spawned",
          float_of_int (cval Telemetry.Registry.pool_workers_name));
         ("spin_wakeups", float_of_int (cval Telemetry.Registry.pool_spin_name));
-        ("park_wakeups", float_of_int (cval Telemetry.Registry.pool_park_name));
-        ("arena_hits", float_of_int (cval Telemetry.Registry.arena_hits_name));
-        ("arena_misses",
-         float_of_int (cval Telemetry.Registry.arena_misses_name));
-        ("arena_bytes", float_of_int (cval Telemetry.Registry.arena_bytes_name))
+        ("park_wakeups", float_of_int (cval Telemetry.Registry.pool_park_name))
       ]
     ();
   Printf.printf "  pool: %d workers, %d dispatches, %d reuses\n%!"

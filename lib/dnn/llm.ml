@@ -511,13 +511,20 @@ let draft t ~layers =
   { cfg = { t.cfg with layers; name = t.cfg.name ^ "-draft" };
     decoder = Array.sub t.decoder 0 layers }
 
+(* deterministic per-token-id synthetic embedding: element (i, j) is the
+   first draw of a generator seeded [ids.(i) * 7919 + j] *)
 let embed t ids =
-  (* deterministic per-token-id synthetic embedding *)
-  Tensor.init Datatype.F32
-    [| Array.length ids; t.cfg.hidden |]
-    (fun i ->
-      let r = Prng.create ((ids.(i.(0)) * 7919) + i.(1)) in
-      Prng.uniform r ~scale:0.5)
+  let h = t.cfg.hidden in
+  let x = Tensor.create Datatype.F32 [| Array.length ids; h |] in
+  let buf = x.Tensor.data in
+  for i = 0 to Array.length ids - 1 do
+    let seed = ids.(i) * 7919 in
+    for j = 0 to h - 1 do
+      Bigarray.Array1.unsafe_set buf ((i * h) + j)
+        (Prng.uniform_of_seed (seed + j) ~scale:0.5)
+    done
+  done;
+  x
 
 let layer_params (cfg : config) =
   (* 4 attention mats + 2 (or 3 gated) FFN mats *)

@@ -1,6 +1,6 @@
 let trace ?(flat_input = false) (cfg : Conv.config) spec ~nthreads =
   let loop = Threaded_loop.create (Conv.loop_specs cfg) spec in
-  let p, q = Conv.out_dims cfg in
+  let p, _ = Conv.out_dims cfg in
   let hp = cfg.Conv.h + (2 * cfg.Conv.pad) in
   let wp = cfg.Conv.w + (2 * cfg.Conv.pad) in
   let cb = cfg.Conv.c / cfg.Conv.bc and kb = cfg.Conv.k / cfg.Conv.bk in

@@ -107,11 +107,9 @@ let pool_park_name = "parlooper.pool.park_wakeups"
 let pool_workers_name = "parlooper.pool.workers_spawned"
 let pool_dispatch_ns_name = "parlooper.pool.dispatch_ns"
 
-(* ---- scratch-arena counter names (owned by Tpp.Scratch) ---- *)
+(* ---- TPP scratch-allocation counter name (perfbench reads it) ---- *)
 
-let arena_hits_name = "tpp.arena.hits"
 let arena_misses_name = "tpp.arena.misses"
-let arena_bytes_name = "tpp.arena.bytes"
 
 (* ---- fault-injection / robustness counter names ----
    owned by lib/fault (injected), Team (trips/quarantined), Tpp_check

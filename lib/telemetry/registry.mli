@@ -73,13 +73,11 @@ val pool_park_name : string
 val pool_workers_name : string
 val pool_dispatch_ns_name : string
 
-(** Counter names written by the TPP scratch arena: leases served from a
-    warm buffer, leases that had to allocate, and cumulative bytes
-    allocated by misses. *)
-val arena_hits_name : string
-
+(** Counter name for scratch buffers a TPP kernel allocates per call.
+    None does: BRGEMM and SpMM keep their accumulators in the native
+    microkernel, so it reads 0. perfbench reports it as
+    [tpp.arena_misses]. *)
 val arena_misses_name : string
-val arena_bytes_name : string
 
 (** Counter names for the fault-injection / robustness layer: faults fired
     by lib/fault, scheduler retries and load-shedding events, watchdog

@@ -94,8 +94,6 @@ let build_from ~keep ~bm ~bk a =
 
 let of_dense ~bm ~bk a =
   assert (Tensor.rank a = 2);
-  let dims = Tensor.dims a in
-  let rows = dims.(0) and cols = dims.(1) in
   let nonzero ib jb =
     let nz = ref false in
     for i = 0 to bm - 1 do

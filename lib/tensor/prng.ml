@@ -34,6 +34,12 @@ let[@inline] draw_bits s0 i =
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_int (Int64.shift_right_logical z 11)
 
+(* [uniform (create seed) ~scale]: draw 0 past the seed's state, in the
+   same float operations, with no generator built *)
+let[@inline] uniform_of_seed seed ~scale =
+  let u = float_of_int (draw_bits (Int64.of_int seed) 0) in
+  (((u *. (1.0 /. 9007199254740992.0)) *. 2.0) -. 1.0) *. scale
+
 let[@inline] put_uniform
     (buf : (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t)
     scale i u =

@@ -18,6 +18,11 @@ val float : t -> float
 (** Uniform float in [-scale, scale). *)
 val uniform : t -> scale:float -> float
 
+(** [uniform_of_seed seed ~scale] is [uniform (create seed) ~scale], bit
+    for bit, without building a generator. It inlines, so a loop storing
+    it into a buffer allocates nothing. *)
+val uniform_of_seed : int -> scale:float -> float
+
 (** [fill_uniform t ~scale buf] stores [Array1.dim buf] draws of
     {!uniform} into [buf], in index order: the same values, rounded to
     FP32, and the same state after, as that many [uniform] calls. *)

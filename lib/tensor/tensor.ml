@@ -30,9 +30,10 @@ module View = struct
 
   type t = view
 
-  let get v i j = Bigarray.Array1.unsafe_get v.data (v.off + (i * v.ld) + j)
+  let[@inline] get v i j =
+    Bigarray.Array1.unsafe_get v.data (v.off + (i * v.ld) + j)
 
-  let set v i j x =
+  let[@inline] set v i j x =
     Bigarray.Array1.unsafe_set v.data
       (v.off + (i * v.ld) + j)
       (Datatype.quantize v.dtype x)
@@ -109,9 +110,9 @@ let init dtype dims f =
 (* ---- the strided copy (contract in the .mli) ----
 
    The loops are written against [buffer] and inline the BF16 rounding:
-   the dev profile builds with [-opaque], so a call into [Datatype] or
-   [Bf16] per element would box every value, and so would a Bigarray
-   parameter whose type is not annotated. *)
+   a call to [Bf16.round] per element would box the value it takes and
+   the one it returns, and a Bigarray parameter whose type is not
+   annotated boxes every value read through it. *)
 
 (* [Bf16.round] of a value read from an FP32 buffer, in two parts.
 

@@ -1,21 +1,8 @@
 module View = Tensor.View
 
-(* dune's default profile compiles the library with -opaque, without
-   cross-module inlining, so each [View.get] and [View.set] is a call
-   that boxes its float. Serving's hot loops here (softmax_rows and
-   swiglu) use these copies instead, as [Tpp_binary.exec] does. [mul] is
-   [*.] returning the first operand's NaN when both are NaN, as
+(* [mul] is [*.] returning the first operand's NaN when both are NaN, as
    [Tpp_binary.Mul] does: which NaN an x86 multiply returns depends on
    the operand order the compiler picks for it. *)
-let[@inline] get (v : View.t) i j =
-  Bigarray.Array1.unsafe_get v.View.data (v.View.off + (i * v.View.ld) + j)
-
-let[@inline] set (v : View.t) i j x =
-  let at = v.View.off + (i * v.View.ld) + j in
-  match v.View.dtype with
-  | Datatype.F32 -> Bigarray.Array1.unsafe_set v.View.data at x
-  | Datatype.BF16 -> Bigarray.Array1.unsafe_set v.View.data at (Bf16.round x)
-
 let[@inline] mul a b = if Float.is_nan a then a else a *. b
 
 (* [Float.max], whose sign-bit tests are C calls, taken only where the
@@ -45,26 +32,26 @@ let softmax_rows ~scale ?causal ~inp ~out () =
     in
     let mx = ref neg_infinity in
     for j = 0 to live - 1 do
-      set out i j (mul !a (get inp i j));
-      mx := fmax !mx (get out i j)
+      View.set out i j (mul !a (View.get inp i j));
+      mx := fmax !mx (View.get out i j)
     done;
     if live < cols then mx := fmax !mx masked_score;
     let sum = ref 0.0 in
     for j = 0 to live - 1 do
-      let e = exp (get out i j -. !mx) in
-      set out i j e;
+      let e = exp (View.get out i j -. !mx) in
+      View.set out i j e;
       sum := !sum +. e
     done;
     if live < cols then begin
       let e = exp (masked_score -. !mx) in
       for j = live to cols - 1 do
-        set out i j e;
+        View.set out i j e;
         sum := !sum +. e
       done
     end;
     let inv = 1.0 /. !sum in
     for j = 0 to cols - 1 do
-      set out i j (mul (get out i j) inv)
+      View.set out i j (mul (View.get out i j) inv)
     done
   done
 
@@ -76,10 +63,10 @@ let swiglu ~gate ~inp ~out =
   assert (inp.View.rows = out.View.rows && inp.View.cols = out.View.cols);
   for i = 0 to out.View.rows - 1 do
     for j = 0 to out.View.cols - 1 do
-      let g = get gate i j in
+      let g = View.get gate i j in
       (* Tpp_unary.Sigmoid's formula *)
       let silu = fl32 (mul g (fl32 (1.0 /. (1.0 +. exp (-.g))))) in
-      set out i j (mul (get inp i j) silu)
+      View.set out i j (mul (View.get inp i j) silu)
     done
   done
 

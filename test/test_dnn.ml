@@ -326,6 +326,31 @@ let test_llm_cache_matches_full_forward () =
   in
   checkb "incremental == full" true (Tensor.approx_equal ~tol:1e-3 got expect)
 
+let test_llm_embed_bits () =
+  (* element (i, j) is the first uniform draw of a generator seeded
+     [ids.(i) * 7919 + j] *)
+  let llm = Llm.create ~rng:(Prng.create 10) ~block:8 Llm.tiny in
+  let vocab = Llm.tiny.Llm.vocab in
+  let check ids =
+    let got = Llm.embed llm ids in
+    let expect =
+      Tensor.init Datatype.F32
+        [| Array.length ids; Llm.tiny.Llm.hidden |]
+        (fun i ->
+          Prng.uniform (Prng.create ((ids.(i.(0)) * 7919) + i.(1))) ~scale:0.5)
+    in
+    for k = 0 to Tensor.numel expect - 1 do
+      let bits t = Int32.bits_of_float (Tensor.get_flat t k) in
+      if bits got <> bits expect then
+        Alcotest.failf "embed element %d: %h, expected %h" k
+          (Tensor.get_flat got k) (Tensor.get_flat expect k)
+    done
+  in
+  check [| 0 |];
+  check [| 1 |];
+  check [| vocab - 1 |];
+  check (Array.init 24 (fun i -> (7 + (3 * i)) mod vocab))
+
 let test_llm_cache_recycling () =
   (* reset_cache rewinds without freeing: a recycled cache must produce
      bit-identical results to a fresh one, and must not reallocate when
@@ -488,6 +513,8 @@ let () =
             test_llm_cache_truncate_bit_identical;
           Alcotest.test_case "flop model" `Quick test_llm_flops_model;
           Alcotest.test_case "llama params" `Quick test_llama_param_count;
+          Alcotest.test_case "embed == Prng.uniform, bit for bit" `Quick
+            test_llm_embed_bits;
         ] );
       ( "resnet",
         [

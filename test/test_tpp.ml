@@ -989,33 +989,7 @@ let test_batchnorm_apply () =
     (((3.0 -. 1.5) *. (2.0 /. sqrt 1.25)) +. 0.5)
     (Tensor.get y [| 1; 1 |])
 
-(* ---- scratch arena & allocation-free hot path ---- *)
-
-let test_arena_lease_release_reuse () =
-  Scratch.reset ();
-  let ar = Scratch.arena () in
-  let misses0 = Telemetry.Counter.value Telemetry.Registry.arena_misses_name in
-  let hits0 = Telemetry.Counter.value Telemetry.Registry.arena_hits_name in
-  let b1 = Scratch.lease ar 64 in
-  checki "first lease is a miss" (misses0 + 1)
-    (Telemetry.Counter.value Telemetry.Registry.arena_misses_name);
-  (* a busy slot is never handed out twice *)
-  let b2 = Scratch.lease ar 64 in
-  checkb "nested lease gets a distinct buffer" true (not (b1 == b2));
-  Scratch.release ar b1;
-  Scratch.release ar b2;
-  let b3 = Scratch.lease ar 64 in
-  checkb "released buffer is reused" true (b3 == b1 || b3 == b2);
-  checki "reuse is a hit" (hits0 + 1)
-    (Telemetry.Counter.value Telemetry.Registry.arena_hits_name);
-  Scratch.release ar b3;
-  checki "two slots live" 2 (Scratch.total_slots ());
-  checki "bytes accounted" (2 * 64 * 8) (Scratch.total_bytes ());
-  (match Scratch.release ar (Array.make 64 0.0) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument for foreign buffer");
-  Scratch.reset ();
-  checki "reset drops slots" 0 (Scratch.total_slots ())
+(* ---- allocation-free hot paths ---- *)
 
 let test_brgemm_hot_loop_allocates_nothing () =
   (* after warmup, the native exec paths must not touch the minor heap:
@@ -1078,6 +1052,37 @@ let test_layernorm_nostats_matches_stats () =
     ~out:(Tensor.view2d y2);
   checkb "nostats == stats" true (Tensor.max_abs_diff y1 y2 = 0.0)
 
+(* Blocks and Tpp_binary read and write through [Tensor.View.get] and
+   [set]. Those inline only in a build without -opaque; each call that
+   does not boxes a float, 2 words an element. *)
+let test_view_loops_unboxed () =
+  let words name limit f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    let delta = Gc.minor_words () -. before in
+    if delta >= limit then
+      Alcotest.failf "%s allocated %.0f minor words (limit %.0f)" name delta
+        limit
+  in
+  let rng = Prng.create 13 in
+  let x = Tensor.view2d (random_tensor rng 200 32) in
+  let gamma = Tensor.view2d (random_tensor rng 1 32) in
+  let beta = Tensor.view2d (random_tensor rng 1 32) in
+  let y = Tensor.view2d (Tensor.create Datatype.F32 [| 200; 32 |]) in
+  (* the per-row statistics reach [record] boxed: 4 words a row *)
+  words "200x32 layernorm" 1000.0 (fun () ->
+      Blocks.layernorm_rows_nostats ~eps:1e-5 ~inp:x ~gamma ~beta ~out:y);
+  let a = Tensor.view2d (random_tensor rng 200 128) in
+  let b = Tensor.view2d (random_tensor rng 200 128) in
+  let c = Tensor.view2d (Tensor.create Datatype.F32 [| 200; 128 |]) in
+  words "200x128 add" 100.0 (fun () ->
+      Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Full ~a ~b ~out:c);
+  let s = Tensor.view2d (random_tensor rng 64 64) in
+  let p = Tensor.view2d (Tensor.create Datatype.F32 [| 64; 64 |]) in
+  words "64x64 softmax" 100.0 (fun () ->
+      Blocks.softmax_rows ~scale:0.125 ~inp:s ~out:p ())
+
 (* ---- dispatch ---- *)
 
 let test_dispatch_cache () =
@@ -1139,8 +1144,8 @@ let test_tpp_check_sampled_vs_full () =
 
 let test_brgemm_poison_detected_and_arenas_clean () =
   (* end-to-end: the injected NaN store is caught by the guard inside the
-     kernel's protected region, so the scratch lease is released even
-     though the kernel raised *)
+     kernel's protected region, and the kernel runs clean again after it
+     raised *)
   let ker = Brgemm.compile (Brgemm.make_config ~beta:0.0 ~m:4 ~n:4 ~k:4 ()) in
   let mk () = Tensor.view2d (tensor_of 4 4 (fun i j -> float_of_int (i + j))) in
   with_check_mode (Tpp_check.Sampled 7) (fun () ->
@@ -1152,21 +1157,18 @@ let test_brgemm_poison_detected_and_arenas_clean () =
         (fun () ->
           (* invocation 1: clean *)
           Brgemm.exec ker ~a:(mk ()) ~b:(mk ()) ~c:(mk ());
-          checki "lease released on clean path" 0 (Scratch.busy_slots ());
           (* invocation 2: poisoned; Sampled always probes index 0 *)
           (match Brgemm.exec ker ~a:(mk ()) ~b:(mk ()) ~c:(mk ()) with
           | exception Tpp_check.Numeric_error { row = 0; col = 0; _ } -> ()
           | () -> Alcotest.fail "expected poisoned store to raise");
-          checki "lease released on raise" 0 (Scratch.busy_slots ());
-          (* invocation 3: clean again through the same arena *)
-          Brgemm.exec ker ~a:(mk ()) ~b:(mk ()) ~c:(mk ());
-          checki "arena reusable after poison" 0 (Scratch.busy_slots ())))
+          (* invocation 3: clean again *)
+          Brgemm.exec ker ~a:(mk ()) ~b:(mk ()) ~c:(mk ())))
 
 let test_check_off_by_default () =
   checkb "guard disabled by default" true (Tpp_check.mode () = Tpp_check.Off)
 
 let () =
-  Alcotest.run ~and_exit:false "tpp"
+  Alcotest.run "tpp"
     [
       ( "unary",
         [
@@ -1228,14 +1230,14 @@ let () =
         ] );
       ( "arena",
         [
-          Alcotest.test_case "lease/release/reuse" `Quick
-            test_arena_lease_release_reuse;
           Alcotest.test_case "brgemm hot loop allocation-free" `Quick
             test_brgemm_hot_loop_allocates_nothing;
           Alcotest.test_case "empty batch beta=0" `Quick
             test_brgemm_list_empty_beta0_zero_fills;
           Alcotest.test_case "layernorm nostats" `Quick
             test_layernorm_nostats_matches_stats;
+          Alcotest.test_case "view loops unboxed" `Quick
+            test_view_loops_unboxed;
         ] );
       ("dispatch", [ Alcotest.test_case "cache" `Quick test_dispatch_cache ]);
       ( "numeric-guard",
@@ -1247,91 +1249,5 @@ let () =
           Alcotest.test_case "brgemm poison end-to-end" `Quick
             test_brgemm_poison_detected_and_arenas_clean;
           Alcotest.test_case "off by default" `Quick test_check_off_by_default;
-        ] );
-    ]
-
-(* ---- equations (fused elementwise trees) ---- *)
-
-let test_equation_bias_gelu () =
-  let rng = Prng.create 20 in
-  let x = random_tensor rng 4 6 and b = random_tensor rng 4 6 in
-  let out = Tensor.create Datatype.F32 [| 4; 6 |] in
-  Equation.exec Equation.bias_gelu
-    ~args:[| Tensor.view2d x; Tensor.view2d b |]
-    ~out:(Tensor.view2d out);
-  for i = 0 to 23 do
-    Alcotest.(check (float 1e-6))
-      "bias+gelu"
-      (Reference.gelu (Tensor.get_flat x i +. Tensor.get_flat b i))
-      (Tensor.get_flat out i)
-  done
-
-let test_equation_residual_scale () =
-  let a = tensor_of 2 2 (fun _ _ -> 3.0) and b = tensor_of 2 2 (fun _ _ -> 1.0) in
-  let out = Tensor.create Datatype.F32 [| 2; 2 |] in
-  Equation.exec (Equation.residual_scale 0.5)
-    ~args:[| Tensor.view2d a; Tensor.view2d b |]
-    ~out:(Tensor.view2d out);
-  checkf "(3+1)*0.5" 2.0 (Tensor.get out [| 0; 0 |])
-
-let test_equation_matches_sequential_tpps () =
-  (* fused tanh(relu(x) * y + 0.5) == sequence of separate TPP calls *)
-  let rng = Prng.create 21 in
-  let x = random_tensor rng 3 5 and y = random_tensor rng 3 5 in
-  let eq =
-    Equation.compile ~nargs:2
-      (Equation.Unary
-         ( Tpp_unary.Tanh,
-           Equation.Binary
-             ( Tpp_binary.Add,
-               Equation.Binary
-                 ( Tpp_binary.Mul,
-                   Equation.Unary (Tpp_unary.Relu, Equation.Arg 0),
-                   Equation.Arg 1 ),
-               Equation.Const 0.5 ) ))
-  in
-  let fused = Tensor.create Datatype.F32 [| 3; 5 |] in
-  Equation.exec eq
-    ~args:[| Tensor.view2d x; Tensor.view2d y |]
-    ~out:(Tensor.view2d fused);
-  (* sequential: materialize each intermediate *)
-  let t1 = Tensor.create Datatype.F32 [| 3; 5 |] in
-  Tpp_unary.exec Tpp_unary.Relu ~inp:(Tensor.view2d x) ~out:(Tensor.view2d t1);
-  Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full ~a:(Tensor.view2d t1)
-    ~b:(Tensor.view2d y) ~out:(Tensor.view2d t1);
-  Tpp_unary.exec (Tpp_unary.Shift 0.5) ~inp:(Tensor.view2d t1)
-    ~out:(Tensor.view2d t1);
-  Tpp_unary.exec Tpp_unary.Tanh ~inp:(Tensor.view2d t1) ~out:(Tensor.view2d t1);
-  checkb "fused == sequential" true (Tensor.max_abs_diff fused t1 < 1e-6)
-
-let test_equation_validation () =
-  (match Equation.compile ~nargs:1 (Equation.Arg 1) with
-  | exception Equation.Invalid_equation _ -> ()
-  | _ -> Alcotest.fail "expected arity error");
-  (match
-     Equation.compile ~nargs:1
-       (Equation.Unary (Tpp_unary.Relu_backward, Equation.Arg 0))
-   with
-  | exception Equation.Invalid_equation _ -> ()
-  | _ -> Alcotest.fail "expected two-input-op rejection");
-  match
-    Equation.exec Equation.bias_gelu
-      ~args:[| Tensor.view2d (tensor_of 2 2 (fun _ _ -> 0.0)) |]
-      ~out:(Tensor.view2d (tensor_of 2 2 (fun _ _ -> 0.0)))
-  with
-  | exception Equation.Invalid_equation _ -> ()
-  | _ -> Alcotest.fail "expected argument-count error"
-
-let () =
-  Alcotest.run "tpp-equation"
-    [
-      ( "equation",
-        [
-          Alcotest.test_case "bias+gelu" `Quick test_equation_bias_gelu;
-          Alcotest.test_case "residual scale" `Quick
-            test_equation_residual_scale;
-          Alcotest.test_case "fused == sequential" `Quick
-            test_equation_matches_sequential_tpps;
-          Alcotest.test_case "validation" `Quick test_equation_validation;
         ] );
     ]
