@@ -15,7 +15,7 @@ fmt:
 # batching scheduler, then the bench JSON is parsed back (the bench
 # binary self-validates it and exits non-zero on malformed output).
 smoke-serve: build
-	dune exec bench/main.exe -- --serve --serve-duration 2 --json /tmp/bench.json
+	dune exec bench/main.exe -- --serve --duration 2 --json /tmp/bench.json
 	@test -s /tmp/bench.json && echo "smoke-serve: /tmp/bench.json ok"
 
 # Dispatch-overhead smoke (~2 s): persistent-pool vs spawn-per-call
@@ -47,8 +47,8 @@ smoke-cluster: build
 	@grep -q '"fleet_slo_ttft_breaches"' /tmp/bench-cluster.json \
 	  && grep -q '"fleet_slo_deadline_breaches"' /tmp/bench-cluster.json \
 	  || { echo "smoke-cluster: fleet SLO counters missing from JSON"; exit 1; }
-	dune exec bench/main.exe -- --chaos --replicas 2 --disaggregate --chaos-requests 16
-	dune exec bench/main.exe -- --serve --shards 2 --serve-duration 1 --json /tmp/bench-shards.json
+	dune exec bench/main.exe -- --chaos --replicas 2 --disaggregate --requests 16
+	dune exec bench/main.exe -- --serve --shards 2 --duration 1 --json /tmp/bench-shards.json
 	@grep -q '"completed":' /tmp/bench-shards.json \
 	  || { echo "smoke-cluster: completed missing from sharded serve JSON"; exit 1; }
 	@grep -q '"completed":0[,}]' /tmp/bench-shards.json \
@@ -64,7 +64,7 @@ smoke-cluster: build
 # injected-fault event.
 smoke-flight: build
 	rm -rf /tmp/parlooper-flight && mkdir -p /tmp/parlooper-flight
-	PARLOOPER_DUMP_DIR=/tmp/parlooper-flight dune exec bench/main.exe -- --chaos --chaos-requests 12
+	PARLOOPER_DUMP_DIR=/tmp/parlooper-flight dune exec bench/main.exe -- --chaos --requests 12
 	dune exec bin/parlooper_cli.exe -- recorder check /tmp/parlooper-flight --require-fault
 	@echo "smoke-flight: /tmp/parlooper-flight dumps ok"
 
@@ -77,7 +77,7 @@ smoke-flight: build
 # leaked block (free-list + trie pins must equal the arena) or identity
 # mismatch.
 smoke-paged: build
-	dune exec bench/main.exe -- paged --serve --paged --block-size 16 --num-blocks 128 --spec-decode 4 --sys-prompt 32 --serve-duration 2 --json /tmp/bench-paged.json
+	dune exec bench/main.exe -- paged --serve --paged --block-size 16 --num-blocks 128 --spec-decode 4 --sys-prompt 32 --duration 2 --json /tmp/bench-paged.json
 	@grep -q '"kv_prefix_hits":0[,}]' /tmp/bench-paged.json \
 	  && { echo "smoke-paged: no prefix hits recorded in serve run"; exit 1; } \
 	  || true
@@ -114,7 +114,7 @@ smoke-migrate: build
 # least one spec (all zero would mean the resolver hook never fired).
 smoke-tune: build
 	dune exec bench/main.exe -- tune --json /tmp/bench-tune.json
-	dune exec bench/main.exe -- --serve --serve-duration 2 --online-tune --json /tmp/bench-tune-serve.json
+	dune exec bench/main.exe -- --serve --duration 2 --online-tune --json /tmp/bench-tune-serve.json
 	@for c in hits misses swaps tunes; do \
 	  grep -q "\"tuner_cache_$$c\"" /tmp/bench-tune-serve.json \
 	    || { echo "smoke-tune: tuner_cache_$$c missing from JSON"; exit 1; }; \

@@ -1,51 +1,30 @@
-(* Benchmark harness: one runner per table and figure of the paper, plus
+(* Benchmark harness: one runner per table and figure of the paper,
    Bechamel microbenchmarks of the real kernels on this host, the
-   ablation suite, and the serving benchmark.
+   ablation suite, and the serve and chaos runs.
 
    Usage:
      dune exec bench/main.exe                 # every paper experiment
      dune exec bench/main.exe -- fig2 fig8    # selected experiments
-     dune exec bench/main.exe -- micro        # Bechamel kernel benches
-     dune exec bench/main.exe -- gemm         # quick measured GEMM points
-     dune exec bench/main.exe -- --serve      # continuous-batching serve
-     dune exec bench/main.exe -- --serve --serve-duration 2 --json out.json
+     dune exec bench/main.exe -- gemm --json out.json
+     dune exec bench/main.exe -- --serve --duration 2 --json out.json
+     dune exec bench/main.exe -- --chaos --compare bench/baselines/smoke.json
+     dune exec bench/main.exe -- --help       # every option
 
-   Pass --telemetry (anywhere in the argument list) to run the selected
-   experiments with the telemetry registry enabled and print the
-   aggregated report — per-kernel achieved GFLOPS, JIT-cache hit rate,
-   predicted-vs-measured model deviation — at the end. Pass --json FILE
-   to write the machine-readable BENCH file (schema parlooper-bench/6:
-   bench name + config + metrics per entry, plus per-replica metric
-   blocks and a fleet rollup for serve runs, and the kv.pages.* /
-   serve.spec.* counters on serve entries) for runs that produce
-   metrics (serve, gemm, micro); the file is validated before the
-   process exits.
-
-   --paged / --block-size / --num-blocks switch the serve and chaos
-   harnesses to the paged KV arena, --spec-decode K / --draft-layers N
-   turn on speculative decoding, and --sys-prompt N prepends a shared
-   prefix to every generated prompt so the prefix trie has something to
-   share. The "paged" experiment measures max concurrent width at a
-   fixed arena, contiguous vs paged, and fails the process unless paged
-   is strictly wider. *)
+   --serve and --chaos run after the named experiments (alone, when none
+   is named) and take the options of parlooper serve and chaos (Front).
+   --telemetry runs everything with the telemetry registry enabled and
+   prints its report at the end. --json FILE writes the bench JSON,
+   schema parlooper-bench/6: {schema, host, benches}, each entry a name,
+   a config of strings and metrics of numbers, and serve entries a
+   "replicas" array of per-replica metric blocks; the file is validated
+   before the process exits. --compare BASELINE gates this run's entries
+   on a committed bench JSON. The process exits 1 when a run fails its
+   own check (chaos, paged, tune) or the gate. *)
 
 open Bechamel
 open Toolkit
 
-(* ---- machine-readable BENCH output (--json FILE) ----
-
-   Commit-agnostic schema so the perf trajectory can be compared across
-   PRs: each entry is {name, config (strings), metrics (numbers)}.
-   Schema parlooper-bench/2 adds an optional per-entry "replicas" array
-   ([{replica, metrics}] blocks) for cluster runs; /3 adds the paged-KV
-   and speculative-decoding counters (kv_pages_..., spec_...) to serve
-   entries plus the "paged-width" entry; /4 adds the tuner-cache
-   counters; /5 adds the migration counters (resubmitted,
-   migrations_started/completed/failed) to cluster-chaos entries; /6
-   adds the trace-lane emit cost (trace_emit_ns, trace_overhead_pct) to
-   the "recorder" entry. All purely additive: entries without the new
-   keys are byte-compatible with earlier consumers and old outputs
-   still validate unchanged. *)
+(* ---- machine-readable BENCH output (--json FILE) ---- *)
 
 type bench_entry = {
   bname : string;
@@ -848,12 +827,17 @@ let run_recorder () =
         ("gemm_overhead_pct", gemm_overhead_pct) ]
     ()
 
-(* ---- serving benchmark (--serve): continuous batching over Llm.tiny ----
+(* ---- serve and chaos entries (--serve, --chaos) ----
 
-   The load runs through the cluster tier (Router + per-replica
-   schedulers; a lone scheduler is --replicas 1, the default); the bench
-   entry carries the fleet rollup in "metrics" and one per-replica block
-   each under "replicas". *)
+   Front runs both modes, exactly as the parlooper CLI's serve and chaos
+   commands do; the bench records each run as an entry. A serve entry
+   carries the fleet rollup in "metrics" and one block per replica under
+   "replicas". A chaos run over the lone-scheduler shape (one unsharded
+   replica) is the "chaos" entry the smoke baseline keys on; any other
+   fleet is "cluster-chaos", with the router conservation and migration
+   counters and the fleet SLO-burn gauges. *)
+
+let failed = ref false
 
 let summary_metrics (s : Serve.Metrics.summary) =
   [ ("submitted", float_of_int s.Serve.Metrics.submitted);
@@ -869,291 +853,110 @@ let summary_metrics (s : Serve.Metrics.summary) =
     ("tpot_p95_ms", s.Serve.Metrics.tpot_ms.Serve.Metrics.p95);
     ("tpot_p99_ms", s.Serve.Metrics.tpot_ms.Serve.Metrics.p99) ]
 
-(* kv.pages.* / serve.spec.* counter values for serve bench entries
-   (schema parlooper-bench/3); zeros in contiguous / non-speculative
-   runs, so the keys cost nothing downstream. *)
-let kv_spec_metrics () =
-  let c n = float_of_int (Telemetry.Counter.value n) in
-  [ ("kv_pages_allocated", c Kv.Block_manager.pages_allocated_name);
-    ("kv_pages_freed", c Kv.Block_manager.pages_freed_name);
-    ("kv_cow_copies", c Kv.Block_manager.cow_copies_name);
-    ("kv_prefix_hits", c Kv.Block_manager.prefix_hits_name);
-    ("spec_proposed", c Serve.Metrics.spec_proposed_name);
-    ("spec_accepted", c Serve.Metrics.spec_accepted_name);
-    ("spec_rejected", c Serve.Metrics.spec_rejected_name) ]
-
-(* tuner.cache.* counter values for serve bench entries (schema
-   parlooper-bench/4, additive); zeros without --online-tune *)
-let tuner_cache_metrics () =
-  let c n = float_of_int (Telemetry.Counter.value n) in
-  [ ("tuner_cache_hits", c Telemetry.Registry.tuner_cache_hits_name);
-    ("tuner_cache_misses", c Telemetry.Registry.tuner_cache_misses_name);
-    ("tuner_cache_swaps", c Telemetry.Registry.tuner_cache_swaps_name);
-    ("tuner_cache_rejected", c Telemetry.Registry.tuner_cache_rejected_name);
-    ("tuner_cache_tunes", c Telemetry.Registry.tuner_cache_tunes_name) ]
-
-let paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k ~draft_layers
-    ~sys_prompt =
-  [ ("paged", string_of_bool paged);
-    ("block_size", string_of_int block_size);
-    ("num_blocks", string_of_int num_blocks);
-    ("spec_k", string_of_int spec_k);
-    ("draft_layers", string_of_int draft_layers);
+let kv_config_kvs (c : Serve.Scheduler.config) ~sys_prompt =
+  [ ("paged", string_of_bool c.Serve.Scheduler.paged);
+    ("block_size", string_of_int c.Serve.Scheduler.block_size);
+    ("num_blocks", string_of_int c.Serve.Scheduler.num_blocks);
+    ("spec_k", string_of_int c.Serve.Scheduler.spec_k);
+    ("draft_layers", string_of_int c.Serve.Scheduler.draft_layers);
     ("sys_prompt", string_of_int sys_prompt) ]
 
-let run_serve ~rate ~duration ~replicas ~shards ~disaggregate ~placement
-    ~paged ~block_size ~num_blocks ~spec_k ~draft_layers ~sys_prompt
-    ~online_tune () =
-  Modelkit.section
-    (Printf.sprintf
-       "serving: continuous batching over %s on %d replica%s x %d shard%s%s \
-        (%s), Poisson %.0f req/s for %.1fs"
-       Llm.tiny.Llm.name replicas
-       (if replicas = 1 then "" else "s")
-       shards
-       (if shards = 1 then "" else "s")
-       (if disaggregate then " + prefill tier" else "")
-       (Cluster.Router.placement_name placement) rate duration);
-  if paged then
-    Printf.printf "  paged KV: %d blocks x %d tokens, prefix sharing on\n%!"
-      num_blocks block_size;
-  if spec_k > 0 then
-    Printf.printf "  speculative decoding: k=%d, %d draft layer%s\n%!" spec_k
-      draft_layers
-      (if draft_layers = 1 then "" else "s");
-  let rng = Prng.create 7 in
-  let llm = Llm.create ~rng ~block:8 Llm.tiny in
-  if online_tune then
-    Printf.printf "  online tuning: per-shape spec cache + background tuner on\n%!";
-  let scfg =
-    { Serve.Scheduler.default_config with
-      Serve.Scheduler.paged; block_size; num_blocks; spec_k; draft_layers;
-      online_tune }
-  in
-  let load =
-    { Serve.Load_gen.default with
-      Serve.Load_gen.rate_hz = rate;
-      duration_s = duration;
-      deadline_s = 0.25;
-      sys_prompt_len = sys_prompt }
-  in
-  let trace = Serve.Load_gen.generate load ~vocab:Llm.tiny.Llm.vocab in
-  Printf.printf "  trace: %d arrivals, deadline %.0f ms, prompts %s, \
-                 new tokens %s\n%!"
-    (List.length trace)
-    (1e3 *. load.Serve.Load_gen.deadline_s)
-    (Serve.Load_gen.dist_to_string load.Serve.Load_gen.prompt_len)
-    (Serve.Load_gen.dist_to_string load.Serve.Load_gen.new_tokens);
-  let rcfg =
-    { Cluster.Router.default_config with
-      Cluster.Router.replicas; shards; disaggregate; placement;
-      scheduler = scfg }
-  in
-  let router =
-    match Cluster.Router.create ~config:rcfg llm with
-    | Ok r -> r
-    | Error e ->
-      Printf.eprintf "serve: cannot build cluster: %s\n" e;
-      exit 1
-  in
-  let o = Cluster.Driver.run router trace in
-  if online_tune then begin
-    (* let queued background tunes land so the recorded tuner.cache.*
-       counters are final, then report and stop the tuning domain *)
-    ignore (Spec_cache.drain ~timeout_s:10.0);
-    let s = Spec_cache.stats () in
-    Printf.printf
-      "  spec cache: %d hits, %d misses, %d hot-swaps, %d rejected, %d \
-       tunes\n%!"
-      s.Spec_cache.hits s.Spec_cache.misses s.Spec_cache.swaps
-      s.Spec_cache.rejected s.Spec_cache.tunes;
-    Spec_cache.disable ()
-  end;
-  Printf.printf "  fleet (merged across %d replica histograms):\n"
-    (List.length o.Cluster.Driver.per_replica);
-  Serve.Metrics.print o.Cluster.Driver.summary;
-  List.iter
-    (fun (i, s) ->
-      Printf.printf "  replica %d%s: %s\n" i
-        (if i >= replicas then " (prefill)" else "")
-        (Serve.Metrics.summary_to_string s))
-    o.Cluster.Driver.per_replica;
-  List.iteri
-    (fun i pool ->
-      match Serve.Kv_pool.manager pool with
-      | Some m ->
-        Printf.printf "  arena %d after drain: %d/%d blocks free\n%!" i
-          (Kv.Block_manager.free_blocks m)
-          (Kv.Block_manager.num_blocks m)
-      | None -> ())
-    (Cluster.Router.pools router);
+let record_serve (s : Front.serve) (o : Cluster.Driver.outcome) =
+  let load = s.Front.load and fleet = s.Front.fleet in
+  let sched = fleet.Cluster.Router.scheduler in
   let c n = float_of_int (Telemetry.Counter.value n) in
   record_bench ~name:"serve"
     ~config:
-      ([ ("model", Llm.tiny.Llm.name); ("rate_hz", Printf.sprintf "%g" rate);
-         ("duration_s", Printf.sprintf "%g" duration);
+      ([ ("model", Llm.tiny.Llm.name);
+         ("rate_hz", Printf.sprintf "%g" load.Serve.Load_gen.rate_hz);
+         ("duration_s", Printf.sprintf "%g" load.Serve.Load_gen.duration_s);
          ("deadline_ms",
           Printf.sprintf "%g" (1e3 *. load.Serve.Load_gen.deadline_s));
-         ("policy", Serve.Scheduler.policy_name scfg.Serve.Scheduler.policy);
-         ("max_batch", string_of_int scfg.Serve.Scheduler.max_batch);
-         ("replicas", string_of_int replicas);
-         ("shards", string_of_int shards);
-         ("disaggregate", string_of_bool disaggregate);
-         ("placement", Cluster.Router.placement_name placement) ]
-      @ paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k
-          ~draft_layers ~sys_prompt
-      @ [ ("online_tune", string_of_bool online_tune) ])
+         ("policy", Serve.Scheduler.policy_name sched.Serve.Scheduler.policy);
+         ("max_batch", string_of_int sched.Serve.Scheduler.max_batch);
+         ("replicas", string_of_int fleet.Cluster.Router.replicas);
+         ("shards", string_of_int fleet.Cluster.Router.shards);
+         ("disaggregate", string_of_bool fleet.Cluster.Router.disaggregate);
+         ("placement",
+          Cluster.Router.placement_name fleet.Cluster.Router.placement) ]
+      @ kv_config_kvs sched ~sys_prompt:load.Serve.Load_gen.sys_prompt_len
+      @ [ ("online_tune", string_of_bool sched.Serve.Scheduler.online_tune) ])
     ~metrics:
       (summary_metrics o.Cluster.Driver.summary
-      @ [ ("slo_ttft_breaches", c Serve.Metrics.slo_ttft_breaches_name);
-          ("slo_deadline_breaches", c Serve.Metrics.slo_deadline_breaches_name)
-        ]
-      @ kv_spec_metrics ()
-      @ tuner_cache_metrics ()
-      @ [ ("routed", c Cluster.Router.routed_name);
-          ("rerouted", c Cluster.Router.rerouted_name);
-          ("adopted", c Cluster.Router.adopted_name) ])
+      @ List.map
+          (fun (k, n) -> (k, c n))
+          [ ("slo_ttft_breaches", Serve.Metrics.slo_ttft_breaches_name);
+            ("slo_deadline_breaches", Serve.Metrics.slo_deadline_breaches_name);
+            ("kv_pages_allocated", Kv.Block_manager.pages_allocated_name);
+            ("kv_pages_freed", Kv.Block_manager.pages_freed_name);
+            ("kv_cow_copies", Kv.Block_manager.cow_copies_name);
+            ("kv_prefix_hits", Kv.Block_manager.prefix_hits_name);
+            ("spec_proposed", Serve.Metrics.spec_proposed_name);
+            ("spec_accepted", Serve.Metrics.spec_accepted_name);
+            ("spec_rejected", Serve.Metrics.spec_rejected_name);
+            ("tuner_cache_hits", Telemetry.Registry.tuner_cache_hits_name);
+            ("tuner_cache_misses", Telemetry.Registry.tuner_cache_misses_name);
+            ("tuner_cache_swaps", Telemetry.Registry.tuner_cache_swaps_name);
+            ("tuner_cache_rejected",
+             Telemetry.Registry.tuner_cache_rejected_name);
+            ("tuner_cache_tunes", Telemetry.Registry.tuner_cache_tunes_name);
+            ("routed", Cluster.Router.routed_name);
+            ("rerouted", Cluster.Router.rerouted_name);
+            ("adopted", Cluster.Router.adopted_name) ])
     ~replicas:
       (List.map
          (fun (i, s) -> (i, summary_metrics s))
          o.Cluster.Driver.per_replica)
     ()
 
-(* ---- chaos harness (--chaos): seeded fault injection over serving ----
-
-   Runs Cluster.Chaos over a virtual-clock trace. A lone scheduler is
-   the 1-replica fleet (the default): the single-replica preset covers
-   every fault-site class a scheduler reaches, and the entry is recorded
-   as "chaos". With --replicas N (or --shards / --disaggregate /
-   --hard-kill, which need at least 2) the fleet runs with a mid-run
-   replica quarantine — or, with --hard-kill, a mid-run hard kill whose
-   in-flight sessions must live-migrate — and the entry, recorded as
-   "cluster-chaos", carries the router conservation and migration
-   counters and the fleet SLO-burn gauges. Exits non-zero if any
-   invariant is violated, if no fault actually fired (a plan that
-   injects nothing would make the "survived chaos" claim vacuous), or if
-   a hard kill completed no migration (the run then proved nothing
-   about failover). *)
-
-let chaos_failed = ref false
-
-let run_chaos ~seed ~requests ~replicas ~shards ~disaggregate ~hard_kill
-    ~paged ~block_size ~num_blocks ~spec_k ~draft_layers ~sys_prompt () =
-  let solo = replicas = 1 in
-  let base =
-    if hard_kill then Cluster.Chaos.hard_kill
-    else if solo then Cluster.Chaos.solo
-    else Cluster.Chaos.default
-  in
-  let disruption =
-    if hard_kill then
-      Printf.sprintf ", replica %d hard-killed mid-run"
-        base.Cluster.Chaos.hard_kill_replica
-    else if solo then ""
-    else
-      Printf.sprintf ", replica %d quarantined mid-run"
-        base.Cluster.Chaos.quarantine_replica
-  in
-  Modelkit.section
-    (Printf.sprintf
-       "chaos: %d-replica fleet under seeded fault injection (seed %d, %d \
-        requests%s%s%s%s%s)"
-       replicas seed requests
-       (if shards > 1 then Printf.sprintf ", %d shards" shards else "")
-       (if disaggregate then ", disaggregated" else "")
-       (if paged then ", paged KV" else "")
-       (if spec_k > 0 then Printf.sprintf ", spec k=%d" spec_k else "")
-       disruption);
-  let scheduler =
-    { base.Cluster.Chaos.scheduler with
-      Serve.Scheduler.paged; block_size; num_blocks; spec_k; draft_layers }
-  in
-  let config =
-    { base with
-      Cluster.Chaos.seed; requests; replicas; shards; disaggregate;
-      scheduler; shared_prefix = sys_prompt }
-  in
-  let plan =
-    match config.Cluster.Chaos.plan with
-    | Some p -> p
-    | None -> Cluster.Chaos.default_plan ~replicas seed
-  in
-  Printf.printf "  plan: %s\n%!" (Fault.plan_to_string plan);
-  let r = Cluster.Chaos.run ~config () in
-  print_string (Cluster.Chaos.report_to_string r);
-  let f = float_of_int in
-  (* --compare keys entries by name and config: the lone-scheduler entry
-     keeps the "chaos" name and config keys of the committed baseline *)
+let record_chaos (c : Cluster.Chaos.config) (r : Cluster.Chaos.report) =
+  let open Cluster.Chaos in
+  let solo = c.replicas = 1 && c.shards = 1 && not c.disaggregate in
   let fleet_kvs =
     if solo then []
     else
-      [ ("replicas", string_of_int replicas);
-        ("shards", string_of_int shards);
-        ("disaggregate", string_of_bool disaggregate);
-        ("quarantine_replica",
-         string_of_int config.Cluster.Chaos.quarantine_replica);
-        ("hard_kill", string_of_bool hard_kill);
-        ("hard_kill_replica",
-         string_of_int config.Cluster.Chaos.hard_kill_replica) ]
+      [ ("replicas", string_of_int c.replicas);
+        ("shards", string_of_int c.shards);
+        ("disaggregate", string_of_bool c.disaggregate);
+        ("quarantine_replica", string_of_int c.quarantine_replica);
+        ("hard_kill", string_of_bool (c.hard_kill_step >= 0));
+        ("hard_kill_replica", string_of_int c.hard_kill_replica) ]
   in
+  let f = float_of_int in
   record_bench
     ~name:(if solo then "chaos" else "cluster-chaos")
     ~config:
-      ([ ("seed", string_of_int seed); ("requests", string_of_int requests) ]
+      ([ ("seed", string_of_int c.seed);
+         ("requests", string_of_int c.requests) ]
       @ fleet_kvs
-      @ [ ("plan", Fault.plan_to_string plan) ]
-      @ paged_config_kvs ~paged ~block_size ~num_blocks ~spec_k ~draft_layers
-          ~sys_prompt)
+      @ [ ("plan", Fault.plan_to_string (plan c)) ]
+      @ kv_config_kvs c.scheduler ~sys_prompt:c.shared_prefix)
     ~metrics:
-      [ ("steps", f r.Cluster.Chaos.steps);
-        ("submitted", f r.Cluster.Chaos.submitted);
-        ("finished", f r.Cluster.Chaos.finished);
-        ("rejected", f r.Cluster.Chaos.rejected);
-        ("cancelled", f r.Cluster.Chaos.cancelled);
-        ("failed", f r.Cluster.Chaos.failed);
-        ("routed", f r.Cluster.Chaos.routed);
-        ("rerouted", f r.Cluster.Chaos.rerouted);
-        ("resubmitted", f r.Cluster.Chaos.resubmitted);
-        ("adopted", f r.Cluster.Chaos.adopted);
-        ("route_faults", f r.Cluster.Chaos.route_faults);
-        ("migrations_started", f r.Cluster.Chaos.migrations_started);
-        ("migrations_completed", f r.Cluster.Chaos.migrations_completed);
-        ("migrations_failed", f r.Cluster.Chaos.migrations_failed);
-        ("compared", f r.Cluster.Chaos.compared);
-        ("mismatched", f r.Cluster.Chaos.mismatched);
-        ("fault_injected", f r.Cluster.Chaos.injected);
-        ("fault_retries", f r.Cluster.Chaos.retries);
-        ("fault_shed", f r.Cluster.Chaos.shed);
-        ("kv_denied", f r.Cluster.Chaos.denied);
-        ("watchdog_trips", f r.Cluster.Chaos.trips);
-        ("pool_quarantined", f r.Cluster.Chaos.quarantined);
-        ("numeric_errors", f r.Cluster.Chaos.numeric_errors);
-        ("kv_pages_allocated", f r.Cluster.Chaos.pages_allocated);
-        ("kv_pages_freed", f r.Cluster.Chaos.pages_freed);
-        ("kv_cow_copies", f r.Cluster.Chaos.cow_copies);
-        ("kv_prefix_hits", f r.Cluster.Chaos.prefix_hits);
-        ("double_released", f r.Cluster.Chaos.double_released);
-        ("fleet_slo_ttft_breaches", f r.Cluster.Chaos.fleet_slo_ttft);
-        ("fleet_slo_deadline_breaches", f r.Cluster.Chaos.fleet_slo_deadline);
-        ("traces_checked", f r.Cluster.Chaos.traces_checked);
-        ("migrated_traced", f r.Cluster.Chaos.migrated_traced);
-        ("violations", f (List.length r.Cluster.Chaos.violations)) ]
-    ();
-  if r.Cluster.Chaos.violations <> [] then begin
-    Printf.eprintf "chaos: %d invariant violation(s)\n"
-      (List.length r.Cluster.Chaos.violations);
-    List.iter (Printf.eprintf "  - %s\n") r.Cluster.Chaos.violations;
-    chaos_failed := true
-  end;
-  if r.Cluster.Chaos.injected = 0 then begin
-    Printf.eprintf "chaos: plan injected no faults — run proves nothing\n";
-    chaos_failed := true
-  end;
-  if hard_kill && r.Cluster.Chaos.migrations_completed = 0 then begin
-    Printf.eprintf "chaos: hard kill completed no migrations — run proves \
-                    nothing about failover\n";
-    chaos_failed := true
-  end
+      [ ("steps", f r.steps); ("submitted", f r.submitted);
+        ("finished", f r.finished); ("rejected", f r.rejected);
+        ("cancelled", f r.cancelled); ("failed", f r.failed);
+        ("routed", f r.routed); ("rerouted", f r.rerouted);
+        ("resubmitted", f r.resubmitted); ("adopted", f r.adopted);
+        ("route_faults", f r.route_faults);
+        ("migrations_started", f r.migrations_started);
+        ("migrations_completed", f r.migrations_completed);
+        ("migrations_failed", f r.migrations_failed);
+        ("compared", f r.compared); ("mismatched", f r.mismatched);
+        ("fault_injected", f r.injected); ("fault_retries", f r.retries);
+        ("fault_shed", f r.shed); ("kv_denied", f r.denied);
+        ("watchdog_trips", f r.trips); ("pool_quarantined", f r.quarantined);
+        ("numeric_errors", f r.numeric_errors);
+        ("kv_pages_allocated", f r.pages_allocated);
+        ("kv_pages_freed", f r.pages_freed);
+        ("kv_cow_copies", f r.cow_copies);
+        ("kv_prefix_hits", f r.prefix_hits);
+        ("double_released", f r.double_released);
+        ("fleet_slo_ttft_breaches", f r.fleet_slo_ttft);
+        ("fleet_slo_deadline_breaches", f r.fleet_slo_deadline);
+        ("traces_checked", f r.traces_checked);
+        ("migrated_traced", f r.migrated_traced);
+        ("violations", f (List.length r.violations)) ]
+    ()
 
 (* ---- paged-width experiment ("paged") ----
 
@@ -1252,12 +1055,12 @@ let run_paged_width () =
       "paged: width %d is not strictly above contiguous width %d at the \
        same arena\n"
       paged_width contig_width;
-    chaos_failed := true
+    failed := true
   end;
   if hits = 0 then begin
     Printf.eprintf
       "paged: prefix trie recorded no hits — sharing never happened\n";
-    chaos_failed := true
+    failed := true
   end
 
 (* ---- tuner benchmark (tune): exhaustive vs model-guided search ----
@@ -1346,14 +1149,14 @@ let run_tune () =
                 "tune: %s beam best %.0f GFLOPS is below 98%% of exhaustive \
                  best %.0f\n"
                 shape best ex_best;
-              chaos_failed := true
+              failed := true
             end;
             if f r.Search.evaluated >= 0.10 *. f r.Search.space then begin
               Printf.eprintf
                 "tune: %s beam scored %d of %d candidates — not under 10%% \
                  of the space\n"
                 shape r.Search.evaluated r.Search.space;
-              chaos_failed := true
+              failed := true
             end
           end)
         [ Search.default_strategy;
@@ -1395,218 +1198,47 @@ let run_all () =
         (Telemetry.Clock.now_s () -. t0))
     experiments
 
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [EXPERIMENT...] [--serve] [--serve-rate HZ]\n\
-    \       [--serve-duration S] [--chaos] [--chaos-seed N]\n\
-    \       [--chaos-requests N] [--replicas N] [--shards M]\n\
-    \       [--disaggregate] [--hard-kill] [--placement rr|jsq|deadline]\n\
-    \       [--paged] [--block-size N] [--num-blocks N]\n\
-    \       [--spec-decode K] [--draft-layers N] [--sys-prompt N]\n\
-    \       [--online-tune] [--json FILE] [--compare BASELINE.json]\n\
-    \       [--telemetry]\n\
-     experiments: %s\n"
-    (String.concat ", " (List.map fst experiments));
-  exit 1
+let main names serve chaos json compare telemetry serve_cfg chaos_cfg =
+  Front.with_telemetry telemetry (fun () ->
+      (match names with
+      | [] when serve || chaos -> ()  (* --serve/--chaos alone run only those *)
+      | [] -> run_all ()
+      | fs -> List.iter (fun f -> f ()) fs);
+      if serve then record_serve serve_cfg (Front.serve serve_cfg);
+      if chaos then begin
+        let r, ok = Front.chaos chaos_cfg in
+        record_chaos chaos_cfg r;
+        if not ok then failed := true
+      end);
+  Option.iter write_bench_json json;
+  Option.iter compare_with_baseline compare;
+  if !failed then exit 1
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let telemetry = ref false in
-  let serve = ref false in
-  let serve_rate = ref 20.0 in
-  let serve_duration = ref 5.0 in
-  let chaos = ref false in
-  let chaos_seed = ref 42 in
-  let chaos_requests = ref 24 in
-  let replicas = ref 1 in
-  let shards = ref 1 in
-  let disaggregate = ref false in
-  let hard_kill = ref false in
-  let placement = ref Cluster.Router.Round_robin in
-  let paged = ref false in
-  let block_size = ref 16 in
-  let num_blocks = ref 64 in
-  let spec_decode = ref 0 in
-  let draft_layers = ref 1 in
-  let sys_prompt = ref 0 in
-  let online_tune = ref false in
-  let json_path = ref None in
-  let compare_path = ref None in
-  let names = ref [] in
-  let int_arg name rest =
-    match rest with
-    | v :: rest -> (
-      match int_of_string_opt v with
-      | Some i when i > 0 -> (i, rest)
-      | _ ->
-        Printf.eprintf "%s expects a positive integer, got %S\n" name v;
-        exit 1)
-    | [] ->
-      Printf.eprintf "%s expects a value\n" name;
-      exit 1
+  let open Cmdliner in
+  let experiments_arg =
+    Arg.(
+      value
+      & pos_all (enum experiments) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"experiments to run, in order (default: every one)")
   in
-  let float_arg name rest =
-    match rest with
-    | v :: rest -> (
-      match float_of_string_opt v with
-      | Some f when f > 0.0 -> (f, rest)
-      | _ ->
-        Printf.eprintf "%s expects a positive number, got %S\n" name v;
-        exit 1)
-    | [] ->
-      Printf.eprintf "%s expects a value\n" name;
-      exit 1
+  let mode name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let file name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
   in
-  let rec parse = function
-    | [] -> ()
-    | "--telemetry" :: rest ->
-      telemetry := true;
-      parse rest
-    | "--serve" :: rest ->
-      serve := true;
-      parse rest
-    | "--serve-rate" :: rest ->
-      let v, rest = float_arg "--serve-rate" rest in
-      serve_rate := v;
-      parse rest
-    | "--serve-duration" :: rest ->
-      let v, rest = float_arg "--serve-duration" rest in
-      serve_duration := v;
-      parse rest
-    | "--chaos" :: rest ->
-      chaos := true;
-      parse rest
-    | "--chaos-seed" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some i ->
-        chaos_seed := i;
-        chaos := true;
-        parse rest
-      | None ->
-        Printf.eprintf "--chaos-seed expects an integer, got %S\n" v;
-        exit 1)
-    | "--chaos-seed" :: [] ->
-      Printf.eprintf "--chaos-seed expects a value\n";
-      exit 1
-    | "--chaos-requests" :: rest ->
-      let v, rest = int_arg "--chaos-requests" rest in
-      chaos_requests := v;
-      chaos := true;
-      parse rest
-    | "--replicas" :: rest ->
-      let v, rest = int_arg "--replicas" rest in
-      replicas := v;
-      parse rest
-    | "--shards" :: rest ->
-      let v, rest = int_arg "--shards" rest in
-      shards := v;
-      parse rest
-    | "--disaggregate" :: rest ->
-      disaggregate := true;
-      parse rest
-    | "--hard-kill" :: rest ->
-      hard_kill := true;
-      chaos := true;
-      parse rest
-    | "--paged" :: rest ->
-      paged := true;
-      parse rest
-    | "--block-size" :: rest ->
-      let v, rest = int_arg "--block-size" rest in
-      block_size := v;
-      paged := true;
-      parse rest
-    | "--num-blocks" :: rest ->
-      let v, rest = int_arg "--num-blocks" rest in
-      num_blocks := v;
-      paged := true;
-      parse rest
-    | "--spec-decode" :: rest ->
-      let v, rest = int_arg "--spec-decode" rest in
-      spec_decode := v;
-      parse rest
-    | "--draft-layers" :: rest ->
-      let v, rest = int_arg "--draft-layers" rest in
-      draft_layers := v;
-      parse rest
-    | "--sys-prompt" :: rest ->
-      let v, rest = int_arg "--sys-prompt" rest in
-      sys_prompt := v;
-      parse rest
-    | "--online-tune" :: rest ->
-      online_tune := true;
-      parse rest
-    | "--placement" :: v :: rest -> (
-      match Cluster.Router.placement_of_string v with
-      | Some p ->
-        placement := p;
-        parse rest
-      | None ->
-        Printf.eprintf "--placement expects rr|jsq|deadline, got %S\n" v;
-        exit 1)
-    | "--placement" :: [] ->
-      Printf.eprintf "--placement expects a value\n";
-      exit 1
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse rest
-    | "--json" :: [] ->
-      Printf.eprintf "--json expects a file path\n";
-      exit 1
-    | "--compare" :: path :: rest ->
-      compare_path := Some path;
-      parse rest
-    | "--compare" :: [] ->
-      Printf.eprintf "--compare expects a baseline JSON path\n";
-      exit 1
-    | a :: _ when String.length a > 0 && a.[0] = '-' ->
-      Printf.eprintf "unknown flag %S\n" a;
-      usage ()
-    | name :: rest ->
-      names := name :: !names;
-      parse rest
+  let term =
+    Term.(
+      const main $ experiments_arg
+      $ mode "serve" "serve Llm.tiny in real time (the serve options apply)"
+      $ mode "chaos" "run the chaos harness (the chaos options apply)"
+      $ file "json" "write the bench JSON to $(docv)"
+      $ file "compare" "gate this run on the baseline bench JSON $(docv)"
+      $ Front.telemetry $ Front.serve_config $ Front.chaos_config)
   in
-  parse args;
-  let names = List.rev !names in
-  if !telemetry then begin
-    Telemetry.Registry.reset ();
-    Telemetry.Registry.enable ()
-  end;
-  (match (names, !serve || !chaos) with
-  | [], true -> ()  (* --serve/--chaos alone run only those harnesses *)
-  | _ :: _, _ ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments));
-          exit 1)
-      names
-  | [], false -> run_all ());
-  if !serve then
-    run_serve ~rate:!serve_rate ~duration:!serve_duration ~replicas:!replicas
-      ~shards:!shards ~disaggregate:!disaggregate ~placement:!placement
-      ~paged:!paged ~block_size:!block_size ~num_blocks:!num_blocks
-      ~spec_k:!spec_decode ~draft_layers:!draft_layers
-      ~sys_prompt:!sys_prompt ~online_tune:!online_tune ();
-  if !chaos then
-    run_chaos ~seed:!chaos_seed ~requests:!chaos_requests
-      ~replicas:
-        (if !shards > 1 || !disaggregate || !hard_kill then max 2 !replicas
-         else !replicas)
-      ~shards:!shards ~disaggregate:!disaggregate ~hard_kill:!hard_kill
-      ~paged:!paged ~block_size:!block_size ~num_blocks:!num_blocks
-      ~spec_k:!spec_decode ~draft_layers:!draft_layers
-      ~sys_prompt:!sys_prompt ();
-  if !telemetry then begin
-    Telemetry.Registry.disable ();
-    let host = Platform.host in
-    Telemetry.Report.print
-      ~peak_gflops:(Platform.peak_gflops host Datatype.F32)
-      ~mem_bw_gbs:host.Platform.mem_bw_gbs ()
-  end;
-  (match !json_path with Some p -> write_bench_json p | None -> ());
-  (match !compare_path with Some p -> compare_with_baseline p | None -> ());
-  if !chaos_failed then exit 1
+  exit
+    (Front.eval
+       (Cmd.v
+          (Cmd.info "bench"
+             ~doc:"paper experiments, kernel benchmarks, serve and chaos runs")
+          term))

@@ -77,20 +77,6 @@ let measure_top_arg =
           "re-rank this many model-best survivors by real measurement on \
            this host (0 = modeled only)")
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ]
-        ~doc:"write a Chrome trace_event JSON timeline to $(docv)"
-        ~docv:"FILE")
-
-let telemetry_arg =
-  Arg.(
-    value & flag
-    & info [ "telemetry" ]
-        ~doc:"collect runtime telemetry and print the registry report")
-
 let make_cfg m n k block dtype =
   Gemm.make_config ~bm:block ~bn:block ~bk:block
     ~dtype:(dtype_of_string dtype) ~m ~n ~k ()
@@ -106,56 +92,44 @@ let check_spec spec =
       (Spec_parser.error_to_string e);
     exit 1
 
-let gemm_run m n k block spec threads dtype trace telemetry =
+let gemm_run m n k block spec threads dtype telemetry =
   check_spec spec;
   let cfg = make_cfg m n k block dtype in
-  let traced = telemetry || trace <> None in
-  if traced then begin
-    Telemetry.Registry.reset ();
-    Telemetry.Registry.enable ()
-  end;
-  let g = Gemm.create cfg spec in
-  let rng = Prng.create 1 in
-  let a = Tensor.create (dtype_of_string dtype) [| m; k |] in
-  let b = Tensor.create (dtype_of_string dtype) [| k; n |] in
-  Tensor.fill_random a rng ~scale:1.0;
-  Tensor.fill_random b rng ~scale:1.0;
-  let t0 = Telemetry.Clock.now_s () in
-  let c = Gemm.run_logical ~nthreads:threads g ~a ~b in
-  let dt = Telemetry.Clock.now_s () -. t0 in
-  let ok = Tensor.approx_equal ~tol:1e-3 c (Reference.matmul a b) in
-  let measured_gflops = Gemm.flops cfg /. dt /. 1e9 in
-  Printf.printf "%dx%dx%d %s spec=%s threads=%d: %.2f GFLOPS, correct=%b\n" m
-    k n dtype spec threads measured_gflops ok;
-  if traced then begin
-    (* confront the §II-E model (host platform) with this measurement *)
-    let host = Platform.host in
-    (try
-       let predicted =
-         (Gemm_trace.score ~platform:host ~nthreads:threads cfg spec)
-           .Perf_model.gflops
-       in
-       Telemetry.Registry.record_prediction
-         ~name:(Printf.sprintf "gemm %dx%dx%d %s" m n k spec)
-         ~predicted_gflops:predicted ~measured_gflops
-     with _ -> ());
-    Telemetry.Registry.disable ();
-    Telemetry.Report.print
-      ~peak_gflops:
-        (Platform.peak_gflops
-           ~cores:(min threads (Platform.cores host))
-           host (dtype_of_string dtype))
-      ~mem_bw_gbs:host.Platform.mem_bw_gbs ();
-    match trace with
-    | Some path -> (
-      try
-        Telemetry.Chrome_trace.write path;
-        Printf.printf "trace written to %s (open in chrome://tracing)\n" path
-      with Sys_error msg ->
-        Printf.eprintf "cannot write trace: %s\n" msg;
-        exit 1)
-    | None -> ()
-  end;
+  let host = Platform.host in
+  let peak_gflops =
+    Platform.peak_gflops
+      ~cores:(min threads (Platform.cores host))
+      host (dtype_of_string dtype)
+  in
+  let ok =
+    Front.with_telemetry ~peak_gflops telemetry (fun () ->
+        let g = Gemm.create cfg spec in
+        let rng = Prng.create 1 in
+        let a = Tensor.create (dtype_of_string dtype) [| m; k |] in
+        let b = Tensor.create (dtype_of_string dtype) [| k; n |] in
+        Tensor.fill_random a rng ~scale:1.0;
+        Tensor.fill_random b rng ~scale:1.0;
+        let t0 = Telemetry.Clock.now_s () in
+        let c = Gemm.run_logical ~nthreads:threads g ~a ~b in
+        let dt = Telemetry.Clock.now_s () -. t0 in
+        let ok = Tensor.approx_equal ~tol:1e-3 c (Reference.matmul a b) in
+        let measured_gflops = Gemm.flops cfg /. dt /. 1e9 in
+        Printf.printf
+          "%dx%dx%d %s spec=%s threads=%d: %.2f GFLOPS, correct=%b\n" m k n
+          dtype spec threads measured_gflops ok;
+        (* confront the §II-E model (host platform) with this measurement *)
+        if Telemetry.Registry.enabled () then (
+          try
+            let predicted =
+              (Gemm_trace.score ~platform:host ~nthreads:threads cfg spec)
+                .Perf_model.gflops
+            in
+            Telemetry.Registry.record_prediction
+              ~name:(Printf.sprintf "gemm %dx%dx%d %s" m n k spec)
+              ~predicted_gflops:predicted ~measured_gflops
+          with _ -> ());
+        ok)
+  in
   if not ok then exit 1
 
 let tune m n k block dtype platform candidates search_kind beam_width budget
@@ -254,442 +228,6 @@ let platforms () =
         (Platform.peak_gflops p Datatype.BF16)
         p.Platform.mem_bw_gbs)
     Platform.all
-
-(* ---- serve: continuous-batching inference serving demo ---- *)
-
-let rate_arg =
-  Arg.(
-    value & opt float 20.0
-    & info [ "rate" ] ~doc:"mean Poisson arrival rate (requests/s)")
-
-let duration_arg =
-  Arg.(
-    value & opt float 3.0
-    & info [ "duration" ] ~doc:"seconds of synthetic arrivals")
-
-let prompt_min_arg =
-  Arg.(value & opt int 4 & info [ "prompt-min" ] ~doc:"min prompt tokens")
-
-let prompt_max_arg =
-  Arg.(value & opt int 12 & info [ "prompt-max" ] ~doc:"max prompt tokens")
-
-let tokens_min_arg =
-  Arg.(value & opt int 2 & info [ "tokens-min" ] ~doc:"min new tokens")
-
-let tokens_max_arg =
-  Arg.(value & opt int 8 & info [ "tokens-max" ] ~doc:"max new tokens")
-
-let deadline_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "deadline-ms" ]
-        ~doc:"per-request completion SLO in ms (0 disables; goodput counts \
-              requests that finish within it)")
-
-let queue_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "max-queue" ] ~doc:"admission queue bound (excess rejected)")
-
-let batch_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "max-batch" ] ~doc:"max concurrently decoding sessions")
-
-let policy_arg =
-  Arg.(
-    value & opt string "fcfs"
-    & info [ "policy" ] ~doc:"admission policy: fcfs | deadline")
-
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"load-generator seed")
-
-let live_metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "live-metrics" ]
-        ~doc:
-          "stream periodic live-metrics snapshots (one JSON object per \
-           line: counters, gauges, deltas and per-second rates) to $(docv) \
-           while serving; '-' streams to stdout"
-        ~docv:"FILE")
-
-let live_interval_arg =
-  Arg.(
-    value & opt int 500
-    & info [ "live-interval-ms" ]
-        ~doc:"interval between live-metrics snapshots in milliseconds")
-
-let replicas_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "replicas" ]
-        ~doc:"decode scheduler replicas behind the router (1 = no router)")
-
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ]
-        ~doc:"tensor-parallel shards inside each replica (bit-identical to \
-              unsharded)")
-
-let disaggregate_arg =
-  Arg.(
-    value & flag
-    & info [ "disaggregate" ]
-        ~doc:"run prefill on a dedicated replica and hand finished KV \
-              caches to decode replicas over the handoff channel")
-
-let placement_arg =
-  Arg.(
-    value & opt string "rr"
-    & info [ "placement" ]
-        ~doc:"router placement: rr | jsq | deadline")
-
-let hard_kill_arg =
-  Arg.(
-    value & flag
-    & info [ "hard-kill" ]
-        ~doc:"hard-kill replica 1 halfway through the run: its in-flight \
-              sessions live-migrate to the surviving replicas (requires \
-              --replicas >= 2)")
-
-let paged_arg =
-  Arg.(
-    value & flag
-    & info [ "paged" ]
-        ~doc:"paged KV storage: fixed-size token blocks from a shared arena \
-              with copy-on-write sharing and prompt-prefix deduplication \
-              (bit-identical to contiguous)")
-
-let block_size_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "block-size" ] ~doc:"tokens per KV block (with --paged)")
-
-let num_blocks_arg =
-  Arg.(
-    value & opt int 128
-    & info [ "num-blocks" ]
-        ~doc:"KV arena size in blocks per pool (with --paged)")
-
-let spec_decode_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "spec-decode" ] ~docv:"K"
-        ~doc:"speculative decoding: propose $(docv) draft tokens per round \
-              and verify them in one batched pass (0 disables; \
-              token-identical to greedy decoding)")
-
-let draft_layers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "draft-layers" ]
-        ~doc:"decoder layers of the draft model (with --spec-decode)")
-
-let sys_prompt_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "sys-prompt" ]
-        ~doc:"tokens of a shared system prompt prepended to every request \
-              (the workload shape --paged prefix sharing deduplicates)")
-
-let online_tune_arg =
-  Arg.(
-    value & flag
-    & info [ "online-tune" ]
-        ~doc:
-          "tune serve-path GEMM shapes on a background domain and hot-swap \
-           their loop instantiations once a bit-identity check passes \
-           (decode outputs are unchanged)")
-
-let serve_trace_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-dir" ] ~docv:"DIR"
-        ~doc:
-          "dump retained causal request traces (tail-sampled: SLO breaches, \
-           faults, sheds, migrations, plus a seeded 1-in-N baseline) into \
-           $(docv) after the run; inspect with 'parlooper trace'")
-
-let serve_trace_sample_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "trace-sample" ] ~docv:"N"
-        ~doc:
-          "baseline sampling rate with --trace-dir: retain roughly one in \
-           $(docv) healthy requests alongside every breaching one")
-
-let serve rate duration pmin pmax tmin tmax deadline_ms max_queue max_batch
-    policy seed threads replicas shards disaggregate placement hard_kill
-    paged block_size num_blocks spec_decode draft_layers sys_prompt
-    online_tune trace_dir trace_sample live_metrics live_interval_ms trace
-    telemetry =
-  if rate <= 0.0 || duration <= 0.0 then begin
-    Printf.eprintf "--rate and --duration must be positive\n";
-    exit 1
-  end;
-  if pmin < 1 || pmax < pmin || tmin < 1 || tmax < tmin then begin
-    Printf.eprintf "need 1 <= prompt-min <= prompt-max and likewise tokens\n";
-    exit 1
-  end;
-  if block_size < 1 || num_blocks < 1 || spec_decode < 0 || draft_layers < 1
-     || sys_prompt < 0
-  then begin
-    Printf.eprintf
-      "need positive --block-size/--num-blocks/--draft-layers and \
-       non-negative --spec-decode/--sys-prompt\n";
-    exit 1
-  end;
-  let policy =
-    match Serve.Scheduler.policy_of_string policy with
-    | Some p -> p
-    | None ->
-      Printf.eprintf "unknown policy %S (fcfs | deadline)\n" policy;
-      exit 1
-  in
-  let placement =
-    match Cluster.Router.placement_of_string placement with
-    | Some p -> p
-    | None ->
-      Printf.eprintf "unknown placement %S (rr | jsq | deadline)\n" placement;
-      exit 1
-  in
-  if replicas < 1 || shards < 1 then begin
-    Printf.eprintf "--replicas and --shards must be positive\n";
-    exit 1
-  end;
-  if hard_kill && replicas < 2 then begin
-    Printf.eprintf "--hard-kill needs --replicas >= 2 (somewhere to migrate)\n";
-    exit 1
-  end;
-  Telemetry.Registry.reset ();
-  Telemetry.Registry.enable ();
-  (match trace_dir with
-  | None -> ()
-  | Some _ ->
-    (* big rings so a whole run's sparse trace events survive; fresh
-       trace state so retention and exemplars describe this run only *)
-    Telemetry.Recorder.set_capacity 65536;
-    Telemetry.Recorder.reset ();
-    Telemetry.Trace.reset ();
-    Telemetry.Trace.set_baseline (max 1 trace_sample);
-    Telemetry.Trace.set_seed seed);
-  let rng = Prng.create 7 in
-  let llm = Llm.create ~rng ~block:8 Llm.tiny in
-  let load =
-    { Serve.Load_gen.seed; rate_hz = rate; duration_s = duration;
-      prompt_len = Serve.Load_gen.Uniform (pmin, pmax);
-      new_tokens = Serve.Load_gen.Uniform (tmin, tmax);
-      deadline_s =
-        (if deadline_ms > 0.0 then deadline_ms /. 1000.0 else Float.infinity);
-      sys_prompt_len = sys_prompt
-    }
-  in
-  let trace_reqs = Serve.Load_gen.generate load ~vocab:Llm.tiny.Llm.vocab in
-  Printf.printf
-    "serving %d arrivals (%.0f req/s x %.1fs, prompts %s, new tokens %s) on \
-     %s: queue<=%d batch<=%d policy=%s threads=%d replicas=%d shards=%d \
-     placement=%s%s\n%!"
-    (List.length trace_reqs) rate duration
-    (Serve.Load_gen.dist_to_string load.Serve.Load_gen.prompt_len)
-    (Serve.Load_gen.dist_to_string load.Serve.Load_gen.new_tokens)
-    Llm.tiny.Llm.name max_queue max_batch
-    (Serve.Scheduler.policy_name policy)
-    threads replicas shards
-    (Cluster.Router.placement_name placement)
-    (if disaggregate then " disaggregated" else "");
-  if paged then
-    Printf.printf "paged KV: %d-token blocks, %d-block arena, prefix sharing \
-                   on\n%!"
-      block_size num_blocks;
-  if spec_decode > 0 then
-    Printf.printf "speculative decoding: k=%d, %d draft layer%s\n%!"
-      spec_decode draft_layers
-      (if draft_layers = 1 then "" else "s");
-  if online_tune then
-    Printf.printf "online tuning: per-shape spec cache + background tuner on\n%!";
-  let config =
-    { Serve.Scheduler.default_config with
-      Serve.Scheduler.max_queue; max_batch; policy;
-      nthreads = Some threads; paged; block_size; num_blocks;
-      spec_k = spec_decode; draft_layers; online_tune }
-  in
-  let live_out =
-    match live_metrics with
-    | None -> None
-    | Some "-" -> Some (stdout, false)
-    | Some path -> (
-      try Some (open_out path, true)
-      with Sys_error msg ->
-        Printf.eprintf "cannot open %s: %s\n" path msg;
-        exit 1)
-  in
-  let live =
-    Option.map
-      (fun (out, _) ->
-        { Cluster.Driver.every_s =
-            float_of_int (max 1 live_interval_ms) /. 1000.0;
-          out })
-      live_out
-  in
-  let finish_live snapshots =
-    match live_out with
-    | None -> ()
-    | Some (oc, close) ->
-      if close then close_out oc;
-      Printf.printf "live metrics: %d snapshot%s%s\n%!" snapshots
-        (if snapshots = 1 then "" else "s")
-        (match live_metrics with
-        | Some p when p <> "-" -> " -> " ^ p
-        | _ -> "")
-  in
-  let print_arena pool =
-    match Serve.Kv_pool.manager pool with
-    | None -> ()
-    | Some m ->
-      let pins =
-        match Serve.Kv_pool.prefix_cache pool with
-        | Some p -> Kv.Prefix.pinned p
-        | None -> 0
-      in
-      Printf.printf
-        "KV arena: %d/%d blocks free at exit (%d prefix-pinned); fleet \
-         totals: %d allocated, %d freed, %d COW copies, %d prefix hits\n%!"
-        (Kv.Block_manager.free_blocks m)
-        (Kv.Block_manager.num_blocks m)
-        pins
-        (Telemetry.Counter.value Kv.Block_manager.pages_allocated_name)
-        (Telemetry.Counter.value Kv.Block_manager.pages_freed_name)
-        (Telemetry.Counter.value Kv.Block_manager.cow_copies_name)
-        (Telemetry.Counter.value Kv.Block_manager.prefix_hits_name)
-  in
-  let rcfg =
-    { Cluster.Router.default_config with
-      Cluster.Router.replicas; shards; disaggregate; placement;
-      scheduler = config }
-  in
-  let router =
-    match Cluster.Router.create ~config:rcfg llm with
-    | Ok r -> r
-    | Error e ->
-      Printf.eprintf "cannot build cluster: %s\n" e;
-      exit 1
-  in
-  let hk = if hard_kill then Some (duration /. 2.0, 1) else None in
-  let o = Cluster.Driver.run ?live ?hard_kill:hk router trace_reqs in
-  finish_live o.Cluster.Driver.snapshots;
-  List.iter
-    (fun (i, s) ->
-      Printf.printf "replica %d%s: %s\n" i
-        (if i >= replicas then " (prefill)" else "")
-        (Serve.Metrics.summary_to_string s))
-    o.Cluster.Driver.per_replica;
-  Printf.printf "fleet (histograms merged across replicas):\n";
-  Serve.Metrics.print o.Cluster.Driver.summary;
-  (* created/reused are fleet-wide counters; free/peak are per pool *)
-  (match Cluster.Router.pools router with
-  | [] -> ()
-  | (p :: _) as pools ->
-    Printf.printf "KV fleet: %d created, %d reused across %d pools\n%!"
-      (Serve.Kv_pool.created p) (Serve.Kv_pool.reused p)
-      (List.length pools);
-    List.iteri
-      (fun i pool ->
-        Printf.printf "KV pool %d: %d free at exit, peak %d rows/layer\n%!" i
-          (Serve.Kv_pool.free_count pool)
-          (Serve.Kv_pool.peak_rows pool);
-        print_arena pool)
-      pools);
-  if online_tune then begin
-    (* let in-flight background tunes land, then report and stop the
-       tuning domain so the process exits cleanly *)
-    ignore (Spec_cache.drain ~timeout_s:10.0);
-    let s = Spec_cache.stats () in
-    Printf.printf
-      "spec cache: %d hits, %d misses, %d hot-swaps, %d rejected, %d tunes\n%!"
-      s.Spec_cache.hits s.Spec_cache.misses s.Spec_cache.swaps
-      s.Spec_cache.rejected s.Spec_cache.tunes;
-    List.iter
-      (fun (e : Spec_cache.entry) ->
-        Printf.printf "  %-40s %-9s %s\n" e.Spec_cache.shape e.Spec_cache.state
-          e.Spec_cache.spec)
-      (Spec_cache.entries ());
-    Spec_cache.disable ()
-  end;
-  (match trace_dir with
-  | None -> ()
-  | Some dir ->
-    let retained = Telemetry.Trace.dump ~dir in
-    Printf.printf
-      "causal traces: %d retained -> %s (inspect: parlooper trace worst \
-       --metric ttft --dir %s)\n%!"
-      retained dir dir);
-  Telemetry.Registry.disable ();
-  if telemetry then
-    Telemetry.Report.print
-      ~peak_gflops:(Platform.peak_gflops Platform.host Datatype.F32)
-      ~mem_bw_gbs:Platform.host.Platform.mem_bw_gbs ();
-  match trace with
-  | Some path -> (
-    try
-      Telemetry.Chrome_trace.write path;
-      Printf.printf "trace written to %s (open in chrome://tracing)\n" path
-    with Sys_error msg ->
-      Printf.eprintf "cannot write trace: %s\n" msg;
-      exit 1)
-  | None -> ()
-
-(* ---- chaos: serve loop under seeded deterministic fault injection ---- *)
-
-let chaos_requests_arg =
-  Arg.(
-    value & opt int 24
-    & info [ "requests" ] ~doc:"number of requests in the chaos trace")
-
-let plan_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "plan" ]
-        ~doc:
-          "fault plan, e.g. 'serve.decode:exn@n3+11;serve.kv.acquire:deny@n2'; \
-           rule = site ':' kind ('exn'|'nan'|'deny'|'stall(MS)') ['@' trigger \
-           ('nN[+PERIOD]' | 'pPROB')]. Default: a plan covering every fault \
-           site class.")
-
-let chaos seed requests plan_str =
-  if requests < 1 then begin
-    Printf.eprintf "--requests must be positive\n";
-    exit 1
-  end;
-  let plan =
-    match plan_str with
-    | None -> None
-    | Some s -> (
-      match Fault.plan_of_string ~seed s with
-      | Ok p -> Some p
-      | Error msg ->
-        Printf.eprintf "invalid fault plan: %s\n" msg;
-        exit 1)
-  in
-  let config =
-    { Cluster.Chaos.solo with Cluster.Chaos.seed; requests; plan }
-  in
-  let effective =
-    match plan with
-    | Some p -> p
-    | None -> Cluster.Chaos.default_plan ~replicas:1 seed
-  in
-  Printf.printf "chaos: seed %d, %d requests\nplan: %s\n%!" seed requests
-    (Fault.plan_to_string effective);
-  let r = Cluster.Chaos.run ~config () in
-  print_string (Cluster.Chaos.report_to_string r);
-  if r.Cluster.Chaos.injected = 0 then
-    Printf.eprintf "warning: plan injected no faults\n";
-  if r.Cluster.Chaos.violations <> [] then exit 1
 
 (* ---- recorder: flight-recorder dump / check utilities ---- *)
 
@@ -981,7 +519,7 @@ let gemm_cmd =
   Cmd.v (Cmd.info "gemm" ~doc:"run and verify a PARLOOPER GEMM")
     Term.(
       const gemm_run $ m_arg $ n_arg $ k_arg $ block_arg $ spec_arg
-      $ threads_arg $ dtype_arg $ trace_arg $ telemetry_arg)
+      $ threads_arg $ dtype_arg $ Front.telemetry)
 
 let tune_cmd =
   Cmd.v
@@ -1006,32 +544,27 @@ let platforms_cmd =
     Term.(const platforms $ const ())
 
 let serve_cmd =
+  let serve telemetry s =
+    Front.with_telemetry telemetry (fun () -> ignore (Front.serve s))
+  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"continuous-batching LLM serving demo (synthetic Poisson load)")
-    Term.(
-      const serve $ rate_arg $ duration_arg $ prompt_min_arg $ prompt_max_arg
-      $ tokens_min_arg $ tokens_max_arg $ deadline_arg $ queue_arg $ batch_arg
-      $ policy_arg $ seed_arg $ threads_arg $ replicas_arg $ shards_arg
-      $ disaggregate_arg $ placement_arg $ hard_kill_arg $ paged_arg
-      $ block_size_arg
-      $ num_blocks_arg $ spec_decode_arg $ draft_layers_arg $ sys_prompt_arg
-      $ online_tune_arg $ serve_trace_dir_arg $ serve_trace_sample_arg
-      $ live_metrics_arg $ live_interval_arg $ trace_arg
-      $ telemetry_arg)
+    Term.(const serve $ Front.telemetry $ Front.serve_config)
 
 let chaos_cmd =
+  let chaos c = if not (snd (Front.chaos c)) then exit 1 in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "run the serve loop under seeded deterministic fault injection and \
           check liveness, ledger and bit-identical-recovery invariants")
-    Term.(const chaos $ seed_arg $ chaos_requests_arg $ plan_arg)
+    Term.(const chaos $ Front.chaos_config)
 
 let () =
   let info = Cmd.info "parlooper" ~doc:"PARLOOPER/TPP kernel toolbox" in
   exit
-    (Cmd.eval
+    (Front.eval
        (Cmd.group info
           [ gemm_cmd; tune_cmd; model_cmd; platforms_cmd; serve_cmd; chaos_cmd;
             recorder_cmd; trace_cmd ]))

@@ -155,6 +155,11 @@ let default_plan ~replicas seed =
            rule "cluster.migrate.export" Fault.Exn (nth 4 9);
            rule "cluster.migrate.import" Fault.Deny (nth 2 5) ]) }
 
+let plan config =
+  match config.plan with
+  | Some p -> p
+  | None -> default_plan ~replicas:config.replicas config.seed
+
 type report = {
   steps : int;
   terminated : bool;
@@ -289,11 +294,7 @@ let run ?(config = default) () =
       in
       let sched i = (Router.schedulers router).(i) in
       let trace = make_trace config ~vocab in
-      let plan =
-        match config.plan with
-        | Some p -> p
-        | None -> default_plan ~replicas:config.replicas config.seed
-      in
+      let plan = plan config in
       let before = snapshot () in
       Tpp_check.set_mode (Tpp_check.Sampled 13);
       Fault.install plan;

@@ -78,6 +78,10 @@ val hard_kill : config
     not wholesale failure — is exercised. *)
 val default_plan : replicas:int -> int -> Fault.plan
 
+(** The plan a run installs: [config.plan], or {!default_plan} for the
+    config's replica count and seed. *)
+val plan : config -> Fault.plan
+
 type report = {
   steps : int;
   terminated : bool;

@@ -20,8 +20,11 @@ type config = {
   max_seq : int;
 }
 
-val base_config : config  (** BERT-Base: 768/12/3072/12 *)
-val large_config : config  (** BERT-Large: 1024/16/4096/24 *)
+(** BERT-Base: 768/12/3072/12. *)
+val base_config : config
+
+(** BERT-Large: 1024/16/4096/24. *)
+val large_config : config
 
 (** Tiny config for executable tests/examples. *)
 val tiny_config : config

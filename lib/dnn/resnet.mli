@@ -37,8 +37,12 @@ val train_step_flops : n:int -> float
 (** Executable residual CNN. *)
 type t
 
-val channels : t -> int  (** input image channels *)
-val classes : t -> int  (** classifier width *)
+(** Input image channels. *)
+val channels : t -> int
+
+(** Classifier width. *)
+val classes : t -> int
+
 val dtype : t -> Datatype.t
 
 (** [create ~rng ~channels ~blocks ()] — a small ResNet-style network:

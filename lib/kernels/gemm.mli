@@ -59,7 +59,9 @@ val make_config :
   unit ->
   config
 
-val mb : config -> int  (** M / bm, rounded up *)
+(** M / bm, rounded up. *)
+val mb : config -> int
+
 val nb : config -> int
 val kb : config -> int
 

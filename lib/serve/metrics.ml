@@ -31,15 +31,6 @@ let spec_proposed_name = "serve.spec.proposed"
 let spec_accepted_name = "serve.spec.accepted"
 let spec_rejected_name = "serve.spec.rejected"
 
-(* causal tracing: timelines kept by the tail sampler (SLO breaches,
-   faults, sheds, migrations, plus the seeded 1-in-N baseline) *)
-let traces_retained_name = "serve.traces_retained"
-
-let observe_traces () =
-  Telemetry.Gauge.set
-    (Telemetry.Gauge.find_or_create traces_retained_name)
-    (List.length (Telemetry.Trace.retained ()))
-
 (* gauges (levels, Telemetry.Gauge) *)
 let queue_depth_name = "serve.queue_depth"
 let kv_in_use_name = "serve.kv_pool.in_use"
@@ -93,7 +84,6 @@ let percentiles_of h =
     p99 = Telemetry.Histogram.quantile h 0.99 }
 
 let collect ~(requests : Request.t list) ~tokens ~elapsed_s =
-  observe_traces ();
   let count st =
     List.length (List.filter (fun r -> r.Request.state = st) requests)
   in

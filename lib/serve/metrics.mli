@@ -32,15 +32,6 @@ val spec_proposed_name : string
 val spec_accepted_name : string
 val spec_rejected_name : string
 
-(** {!Telemetry.Gauge} counting the causal timelines the tail sampler
-    retained (SLO breaches, faults, sheds, migrations, plus the seeded
-    1-in-N baseline); refreshed by [observe_traces]. *)
-val traces_retained_name : string
-
-(** Refresh {!traces_retained_name} from {!Telemetry.Trace.retained};
-    called by [collect], and cheap enough for a scrape path. *)
-val observe_traces : unit -> unit
-
 (** {!Telemetry.Gauge} names (levels, not counts): instantaneous queue
     depth, KV-pool occupancy/free, KV high-water mark in rows, and the
     scheduler's current load-shedding batch limit. *)

@@ -1,10 +1,9 @@
 (* Live metrics plane: interval snapshots of the counter/gauge stores
-   with per-counter deltas and rates, rendered either as one JSON line
-   per snapshot (the Serve.Driver live-metrics stream) or as Prometheus
-   text exposition (for scraping / humans). Reads the same interned
-   stores the runtime writes, so a snapshot is just two sorted assoc
-   lists — cheap enough to take every few hundred ms during a serve
-   run. *)
+   with per-counter deltas and rates, rendered as one JSON line per
+   snapshot (the Cluster.Driver live-metrics stream). Reads the same
+   interned stores the runtime writes, so a snapshot is just two sorted
+   assoc lists — cheap enough to take every few hundred ms during a
+   serve run. *)
 
 type snapshot = {
   at_s : float;  (* Clock.now_s at capture *)
@@ -58,222 +57,3 @@ let jsonl ?prev snap =
     pr "}");
   pr "}";
   Buffer.contents b
-
-(* ---- Prometheus text exposition ---------------------------------------- *)
-
-(* metric names must match [a-zA-Z_:][a-zA-Z0-9_:]* *)
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-      | _ -> '_')
-    name
-
-(* Prometheus label values escape backslash, double-quote and newline —
-   and nothing else (the text format is not JSON) *)
-let escape_label s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let prometheus () =
-  let b = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  List.iter
-    (fun (n, v) ->
-      let m = sanitize n in
-      pr "# TYPE %s counter\n%s %d\n" m m v)
-    (Counter.all ());
-  List.iter
-    (fun (n, v) ->
-      let m = sanitize n in
-      pr "# TYPE %s gauge\n%s %d\n" m m v)
-    (Gauge.all ());
-  List.iter
-    (fun h ->
-      if Histogram.count h > 0 then begin
-        let m = sanitize (Histogram.name h) in
-        (* real cumulative-bucket histogram exposition (the old summary
-           rendering hid the distribution behind four quantiles) *)
-        pr "# TYPE %s histogram\n" m;
-        let cum = ref 0 in
-        List.iter
-          (fun (ub, c) ->
-            cum := !cum + c;
-            pr "%s_bucket{le=\"%s\"} %d\n" m
-              (escape_label (Json_check.float_repr ub))
-              !cum)
-          (Histogram.buckets h);
-        pr "%s_bucket{le=\"+Inf\"} %d\n" m (Histogram.count h);
-        pr "%s_sum %s\n" m (Json_check.float_repr (Histogram.sum h));
-        pr "%s_count %d\n" m (Histogram.count h)
-      end)
-    (Histogram.all ());
-  (* exemplars: worst retained trace per latency metric, so a scrape can
-     jump from a tail bucket straight to its causal timeline *)
-  (match Trace.all_exemplars () with
-  | [] -> ()
-  | ms ->
-    pr "# TYPE parlooper_trace_exemplar gauge\n";
-    List.iter
-      (fun (metric, _) ->
-        match Trace.worst ~metric with
-        | None -> ()
-        | Some (id, v) ->
-          pr "parlooper_trace_exemplar{metric=\"%s\",trace_id=\"%d\"} %s\n"
-            (escape_label metric) id (Json_check.float_repr v))
-      ms);
-  Buffer.contents b
-
-(* ---- exposition validator (Json_check-style) --------------------------- *)
-
-let is_name_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':'
-
-let is_name_char c = is_name_start c || (c >= '0' && c <= '9')
-
-let is_label_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-
-let is_label_char c = is_label_start c || (c >= '0' && c <= '9')
-
-let valid_name s =
-  s <> ""
-  && is_name_start s.[0]
-  && String.for_all is_name_char s
-
-(* Validate one sample line (name, optional {labels}, value): label
-   values must be double-quoted with only backslash/quote/n escapes, the
-   value must parse as a float. Returns an error message or None. *)
-let check_sample line =
-  let n = String.length line in
-  let i = ref 0 in
-  while !i < n && is_name_char line.[!i] do
-    incr i
-  done;
-  if !i = 0 || not (is_name_start line.[0]) then
-    Some (Printf.sprintf "bad metric name in %S" line)
-  else begin
-    let err = ref None in
-    (if !i < n && line.[!i] = '{' then begin
-       incr i;
-       let expect_label = ref true in
-       while !err = None && !expect_label do
-         let s = !i in
-         while !i < n && is_label_char line.[!i] do
-           incr i
-         done;
-         if !i = s || not (!i < n && line.[!i] = '=') then
-           err := Some (Printf.sprintf "bad label name in %S" line)
-         else begin
-           incr i;
-           if not (!i < n && line.[!i] = '"') then
-             err := Some (Printf.sprintf "unquoted label value in %S" line)
-           else begin
-             incr i;
-             let closed = ref false in
-             while (not !closed) && !err = None do
-               if !i >= n then
-                 err :=
-                   Some (Printf.sprintf "unterminated label value in %S" line)
-               else
-                 match line.[!i] with
-                 | '"' ->
-                   closed := true;
-                   incr i
-                 | '\\' ->
-                   if
-                     !i + 1 < n
-                     && (line.[!i + 1] = '\\' || line.[!i + 1] = '"'
-                        || line.[!i + 1] = 'n')
-                   then i := !i + 2
-                   else
-                     err :=
-                       Some (Printf.sprintf "bad escape in label of %S" line)
-                 | '\n' ->
-                   err :=
-                     Some (Printf.sprintf "raw newline in label of %S" line)
-                 | _ -> incr i
-             done;
-             if !err = None then
-               if !i < n && line.[!i] = ',' then incr i
-               else if !i < n && line.[!i] = '}' then begin
-                 incr i;
-                 expect_label := false
-               end
-               else if !err = None then
-                 err := Some (Printf.sprintf "bad label separator in %S" line)
-           end
-         end
-       done
-     end);
-    match !err with
-    | Some _ as e -> e
-    | None ->
-      let rest = String.sub line !i (n - !i) in
-      let rest = String.trim rest in
-      if rest = "" then Some (Printf.sprintf "missing value in %S" line)
-      else if float_of_string_opt rest = None then
-        Some (Printf.sprintf "bad value %S in %S" rest line)
-      else None
-  end
-
-(* Whole-exposition validator: every # TYPE line well-formed with a known
-   type, every sample line well-formed and preceded by a # TYPE for its
-   family (allowing the _bucket/_sum/_count suffixes). *)
-let check text =
-  let typed : (string, unit) Hashtbl.t = Hashtbl.create 32 in
-  let lines = String.split_on_char '\n' text in
-  let base name =
-    let strip suf =
-      let sl = String.length suf and nl = String.length name in
-      if nl > sl && String.sub name (nl - sl) sl = suf then
-        Some (String.sub name 0 (nl - sl))
-      else None
-    in
-    match strip "_bucket" with
-    | Some b -> b
-    | None -> (
-      match strip "_sum" with
-      | Some b -> b
-      | None -> ( match strip "_count" with Some b -> b | None -> name))
-  in
-  let rec go = function
-    | [] -> Ok ()
-    | "" :: rest -> go rest
-    | line :: rest when String.length line > 0 && line.[0] = '#' -> (
-      match String.split_on_char ' ' line with
-      | "#" :: "TYPE" :: name :: [ ty ] ->
-        if not (valid_name name) then
-          Error (Printf.sprintf "bad metric name in %S" line)
-        else if
-          not (List.mem ty [ "counter"; "gauge"; "histogram"; "summary" ])
-        then Error (Printf.sprintf "unknown type %S in %S" ty line)
-        else begin
-          Hashtbl.replace typed name ();
-          go rest
-        end
-      | "#" :: "HELP" :: _ -> go rest
-      | _ -> Error (Printf.sprintf "bad comment line %S" line))
-    | line :: rest -> (
-      match check_sample line with
-      | Some e -> Error e
-      | None ->
-        let n = String.length line in
-        let i = ref 0 in
-        while !i < n && is_name_char line.[!i] do
-          incr i
-        done;
-        let name = String.sub line 0 !i in
-        if Hashtbl.mem typed name || Hashtbl.mem typed (base name) then go rest
-        else Error (Printf.sprintf "sample %S has no # TYPE line" name))
-  in
-  go lines

@@ -1,7 +1,6 @@
 (** Live metrics plane: interval snapshots of the counter and gauge
-    stores, per-counter deltas/rates between snapshots, and two
-    renderings — one JSON object per line (the [Serve.Driver]
-    live-metrics stream) and Prometheus text exposition. *)
+    stores, per-counter deltas/rates between snapshots, rendered as one
+    JSON object per line (the [Cluster.Driver] live-metrics stream). *)
 
 type snapshot = {
   at_s : float;  (** {!Clock.now_s} at capture *)
@@ -19,25 +18,3 @@ val deltas : prev:snapshot -> snapshot -> (string * int) list
     and — when [prev] is given — [interval_s], [deltas] and per-second
     [rates]. Always valid JSON per {!Json_check}. *)
 val jsonl : ?prev:snapshot -> snapshot -> string
-
-(** Escape a string for use as a Prometheus label value: backslash,
-    double-quote and newline get backslash escapes, everything else
-    passes through verbatim. *)
-val escape_label : string -> string
-
-(** Prometheus text exposition of all counters (TYPE counter), gauges
-    (TYPE gauge) and non-empty histograms (TYPE histogram with
-    cumulative [_bucket{le="…"}] series plus [_sum]/[_count]), followed
-    by one [parlooper_trace_exemplar{metric,trace_id}] gauge per latency
-    metric with a retained worst trace (see {!Trace.worst}). Metric
-    names are sanitized to the Prometheus charset (dots become
-    underscores); label values go through {!escape_label}. Output always
-    passes {!check}. *)
-val prometheus : unit -> string
-
-(** Json_check-style validator for Prometheus text exposition: every
-    [# TYPE] line well-formed with a known type, every sample line
-    well-formed (name charset, quoted+escaped label values, float
-    value) and covered by a preceding [# TYPE] for its family
-    (accounting for the [_bucket]/[_sum]/[_count] suffixes). *)
-val check : string -> (unit, string) result

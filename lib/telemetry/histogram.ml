@@ -63,18 +63,6 @@ let observe h v =
   if v > h.max_v then h.max_v <- v;
   Mutex.unlock h.lock
 
-(* upper bound of bucket i: lo * growth^(i+1) *)
-let upper_bound i = lo *. Float.exp (float_of_int (i + 1) *. log_growth)
-
-let buckets h =
-  Mutex.lock h.lock;
-  let acc = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    if h.buckets.(i) > 0 then acc := (upper_bound i, h.buckets.(i)) :: !acc
-  done;
-  Mutex.unlock h.lock;
-  !acc
-
 let count h = h.count
 let sum h = h.sum
 let mean h = if h.count > 0 then h.sum /. float_of_int h.count else Float.nan

@@ -31,10 +31,6 @@ val max_value : t -> float
     empty. *)
 val quantile : t -> float -> float
 
-(** Non-empty buckets as [(upper_bound, count)] pairs, ascending by
-    bound — the raw material for Prometheus histogram exposition. *)
-val buckets : t -> (float * int) list
-
 (** Fold [src]'s buckets into [into] (e.g. merging per-domain shards). *)
 val merge_into : t -> into:t -> unit
 

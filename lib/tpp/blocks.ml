@@ -83,10 +83,11 @@ let softmax_rows_backward ~y ~dy ~dx =
 
 type layernorm_stats = { mean : float array; rstd : float array }
 
-(* shared row loop; [record] receives each row's (mean, rstd) so the
-   training variant can save them for backward while the inference
-   variant allocates nothing *)
-let layernorm_core ~eps ~inp ~gamma ~beta ~out ~record =
+(* shared row loop; the training variant passes [stats] to save each
+   row's mean and rstd for backward, the inference variant passes
+   [None]. The two floats go straight into the float arrays, so neither
+   variant allocates per row. *)
+let layernorm_core ~eps ~inp ~gamma ~beta ~out ~stats =
   let rows = inp.View.rows and cols = inp.View.cols in
   assert (gamma.View.cols = cols && beta.View.cols = cols);
   let fcols = float_of_int cols in
@@ -102,7 +103,11 @@ let layernorm_core ~eps ~inp ~gamma ~beta ~out ~record =
       v := !v +. (d *. d)
     done;
     let rstd = 1.0 /. sqrt ((!v /. fcols) +. eps) in
-    record i mean rstd;
+    (match stats with
+    | Some s ->
+      s.mean.(i) <- mean;
+      s.rstd.(i) <- rstd
+    | None -> ());
     for j = 0 to cols - 1 do
       let nx = (View.get inp i j -. mean) *. rstd in
       View.set out i j ((nx *. View.get gamma 0 j) +. View.get beta 0 j)
@@ -112,13 +117,11 @@ let layernorm_core ~eps ~inp ~gamma ~beta ~out ~record =
 let layernorm_rows ~eps ~inp ~gamma ~beta ~out =
   let rows = inp.View.rows in
   let stats = { mean = Array.make rows 0.0; rstd = Array.make rows 0.0 } in
-  layernorm_core ~eps ~inp ~gamma ~beta ~out ~record:(fun i mean rstd ->
-      stats.mean.(i) <- mean;
-      stats.rstd.(i) <- rstd);
+  layernorm_core ~eps ~inp ~gamma ~beta ~out ~stats:(Some stats);
   stats
 
 let layernorm_rows_nostats ~eps ~inp ~gamma ~beta ~out =
-  layernorm_core ~eps ~inp ~gamma ~beta ~out ~record:(fun _ _ _ -> ())
+  layernorm_core ~eps ~inp ~gamma ~beta ~out ~stats:None
 
 let layernorm_rows_backward ~stats ~x ~gamma ~dy ~dx ~dgamma ~dbeta =
   let rows = x.View.rows and cols = x.View.cols in

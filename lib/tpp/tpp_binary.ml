@@ -25,7 +25,7 @@ let[@inline] apply op x y =
   | Max -> Float.max x y
   | Min -> Float.min x y
 
-let exec op ?(bcast = Full) ~a ~b ~out =
+let exec op ~bcast ~a ~b ~out =
   assert (a.View.rows = out.View.rows && a.View.cols = out.View.cols);
   (match bcast with
   | Full -> assert (b.View.rows = out.View.rows && b.View.cols = out.View.cols)

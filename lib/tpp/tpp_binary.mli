@@ -11,12 +11,13 @@ type broadcast =
 
 val op_to_string : op -> string
 
-(** [exec op ?bcast ~a ~b ~out] — out := a (op) broadcast(b). [a] and [out]
-    must have identical shapes; [b]'s shape must match [bcast]. [out] may
-    alias [a] (in-place accumulate patterns). *)
+(** [exec op ~bcast ~a ~b ~out] — out := a (op) broadcast(b). [a] and
+    [out] must have identical shapes; [b]'s shape must match [bcast]
+    ([Full] for an elementwise op). [out] may alias [a] (in-place
+    accumulate patterns). *)
 val exec :
   op ->
-  ?bcast:broadcast ->
+  bcast:broadcast ->
   a:Tensor.View.t ->
   b:Tensor.View.t ->
   out:Tensor.View.t ->

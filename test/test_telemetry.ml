@@ -362,18 +362,6 @@ let test_expose_jsonl () =
   | Some d -> checki "counter delta" 4 d
   | None -> Alcotest.fail "counter missing from deltas"
 
-let test_expose_prometheus () =
-  reset_on ();
-  Telemetry.Counter.incr (Telemetry.Counter.find_or_create "test.prom.count");
-  Telemetry.Gauge.set (Telemetry.Gauge.find_or_create "test.prom.depth") 3;
-  off ();
-  let s = Telemetry.Expose.prometheus () in
-  checkb "TYPE counter line" true
-    (contains ~needle:"# TYPE test_prom_count counter" s);
-  checkb "TYPE gauge line" true
-    (contains ~needle:"# TYPE test_prom_depth gauge" s);
-  checkb "gauge sample" true (contains ~needle:"test_prom_depth 3" s)
-
 (* ---- flight recorder ---- *)
 
 let test_recorder_emit_decode () =
@@ -698,73 +686,6 @@ let test_trace_survives_dense_wrap () =
     (List.length (Telemetry.Trace.timeline 41));
   trace_done ()
 
-(* ---- Prometheus exposition details ---- *)
-
-let test_expose_escape_label () =
-  Alcotest.(check string)
-    "backslash, quote and newline escaped" "a\\\"b\\\\c\\nd"
-    (Telemetry.Expose.escape_label "a\"b\\c\nd")
-
-let test_expose_histogram_exposition () =
-  reset_on ();
-  let h = Telemetry.Histogram.find_or_create "test.prom.lat_ms" in
-  Telemetry.Histogram.observe h 1.0;
-  Telemetry.Histogram.observe h 10.0;
-  Telemetry.Histogram.observe h 10.0;
-  off ();
-  let s = Telemetry.Expose.prometheus () in
-  checkb "TYPE histogram line" true
-    (contains ~needle:"# TYPE test_prom_lat_ms histogram" s);
-  checkb "le buckets" true (contains ~needle:"test_prom_lat_ms_bucket{le=\"" s);
-  checkb "+Inf bucket" true
-    (contains ~needle:"test_prom_lat_ms_bucket{le=\"+Inf\"} 3" s);
-  checkb "sum line" true (contains ~needle:"test_prom_lat_ms_sum 21" s);
-  checkb "count line" true (contains ~needle:"test_prom_lat_ms_count 3" s);
-  match Telemetry.Expose.check s with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "exposition rejected by its own checker: %s" m
-
-let test_expose_exemplar_gauge () =
-  reset_on ();
-  Telemetry.Trace.reset ();
-  Telemetry.Trace.retain ~id:77 ~reason:"ttft_breach";
-  Telemetry.Trace.exemplar ~metric:Telemetry.Trace.metric_ttft ~value_ms:33.0
-    ~id:77;
-  let s = Telemetry.Expose.prometheus () in
-  off ();
-  Telemetry.Trace.reset ();
-  checkb "exemplar TYPE line" true
-    (contains ~needle:"# TYPE parlooper_trace_exemplar gauge" s);
-  checkb "exemplar links trace id" true
-    (contains
-       ~needle:"parlooper_trace_exemplar{metric=\"ttft\",trace_id=\"77\"} 33"
-       s);
-  match Telemetry.Expose.check s with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "exposition rejected by its own checker: %s" m
-
-(* Json_check-style negative cases: the validator must reject the
-   malformations the escaping exists to prevent *)
-let test_expose_check_rejects_malformed () =
-  let t = "# TYPE m counter\n" in
-  let bad =
-    [ ("name starting with a digit", "9metric 1\n");
-      ("unterminated label value", t ^ "m{l=\"oops} 1\n");
-      ("unescaped quote in label value", t ^ "m{l=\"a\"b\"} 1\n");
-      ("missing value", t ^ "m{l=\"v\"}\n");
-      ("non-numeric value", t ^ "m 1.2.3\n");
-      ("sample without a TYPE line", "m 1\n") ]
-  in
-  List.iter
-    (fun (what, s) ->
-      match Telemetry.Expose.check s with
-      | Ok () -> Alcotest.failf "checker accepted %s" what
-      | Error _ -> ())
-    bad;
-  match Telemetry.Expose.check "# TYPE m counter\nm 1\nm{l=\"a\\\"b\"} 2\n" with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "checker rejected a valid exposition: %s" m
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -781,14 +702,6 @@ let () =
       ( "expose",
         [
           Alcotest.test_case "jsonl snapshots" `Quick test_expose_jsonl;
-          Alcotest.test_case "prometheus" `Quick test_expose_prometheus;
-          Alcotest.test_case "escape_label" `Quick test_expose_escape_label;
-          Alcotest.test_case "histogram buckets" `Quick
-            test_expose_histogram_exposition;
-          Alcotest.test_case "trace exemplar gauge" `Quick
-            test_expose_exemplar_gauge;
-          Alcotest.test_case "check rejects malformed" `Quick
-            test_expose_check_rejects_malformed;
         ] );
       ( "trace",
         [
