@@ -861,10 +861,14 @@ let kv_config_kvs (c : Serve.Scheduler.config) ~sys_prompt =
     ("draft_layers", string_of_int c.Serve.Scheduler.draft_layers);
     ("sys_prompt", string_of_int sys_prompt) ]
 
-let record_serve (s : Front.serve) (o : Cluster.Driver.outcome) =
+(* [counted]: each counter's increase over the serve run *)
+let record_serve (s : Front.serve)
+    ((o, counted) : Cluster.Driver.outcome * (string * int) list) =
   let load = s.Front.load and fleet = s.Front.fleet in
   let sched = fleet.Cluster.Router.scheduler in
-  let c n = float_of_int (Telemetry.Counter.value n) in
+  let c n =
+    float_of_int (Option.value ~default:0 (List.assoc_opt n counted))
+  in
   record_bench ~name:"serve"
     ~config:
       ([ ("model", Llm.tiny.Llm.name);

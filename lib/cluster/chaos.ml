@@ -13,7 +13,7 @@
        [new_tokens]; finished requests carry exactly [new_tokens];
      - quarantine isolation: the quarantined replica's ledger does not
        grow after the quarantine (no new routes, no adoptions);
-     - fleet drain: every KV pool (decode replicas + prefiller) reports
+     - fleet drain: every KV pool (decode replicas + prefill tier) reports
        zero caches in use, every paged arena is conserved, and the
        handoff and migration channels are empty;
      - exactly-once handoff release: the double-release counter stays 0;
@@ -115,10 +115,10 @@ let hard_kill =
    attempt, so small periods are fine there. Co-prime periods keep fault
    combinations varied.
 
-   Fleet rules: router/handoff/prefill/migration sites plus the
-   serve-level transients; the periods keep each fault a transient so
-   the conservation ledger — not wholesale failure — is what gets
-   exercised. *)
+   Fleet rules: router/handoff/migration sites plus the serve-level
+   transients, which a disaggregated fleet's prefill tier fires too; the
+   periods keep each fault a transient so the conservation ledger — not
+   wholesale failure — is what gets exercised. *)
 let default_plan ~replicas seed =
   let nth first period = Fault.Nth { first; period = Some period } in
   let rule rsite rkind rtrigger = { Fault.rsite; rkind; rtrigger } in
@@ -144,7 +144,6 @@ let default_plan ~replicas seed =
            rule "serve.kv.acquire" Fault.Deny (nth 3 13);
            rule "cluster.router.route" Fault.Deny (nth 7 19);
            rule "cluster.router.route" Fault.Exn (nth 11 23);
-           rule "cluster.prefill" Fault.Exn (nth 5 9);
            rule "cluster.handoff.push" Fault.Deny (nth 4 17);
            (* paged-KV sites — inert unless the scheduler config is paged *)
            rule "kv.page.acquire" Fault.Deny (nth 6 17);

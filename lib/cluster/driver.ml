@@ -121,32 +121,10 @@ let run ?live ?hard_kill router trace =
       Serve.Metrics.collect_fleet ~replicas ~requests ~tokens
         ~elapsed_s:elapsed;
     per_replica =
-      List.map
-        (fun i ->
-          if i < Array.length (Router.schedulers router) then
-            (i, replica_summary i (Router.schedulers router).(i) ~elapsed_s:elapsed)
-          else
-            (* prefill replica: ledger lives in the prefiller *)
-            let base =
-              match Router.prefiller router with
-              | Some p ->
-                Serve.Metrics.collect
-                  ~requests:(Prefiller.requests p)
-                  ~tokens:(Prefiller.tokens_emitted p) ~elapsed_s:elapsed
-              | None ->
-                Serve.Metrics.collect ~requests:[] ~tokens:0
-                  ~elapsed_s:elapsed
-            in
-            ( i,
-              { base with
-                Serve.Metrics.ttft_ms =
-                  Serve.Metrics.percentiles_of
-                    (Telemetry.Histogram.find_or_create
-                       (Serve.Metrics.replica_ttft_ms_name i));
-                tpot_ms =
-                  Serve.Metrics.percentiles_of
-                    (Telemetry.Histogram.find_or_create
-                       (Serve.Metrics.replica_tpot_ms_name i)) } ))
-        replicas;
+      (* decode replicas 0..N-1, then the prefill tier as replica N *)
+      List.mapi
+        (fun i sched -> (i, replica_summary i sched ~elapsed_s:elapsed))
+        (Array.to_list (Router.schedulers router)
+        @ Option.to_list (Router.prefiller router));
     requests;
     snapshots = !snapshots }

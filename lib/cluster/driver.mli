@@ -15,7 +15,7 @@ type live = { every_s : float; out : out_channel }
 type outcome = {
   summary : Serve.Metrics.summary;  (** fleet rollup, merged histograms *)
   per_replica : (int * Serve.Metrics.summary) list;
-      (** decode replicas 0..N-1, plus the prefill replica when
+      (** decode replicas 0..N-1, plus the prefill tier (N) when
           disaggregated *)
   requests : Serve.Request.t list;  (** router ledger, oldest first *)
   snapshots : int;  (** live JSONL lines written; 0 when [live] absent *)

@@ -73,7 +73,7 @@ type entry = {
 }
 
 (* fires inside [push]: Deny simulates a full channel, Exn a transport
-   failure — both exercise the prefiller's reclaim path *)
+   failure — both exercise the prefill tier's reclaim path *)
 let push_site = Fault.site "cluster.handoff.push"
 
 (* causal-trace lane label for the cross-replica handoff seam *)

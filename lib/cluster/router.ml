@@ -1,11 +1,12 @@
 (* Front-end router: spreads an arrival stream across N scheduler
-   replicas with pluggable placement, optionally behind a dedicated
-   prefill replica (disaggregation). Each decode replica owns its own
-   Kv_pool and runs its model as [Llm.shard llm ~shards] through the
-   scheduler's pluggable engine — tensor-parallel across its slice of
-   the persistent Team pool when [shards > 1], bit-identical to one
-   shard, so placement and sharding can never change what a request
-   computes.
+   replicas with pluggable placement, optionally behind a prefill tier
+   (disaggregation) — one more scheduler, created with a handoff over
+   the router's Kv_handoff channel, which prefills and hands each
+   request to the decode replicas. Every scheduler owns its own Kv_pool
+   and runs on [Llm.shard llm ~shards] — tensor-parallel across its
+   slice of the persistent Team pool when [shards > 1], bit-identical
+   to one shard, so placement and sharding can never change what a
+   request computes.
 
    Quarantine protocol (the chaos harness's conservation target): a
    quarantined replica receives no new routes or adoptions; its queued
@@ -102,7 +103,7 @@ type t = {
   cfg : config;
   scheds : Serve.Scheduler.t array;
   handoff : Kv_handoff.t option;
-  prefiller : Prefiller.t option;
+  prefiller : Serve.Scheduler.t option;  (* the prefill tier *)
   quarantined : bool array;
   hard_failed : bool array;  (* implies quarantined *)
   migrations : (float * Serve.Scheduler.detached) Kv_handoff.chan;
@@ -144,44 +145,35 @@ let create ?(config = default_config) llm =
     match Llm.shard llm ~shards:config.shards with
     | Error e -> Error e
     | Ok sharded ->
-      let engine =
-        { Serve.Scheduler.extend =
-            Llm.extend ?nthreads:config.scheduler.Serve.Scheduler.nthreads
-              sharded }
-      in
       let scheds =
         Array.init config.replicas (fun i ->
             Serve.Scheduler.create
               ~config:{ config.scheduler with Serve.Scheduler.replica = Some i }
-              ~engine llm)
+              sharded)
       in
       let handoff, prefiller =
         if config.disaggregate then begin
           let h = Kv_handoff.create ~cap:config.handoff_cap () in
-          (* under a paged template the prefiller gets its own arena: the
-             handoff then carries block tables over it, and the decode
-             tier appends into those blocks until the exactly-once
-             release returns them *)
-          let policy =
-            let s = config.scheduler in
-            if s.Serve.Scheduler.paged then
-              Serve.Kv_pool.Paged
-                { block_size = s.Serve.Scheduler.block_size;
-                  num_blocks = s.Serve.Scheduler.num_blocks;
-                  prefix = s.Serve.Scheduler.prefix_share }
-            else Serve.Kv_pool.Contiguous
-          in
+          (* the tier's [max_batch] bounds its live caches over the whole
+             prefill -> handoff -> decode window. Under a paged template
+             the tier has its own arena: the handoff carries block
+             tables over it, and the decode tier appends into those
+             blocks until the exactly-once release returns them. *)
           let p =
-            Prefiller.create
+            Serve.Scheduler.create
               ~config:
-                { Prefiller.max_queue = config.prefill_queue;
-                  kv_cap = config.scheduler.Serve.Scheduler.kv_cap;
-                  (* live caches bound the whole prefill->handoff window *)
-                  max_live =
+                { config.scheduler with
+                  Serve.Scheduler.max_queue = config.prefill_queue;
+                  max_batch =
                     config.handoff_cap
                     + config.scheduler.Serve.Scheduler.max_batch;
-                  replica = prefill_replica_index config }
-              ~engine ~policy llm ~handoff:h
+                  replica = Some (prefill_replica_index config) }
+              ~handoff:
+                { Serve.Scheduler.room = (fun () -> not (Kv_handoff.is_full h));
+                  push =
+                    (fun req cache ~release ->
+                      Kv_handoff.push h ~req ~cache ~release) }
+              sharded
           in
           (Some h, Some p)
         end
@@ -234,13 +226,15 @@ let healthy t =
     (fun i -> not t.quarantined.(i))
     (List.init t.cfg.replicas Fun.id)
 
-let tokens_emitted t =
-  Array.fold_left (fun a s -> a + Serve.Scheduler.tokens_emitted s) 0 t.scheds
-  + match t.prefiller with None -> 0 | Some p -> Prefiller.tokens_emitted p
+(* every scheduler in the fleet: decode replicas, then the prefill tier *)
+let all_schedulers t = Array.to_list t.scheds @ Option.to_list t.prefiller
 
-let pools t =
-  Array.to_list (Array.map Serve.Scheduler.pool t.scheds)
-  @ match t.prefiller with None -> [] | Some p -> [ Prefiller.pool p ]
+let tokens_emitted t =
+  List.fold_left
+    (fun a s -> a + Serve.Scheduler.tokens_emitted s)
+    0 (all_schedulers t)
+
+let pools t = List.map Serve.Scheduler.pool (all_schedulers t)
 
 (* shortest queue among healthy replicas: queued + active, first index
    wins ties — deterministic for the chaos harness *)
@@ -297,42 +291,33 @@ let submit t ~now (req : Serve.Request.t) =
   t.ledger <- req :: t.ledger;
   Telemetry.Recorder.emit Telemetry.Recorder.Trace_queued
     ~label:Telemetry.Trace.router_label ~a:req.Serve.Request.trace ~b:0;
+  let reject () =
+    reject_at_router t req ~now;
+    false
+  in
+  let route sched i =
+    Telemetry.Counter.incr t.routed_c;
+    trace_routed req i;
+    Serve.Scheduler.submit sched ~now req
+  in
   match Fault.fire route_site with
   | `Deny ->
     Telemetry.Counter.incr t.route_faults_c;
-    reject_at_router t req ~now;
-    false
-  | exception Fault.Injected _ ->
+    reject ()
+  | exception Fault.Injected _ -> (
     (* placement failure: degrade to first-healthy, never drop *)
     Telemetry.Counter.incr t.route_faults_c;
-    (match healthy t with
-    | [] ->
-      reject_at_router t req ~now;
-      false
-    | i :: _ ->
-      Telemetry.Counter.incr t.routed_c;
-      (match t.prefiller with
-      | Some p ->
-        trace_routed req (prefill_replica_index t.cfg);
-        Prefiller.submit p ~now req
-      | None ->
-        trace_routed req i;
-        Serve.Scheduler.submit t.scheds.(i) ~now req))
+    match (healthy t, t.prefiller) with
+    | [], _ -> reject ()
+    | _, Some p -> route p (prefill_replica_index t.cfg)
+    | i :: _, None -> route t.scheds.(i) i)
   | `None | `Nan -> (
     match t.prefiller with
-    | Some p ->
-      Telemetry.Counter.incr t.routed_c;
-      trace_routed req (prefill_replica_index t.cfg);
-      Prefiller.submit p ~now req
+    | Some p -> route p (prefill_replica_index t.cfg)
     | None -> (
       match choose t req with
-      | None ->
-        reject_at_router t req ~now;
-        false
-      | Some i ->
-        Telemetry.Counter.incr t.routed_c;
-        trace_routed req i;
-        Serve.Scheduler.submit t.scheds.(i) ~now req))
+      | None -> reject ()
+      | Some i -> route t.scheds.(i) i))
 
 (* quarantine: stop routing to [i], evict its queued requests and
    re-route them (original arrival stamp — deadlines never reset), let
@@ -396,35 +381,37 @@ let try_resume t ~now (d : Serve.Scheduler.detached) j =
   | `Full | `Denied -> false
   | exception _ -> false
 
+(* a detached session no replica can take fails terminally: exactly one
+   release, counted under cluster.migrations.failed — never a silent
+   drop *)
+let fail_migration t ~now (d : Serve.Scheduler.detached) =
+  let r = d.Serve.Scheduler.d_req in
+  r.Serve.Request.state <- Serve.Request.Failed;
+  r.Serve.Request.finish_s <- now -. r.Serve.Request.arrival_s;
+  d.Serve.Scheduler.d_release ();
+  Telemetry.Counter.incr t.migr_failed_c;
+  Telemetry.Trace.terminal ~id:r.Serve.Request.trace
+    ~label:Telemetry.Trace.router_label
+    ~state:(Serve.Request.state_code Serve.Request.Failed)
+    ~reason:"failed" ()
+
 (* Drain the migration channel: place each detached session on a healthy
    replica (placement policy first, then the remaining healthy replicas
    in order). On success the destination import has committed, so — and
    only then — the source KV is released and the latency recorded. A
    session no replica can take *right now* ([`Full]/[`Denied]
    everywhere) is requeued at the head and retried next step; with no
-   healthy replica at all it fails terminally (exactly one release,
-   counted under cluster.migrations.failed) rather than spinning —
-   conservation over availability, never a silent drop. *)
+   healthy replica at all it fails terminally rather than spinning —
+   conservation over availability. *)
 let drain_migrations t ~now =
   let worked = ref false in
-  let fail_terminally (d : Serve.Scheduler.detached) =
-    let r = d.Serve.Scheduler.d_req in
-    r.Serve.Request.state <- Serve.Request.Failed;
-    r.Serve.Request.finish_s <- now -. r.Serve.Request.arrival_s;
-    d.Serve.Scheduler.d_release ();
-    Telemetry.Counter.incr t.migr_failed_c;
-    Telemetry.Trace.terminal ~id:r.Serve.Request.trace
-      ~label:Telemetry.Trace.router_label
-      ~state:(Serve.Request.state_code Serve.Request.Failed)
-      ~reason:"failed" ()
-  in
   let rec go () =
     match Kv_handoff.chan_pop t.migrations with
     | None -> ()
     | Some (t0, d) -> (
       match healthy t with
       | [] ->
-        fail_terminally d;
+        fail_migration t ~now d;
         worked := true;
         go ()
       | hs ->
@@ -499,17 +486,7 @@ let hard_fail t ~now i =
               d.Serve.Scheduler.d_release ();
               Telemetry.Counter.incr t.migr_completed_c
             end
-            else begin
-              let r = d.Serve.Scheduler.d_req in
-              r.Serve.Request.state <- Serve.Request.Failed;
-              r.Serve.Request.finish_s <- now -. r.Serve.Request.arrival_s;
-              d.Serve.Scheduler.d_release ();
-              Telemetry.Counter.incr t.migr_failed_c;
-              Telemetry.Trace.terminal ~id:r.Serve.Request.trace
-                ~label:Telemetry.Trace.router_label
-                ~state:(Serve.Request.state_code Serve.Request.Failed)
-                ~reason:"failed" ()
-            end));
+            else fail_migration t ~now d));
         detach_all ()
     in
     detach_all ();
@@ -520,7 +497,7 @@ let hard_fail t ~now i =
 let publish t =
   let inflight = ref (handoff_depth t) in
   (match t.prefiller with
-  | Some p -> inflight := !inflight + Prefiller.queue_depth p
+  | Some p -> inflight := !inflight + Serve.Scheduler.queue_depth p
   | None -> ());
   Array.iteri
     (fun i s ->
@@ -573,7 +550,7 @@ let drain_handoff t ~now =
 let step t ~now =
   let worked = ref false in
   (match t.prefiller with
-  | Some p -> if Prefiller.step p ~now then worked := true
+  | Some p -> if Serve.Scheduler.step p ~now then worked := true
   | None -> ());
   if drain_handoff t ~now then worked := true;
   (* sessions stranded in the migration channel retry every step — a
@@ -594,7 +571,7 @@ let busy t =
   Array.exists Serve.Scheduler.busy t.scheds
   || handoff_depth t > 0
   || migration_depth t > 0
-  || match t.prefiller with None -> false | Some p -> Prefiller.busy p
+  || match t.prefiller with None -> false | Some p -> Serve.Scheduler.busy p
 
 let drain t ~now =
   while busy t do

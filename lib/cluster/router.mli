@@ -2,8 +2,11 @@
     {!Serve.Scheduler} replicas with pluggable placement (round-robin /
     join-shortest-queue / deadline-aware), optional tensor-parallel
     sharding inside each replica ({!Llm.shard}, bit-identical), and
-    optional prefill/decode disaggregation behind a {!Prefiller} +
-    {!Kv_handoff}.
+    optional prefill/decode disaggregation: a prefill tier, one more
+    {!Serve.Scheduler} created with a handoff over a {!Kv_handoff}
+    channel, prefills every request and hands it to the decode
+    replicas. Every scheduler, the tier included, runs on
+    [Llm.shard llm ~shards].
 
     Quarantine protocol: a quarantined replica receives no new routes or
     adoptions; its queued requests are evicted (from queue {e and}
@@ -40,11 +43,13 @@ val placement_of_string : string -> placement option
 type config = {
   replicas : int;  (** decode replicas *)
   shards : int;  (** tensor-parallel width inside each replica *)
-  disaggregate : bool;  (** dedicated prefill replica + KV handoff *)
+  disaggregate : bool;  (** prefill tier + KV handoff *)
   placement : placement;
   scheduler : Serve.Scheduler.config;  (** per-replica template *)
   handoff_cap : int;
   prefill_queue : int;
+      (** the prefill tier's [max_queue]; its [max_batch], the bound on
+          its live caches, is [handoff_cap + max_batch] *)
 }
 
 (** 2 replicas, unsharded, aggregated (no prefill tier), round-robin. *)
@@ -57,8 +62,13 @@ type t
 val create : ?config:config -> Llm.t -> (t, string) result
 
 val config : t -> config
+
+(** The decode replicas, by replica index. *)
 val schedulers : t -> Serve.Scheduler.t array
-val prefiller : t -> Prefiller.t option
+
+(** The prefill tier, when disaggregated. *)
+val prefiller : t -> Serve.Scheduler.t option
+
 val handoff_depth : t -> int
 
 (** Route one request (ledger, placement, replica admission). [false] =
@@ -66,7 +76,7 @@ val handoff_depth : t -> int
     replica, or by the chosen replica's own admission control. *)
 val submit : t -> now:float -> Serve.Request.t -> bool
 
-(** One fleet iteration: prefiller step, handoff adoption into healthy
+(** One fleet iteration: prefill tier step, handoff adoption into healthy
     replicas, one scheduler step per replica (quarantined ones included —
     their batches must drain), gauge publication. *)
 val step : t -> now:(unit -> float) -> bool
@@ -106,7 +116,7 @@ val requests : t -> Serve.Request.t list
 
 val tokens_emitted : t -> int
 
-(** Every KV pool in the fleet (decode replicas + prefiller). *)
+(** Every KV pool in the fleet (decode replicas + prefill tier). *)
 val pools : t -> Serve.Kv_pool.t list
 
 (** Telemetry names published by the router. *)
@@ -133,5 +143,5 @@ val replica_active_name : int -> string
 val replica_quarantined_name : int -> string
 
 (** Telemetry replica indices in use (decode replicas, plus the prefill
-    replica's when disaggregated). *)
+    tier's, [replicas], when disaggregated). *)
 val replica_indices : t -> int list

@@ -218,14 +218,17 @@ let serve_config =
 
 let plural n = if n = 1 then "" else "s"
 
-let print_pools router =
-  let pools = Router.pools router and c = Telemetry.Counter.value in
+(* [counted]: each counter's increase over the serve run *)
+let print_pools router counted =
+  let pools = Router.pools router in
+  let run name = Option.value ~default:0 (List.assoc_opt name counted) in
   List.iteri
     (fun i pool ->
       (* created/reused are fleet-wide counters; free/peak are per pool *)
       if i = 0 then
         Printf.printf "KV fleet: %d created, %d reused across %d pools\n"
-          (Serve.Kv_pool.created pool) (Serve.Kv_pool.reused pool)
+          (run Serve.Metrics.kv_created_name)
+          (run Serve.Metrics.kv_reused_name)
           (List.length pools);
       Printf.printf "KV pool %d: %d free at exit, peak %d rows/layer\n" i
         (Serve.Kv_pool.free_count pool)
@@ -239,14 +242,20 @@ let print_pools router =
             (Kv.Block_manager.num_blocks m)
             (Option.fold ~none:0 ~some:Kv.Prefix.pinned
                (Serve.Kv_pool.prefix_cache pool))
-            (c Kv.Block_manager.pages_allocated_name)
-            (c Kv.Block_manager.pages_freed_name)
-            (c Kv.Block_manager.cow_copies_name)
-            (c Kv.Block_manager.prefix_hits_name))
+            (run Kv.Block_manager.pages_allocated_name)
+            (run Kv.Block_manager.pages_freed_name)
+            (run Kv.Block_manager.cow_copies_name)
+            (run Kv.Block_manager.prefix_hits_name))
         (Serve.Kv_pool.manager pool))
     pools
 
 let serve s =
+  (* the process's counters already hold whatever ran before this run:
+     report each as its increase over the run *)
+  let before = Telemetry.Expose.take () in
+  let counted () =
+    Telemetry.Expose.deltas ~prev:before (Telemetry.Expose.take ())
+  in
   let load = s.load and fleet = s.fleet in
   let sched = fleet.Router.scheduler in
   Option.iter
@@ -331,7 +340,7 @@ let serve s =
     o.Cluster.Driver.per_replica;
   Printf.printf "fleet (histograms merged across replicas):\n";
   Serve.Metrics.print o.Cluster.Driver.summary;
-  print_pools router;
+  print_pools router (counted ());
   if sched.Sched.online_tune then begin
     (* let in-flight background tunes land, so the tuner.cache.* counters
        are final, then report and stop the tuning domain *)
@@ -356,7 +365,7 @@ let serve s =
         (Telemetry.Trace.dump ~dir) dir dir)
     s.trace_dir;
   flush stdout;
-  o
+  (o, counted ())
 
 (* ---- chaos ---- *)
 
@@ -420,11 +429,15 @@ let chaos (c : Chaos.config) =
   flush stdout;
   let failures =
     List.map (fun v -> "invariant violated: " ^ v) r.Chaos.violations
-    @ (if r.Chaos.injected = 0 then [ "the plan injected no fault" ] else [])
-    @
-    if c.Chaos.hard_kill_step >= 0 && r.Chaos.migrations_completed = 0 then
-      [ "the hard kill completed no migration" ]
-    else []
+    @ List.filter_map
+        (fun (failed, why) -> if failed then Some why else None)
+        [ (r.Chaos.injected = 0, "the plan injected no fault");
+          ( c.Chaos.hard_kill_step >= 0 && r.Chaos.migrations_completed = 0,
+            "the hard kill completed no migration" );
+          (* a prefill tier that decoded its own sessions would pass
+             every conservation and identity check *)
+          ( c.Chaos.disaggregate && r.Chaos.adopted = 0,
+            "the disaggregated fleet adopted no session" ) ]
   in
   List.iter (Printf.eprintf "chaos: %s; the run proves nothing\n") failures;
   (r, failures = [])

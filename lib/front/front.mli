@@ -39,14 +39,18 @@ val serve_config : serve Cmdliner.Term.t
 val chaos_config : Cluster.Chaos.config Cmdliner.Term.t
 
 (** Serve [Llm.tiny] through the fleet under the load, in real time,
-    and print the fleet, replica, KV and spec-cache report. Exits 1 if
-    the fleet cannot be built. *)
-val serve : serve -> Cluster.Driver.outcome
+    and print the fleet, replica, KV and spec-cache report. Returns the
+    driver's outcome and every counter's increase over the run
+    ({!Telemetry.Expose.deltas}); the report's KV totals are such
+    increases too, so nothing that ran earlier in the process counts.
+    Exits 1 if the fleet cannot be built. *)
+val serve : serve -> Cluster.Driver.outcome * (string * int) list
 
 (** Run the chaos harness and print its report. [false] (with one
     message each on stderr) if an invariant was violated, if the plan
-    injected no fault, or if a hard kill completed no migration: each
-    makes the run prove nothing. *)
+    injected no fault, if a hard kill completed no migration, or if a
+    disaggregated fleet adopted no session: each makes the run prove
+    nothing. *)
 val chaos : Cluster.Chaos.config -> Cluster.Chaos.report * bool
 
 (** [--telemetry] (print the registry report) and [--trace FILE] (write

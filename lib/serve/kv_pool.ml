@@ -46,7 +46,7 @@ type t = {
 }
 
 let create ?(init_cap = 16) ?(max_free = 64) ?(max_live = max_int)
-    ?(policy = Contiguous) ?manager llm =
+    ?(policy = Contiguous) llm =
   assert (max_live > 0);
   let mgr, pfx =
     match policy with
@@ -54,11 +54,8 @@ let create ?(init_cap = 16) ?(max_free = 64) ?(max_live = max_int)
     | Paged { block_size; num_blocks; prefix } ->
       let cfg = Llm.config llm in
       let m =
-        match manager with
-        | Some m -> m
-        | None ->
-          Kv.Block_manager.create ~block_size ~num_blocks
-            ~layers:cfg.Llm.layers ~hidden:cfg.Llm.hidden ()
+        Kv.Block_manager.create ~block_size ~num_blocks ~layers:cfg.Llm.layers
+          ~hidden:cfg.Llm.hidden ()
       in
       (Some m, if prefix then Some (Kv.Prefix.create m) else None)
   in

@@ -16,19 +16,17 @@ type policy =
   | Contiguous
   | Paged of { block_size : int; num_blocks : int; prefix : bool }
 
-(** [create ?init_cap ?max_free ?max_live ?policy ?manager llm] —
-    [init_cap] rows are pre-allocated per layer in freshly created
-    contiguous caches; at most [max_free] rewound caches are retained
-    for reuse; at most [max_live] caches may be acquired concurrently
-    (default: unbounded). A [Paged] policy builds its own arena sized
-    [num_blocks] blocks of [block_size] tokens unless an existing
-    [manager] is supplied (shared-arena setups). *)
+(** [create ?init_cap ?max_free ?max_live ?policy llm] — [init_cap]
+    rows are pre-allocated per layer in freshly created contiguous
+    caches; at most [max_free] rewound caches are retained for reuse; at
+    most [max_live] caches may be acquired concurrently (default:
+    unbounded). A [Paged] policy builds its own arena of [num_blocks]
+    blocks of [block_size] tokens. *)
 val create :
   ?init_cap:int ->
   ?max_free:int ->
   ?max_live:int ->
   ?policy:policy ->
-  ?manager:Kv.Block_manager.t ->
   Llm.t ->
   t
 

@@ -18,18 +18,24 @@
 
    Failure handling (the serving half of lib/fault's contract):
      - a prefill/decode step that raises is retried up to [max_retries]
-       times with optional exponential backoff; before each retry the KV
-       cache is rewound ([Llm.truncate_cache]) to its pre-step length, so
-       a recovered run is bit-identical to one that never failed. A step
-       that keeps failing marks the request [Failed] and releases its KV.
+       times; before each retry the KV cache is rewound
+       ([Llm.truncate_cache]) to its pre-step length, so a recovered run
+       is bit-identical to one that never failed. A step that keeps
+       failing marks the request [Failed] and releases its KV.
      - a [`Denied] KV acquire sheds load: the request goes back to the
        queue head and the effective batch limit shrinks (never below 1);
        after [recovery_steps] denial-free iterations it grows back toward
-       [max_batch]. Denial with an empty active set means no release can
-       ever unblock us, so the request fails instead of spinning.
+       [max_batch]. Denial while the pool lends out no cache means no
+       release can ever unblock us, so the request fails instead of
+       spinning.
      - [check_numerics] turns each step's output through the TPP numeric
        guard, so a NaN poisoned into a kernel surfaces as a retryable
        structured error instead of a corrupt token.
+
+   With a [handoff] the scheduler is the prefill tier of a disaggregated
+   fleet: it admits one request a step while the handoff has room, and
+   hands each prefilled request (with its cache and the exactly-once
+   release back to this pool) to the decode tier instead of decoding it.
 
    Sessions are independent (no cross-request math), so batched decoding
    is bit-identical to running each session alone — the invariant the
@@ -54,7 +60,6 @@ type config = {
   nthreads : int option;  (* team size handed to prefill/decode *)
   kv_cap : int;  (* initial rows of pooled KV caches *)
   max_retries : int;  (* extra attempts for a failing prefill/decode *)
-  retry_backoff_s : float;  (* base sleep before retry k doubles; 0 = none *)
   check_numerics : bool;  (* guard step outputs with Tpp_check.finite_2d *)
   replica : int option;
       (* cluster replica index: observe into serve.r<i>.* telemetry
@@ -77,8 +82,7 @@ type config = {
 
 let default_config =
   { max_queue = 64; max_batch = 8; policy = Fcfs; nthreads = None;
-    kv_cap = 16; max_retries = 2; retry_backoff_s = 0.0;
-    check_numerics = false; replica = None;
+    kv_cap = 16; max_retries = 2; check_numerics = false; replica = None;
     paged = false; block_size = 16; num_blocks = 64; prefix_share = true;
     spec_k = 0; draft_layers = 1; spec_accuracy = 0.75; online_tune = false }
 
@@ -90,6 +94,20 @@ let default_config =
    rows) — per-row outputs are bit-identical across all three. *)
 type engine = { extend : Llm.kv_cache -> Tensor.t -> Tensor.t }
 
+(* the decode tier's channel, as the prefill tier of a disaggregated
+   fleet sees it: [room] = it can take one more request; [push] hands
+   over a prefilled request, its cache and the exactly-once release that
+   returns the cache to this scheduler's pool. [`Full] or an exception
+   refuses the push. *)
+type handoff = {
+  room : unit -> bool;
+  push :
+    Request.t ->
+    Llm.kv_cache ->
+    release:(Llm.kv_cache -> unit) ->
+    [ `Ok | `Full ];
+}
+
 (* denial-free steps before the shed batch limit is raised by one *)
 let recovery_steps = 8
 
@@ -98,8 +116,8 @@ type session = {
   cache : Llm.kv_cache;
   release : Llm.kv_cache -> unit;
       (* where the cache goes on retirement: the scheduler's own pool for
-         locally admitted sessions, the prefill replica's pool for
-         sessions adopted through a KV handoff *)
+         locally admitted sessions, the prefill tier's pool for sessions
+         adopted through a KV handoff *)
   mutable emitted : int;  (* output tokens produced so far *)
   mutable last_token_s : float;  (* inter-token latency anchor *)
   draft : Llm.kv_cache option;
@@ -124,7 +142,8 @@ type t = {
   llm : Llm.t;
   cfg : config;
   engine : engine;
-  draft_llm : Llm.t option;  (* Some iff spec_k > 0 *)
+  handoff : handoff option;  (* Some = prefill tier of a disaggregated fleet *)
+  draft_llm : Llm.t option;  (* Some iff spec_k > 0 and this decodes *)
   rtel : replica_tel option;
   tr_lbl : int;
       (* causal-trace lane label: "replica:<i>" on a cluster replica
@@ -171,9 +190,9 @@ let lbl_sched = Telemetry.Recorder.intern "serve.scheduler"
    *why* the batch fell behind (stalls, faults, KV denials) is gone *)
 let storm_threshold = 4
 
-let create ?(config = default_config) ?engine llm =
+let create ?(config = default_config) ?engine ?handoff llm =
   assert (config.max_queue > 0 && config.max_batch > 0);
-  assert (config.max_retries >= 0 && config.retry_backoff_s >= 0.0);
+  assert (config.max_retries >= 0);
   assert (config.spec_k >= 0 && config.block_size > 0 && config.num_blocks > 0);
   (* the spec cache is process-global (it hooks Gemm's resolver); the
      scheduler only switches it on — a cluster of replicas shares one
@@ -189,7 +208,8 @@ let create ?(config = default_config) ?engine llm =
       }
   in
   let draft_llm =
-    if config.spec_k > 0 then Some (Llm.draft llm ~layers:config.draft_layers)
+    if config.spec_k > 0 && handoff = None then
+      Some (Llm.draft llm ~layers:config.draft_layers)
     else None
   in
   let rtel =
@@ -230,7 +250,7 @@ let create ?(config = default_config) ?engine llm =
     | None -> Telemetry.Trace.solo_label
   in
   let t =
-    { llm; cfg = config; engine; draft_llm; rtel; tr_lbl;
+    { llm; cfg = config; engine; handoff; draft_llm; rtel; tr_lbl;
       pool =
         Kv_pool.create ~init_cap:config.kv_cap ~max_live:config.max_batch
           ~policy:pool_policy llm;
@@ -400,6 +420,15 @@ let cancel t (s : session) ~now_s =
     ~state:(Request.state_code Request.Cancelled)
     ~reason:"deadline_cancelled" ()
 
+(* fail a request that holds no session (and so no cache) *)
+let fail_request ?(reason = "failed") t (req : Request.t) ~now_s =
+  req.Request.state <- Request.Failed;
+  req.Request.finish_s <- now_s -. req.Request.arrival_s;
+  incr2 t t.failed_c (fun r -> r.r_failed);
+  Telemetry.Trace.terminal ~id:req.Request.trace ~label:t.tr_lbl
+    ~state:(Request.state_code Request.Failed)
+    ~reason ()
+
 let fail_session t (s : session) ~now_s =
   retire t s ~now_s ~state:Request.Failed;
   incr2 t t.failed_c (fun r -> r.r_failed);
@@ -464,8 +493,6 @@ let with_retries ?tr t ~rewind f =
           ~a:id ~b:(attempt + 1);
         Telemetry.Trace.retain ~id ~reason:"fault_retry"
       | None -> ());
-      if t.cfg.retry_backoff_s > 0.0 then
-        Thread.delay (t.cfg.retry_backoff_s *. float_of_int (1 lsl attempt));
       go (attempt + 1)
   in
   go 0
@@ -481,19 +508,16 @@ let shed t (req : Request.t) ~now_s =
   Telemetry.Recorder.emit Telemetry.Recorder.Trace_shed ~label:t.tr_lbl
     ~a:req.Request.trace ~b:t.eff_batch;
   Telemetry.Trace.retain ~id:req.Request.trace ~reason:"shed";
-  if t.active = [] then begin
-    (* nothing holds a cache, so no release can unblock this request;
-       tolerate up to [max_retries] consecutive idle denials (the denial
-       may be transient), then refuse — the bound preserves liveness *)
+  if Kv_pool.in_use t.pool = 0 then begin
+    (* no cache of this pool is out — not in a session here, nor, on a
+       prefill tier, in the handoff or a decode replica — so no release
+       can unblock this request; tolerate up to [max_retries] consecutive
+       idle denials (the denial may be transient), then refuse — the
+       bound preserves liveness *)
     t.idle_denials <- t.idle_denials + 1;
     if t.idle_denials > t.cfg.max_retries then begin
       t.idle_denials <- 0;
-      req.Request.state <- Request.Failed;
-      req.Request.finish_s <- now_s -. req.Request.arrival_s;
-      incr2 t t.failed_c (fun r -> r.r_failed);
-      Telemetry.Trace.terminal ~id:req.Request.trace ~label:t.tr_lbl
-        ~state:(Request.state_code Request.Failed)
-        ~reason:"shed" ()
+      fail_request t req ~now_s ~reason:"shed"
     end
     else begin
       req.Request.state <- Request.Queued;
@@ -533,7 +557,9 @@ let make_draft t (req : Request.t) =
 (* admit one queued request: acquire KV (prefix-aware and, for a paged
    pool, admission-gated on arena capacity), run the prefill phase over
    the un-shared prompt suffix (with retries), record TTFT; the last
-   output row is the request's first token *)
+   output row is the request's first token. A prefill tier then pushes a
+   request with more tokens to emit to the decode tier; every other
+   request joins the batch *)
 let admit_one t ~now =
   match pop_next t with
   | None -> `Empty
@@ -568,13 +594,7 @@ let admit_one t ~now =
       | exception _ ->
         (* permanent: retries exhausted *)
         Kv_pool.release t.pool cache;
-        let now_s = now () in
-        req.Request.state <- Request.Failed;
-        req.Request.finish_s <- now_s -. req.Request.arrival_s;
-        incr2 t t.failed_c (fun r -> r.r_failed);
-        Telemetry.Trace.terminal ~id:req.Request.trace ~label:t.tr_lbl
-          ~state:(Request.state_code Request.Failed)
-          ~reason:"failed" ();
+        fail_request t req ~now_s:(now ());
         `Progress
       | first ->
         (* pin the prompt's full blocks for later prefix hits *)
@@ -597,12 +617,22 @@ let admit_one t ~now =
         Request.push_output req first ~row:0;
         req.Request.state <- Request.Decoding;
         t.tokens <- t.tokens + 1;
-        let s =
-          { req; cache; release = Kv_pool.release t.pool; emitted = 1;
-            last_token_s = now_s; draft = make_draft t req }
-        in
-        t.active <- t.active @ [ s ];
-        if s.emitted >= req.Request.new_tokens then finish t s ~now_s;
+        (match t.handoff with
+        | Some h when req.Request.new_tokens > 1 -> (
+          match h.push req cache ~release:(Kv_pool.release t.pool) with
+          | `Ok -> ()
+          | `Full | (exception _) ->
+            (* refused after the prefill ran: reclaim the cache and fail
+               the request — never strand a live cache *)
+            Kv_pool.release t.pool cache;
+            fail_request t req ~now_s)
+        | _ ->
+          let s =
+            { req; cache; release = Kv_pool.release t.pool; emitted = 1;
+              last_token_s = now_s; draft = make_draft t req }
+          in
+          t.active <- t.active @ [ s ];
+          if s.emitted >= req.Request.new_tokens then finish t s ~now_s);
         `Progress))
 
 (* plain greedy decode: one token for session [s] *)
@@ -761,8 +791,15 @@ let decode_round t ~now =
 let step t ~now =
   t.denied_step <- false;
   sweep_deadlines t ~now_s:(now ());
+  (* a prefill tier admits one request a step, and none while the
+     handoff has no room: a router step then interleaves one prefill with
+     each decode replica's round *)
+  let may_admit did =
+    List.length t.active < t.eff_batch
+    && match t.handoff with None -> true | Some h -> (not did) && h.room ()
+  in
   let rec admit did =
-    if List.length t.active < t.eff_batch then
+    if may_admit did then
       match admit_one t ~now with
       | `Progress -> admit true
       | `Empty -> did

@@ -14,6 +14,10 @@
     sheds load by shrinking the effective batch limit, which grows back
     after a denial-free recovery window.
 
+    The prefill tier of a disaggregated fleet is the same loop, created
+    with a {!handoff}: it decodes nothing, and hands each prefilled
+    request to the decode tier instead.
+
     Sessions are mathematically independent, so batched decoding produces
     bit-identical hidden states to running each session alone with
     [Llm.prefill]/[Llm.decode_step] — wall-clock time feeds only
@@ -35,8 +39,6 @@ type config = {
   nthreads : int option;  (** team size for prefill/decode kernels *)
   kv_cap : int;  (** initial rows of pooled KV caches *)
   max_retries : int;  (** extra attempts for a failing prefill/decode step *)
-  retry_backoff_s : float;
-      (** base sleep before retry [k] is [retry_backoff_s * 2^k]; 0 = none *)
   check_numerics : bool;
       (** run each step's output through [Tpp_check.finite_2d] so NaN/Inf
           surfaces as a retryable structured error *)
@@ -61,8 +63,8 @@ type config = {
           outputs are unchanged, only the loop instantiation is *)
 }
 
-(** queue 64, batch 8, FCFS, default threads, 16 KV rows, 2 retries, no
-    backoff, numeric checks off, no replica index; contiguous KV
+(** queue 64, batch 8, FCFS, default threads, 16 KV rows, 2 retries,
+    numeric checks off, no replica index; contiguous KV
     (16-token blocks, 64-block arena, prefix sharing when paged);
     speculation off (k=0, 1 draft layer, 75% modelled accuracy); online
     tuning off. *)
@@ -72,14 +74,37 @@ val default_config : config
     phase — prefill (empty cache, last row = first token), single-token
     decode (one row), speculative verification ([k+1] rows) — because
     per-row outputs are bit-identical across batch shapes. The default
-    engine wraps [Llm.extend] with the config's [nthreads]; a cluster
-    replica runs the same over [Llm.shard llm ~shards], which is
-    bit-identical, so nothing downstream can tell the difference. *)
+    engine is [Llm.extend] on the scheduler's model with the config's
+    [nthreads]; a cluster replica is simply created on
+    [Llm.shard llm ~shards], which is bit-identical. A custom engine
+    wraps the call (for instance, to time it). *)
 type engine = { extend : Llm.kv_cache -> Tensor.t -> Tensor.t }
+
+(** The decode tier's channel, as the prefill tier of a disaggregated
+    fleet sees it. [room ()]: the channel can take one more request.
+    [push req cache ~release] hands over a prefilled request, its cache
+    and the exactly-once [release] that returns the cache to this
+    scheduler's pool; [`Full] or an exception refuses the push. *)
+type handoff = {
+  room : unit -> bool;
+  push :
+    Request.t ->
+    Llm.kv_cache ->
+    release:(Llm.kv_cache -> unit) ->
+    [ `Ok | `Full ];
+}
 
 type t
 
-val create : ?config:config -> ?engine:engine -> Llm.t -> t
+(** [create ?config ?engine ?handoff llm]. With [handoff] the scheduler
+    is a prefill tier: it admits at most one request a step, and none
+    while [room ()] is false. After the prefill, a request with more
+    than one token to emit is pushed instead of joining the batch (no
+    draft-model prefill); a refused push releases the cache and fails
+    the request. A single-token request finishes in place. The tier
+    counts the submission, the TTFT and the first token; the decode
+    replica that adopts the session ({!adopt}) counts the rest. *)
+val create : ?config:config -> ?engine:engine -> ?handoff:handoff -> Llm.t -> t
 val config : t -> config
 val pool : t -> Kv_pool.t
 
@@ -97,7 +122,8 @@ val step : t -> now:(unit -> float) -> bool
 
 (** Run [step] until queue and batch are empty. Terminates even under
     persistent faults: bounded retries end in [Failed], and a KV denial
-    with an idle pool fails the request rather than spinning. *)
+    while the pool lends out no cache fails the request rather than
+    spinning. *)
 val drain : t -> now:(unit -> float) -> unit
 
 val busy : t -> bool

@@ -3,7 +3,8 @@
    disaggregation, paged + speculative + shared prefix, quarantine and
    hard kill), the open-loop driver and its live-metrics stream across
    fleet sizes, per-replica EDF ordering through the router, exactly-once
-   KV handoff release, and disaggregated-decode identity. *)
+   KV handoff release, and disaggregated-decode identity through the
+   prefill tier's retries, full-handoff gate and KV denials. *)
 
 open Fixtures
 
@@ -551,33 +552,33 @@ let test_handoff_exactly_once () =
   checkb "2nd fits" true (push_ok () = `Ok);
   checkb "3rd refused" true (push_ok () = `Full)
 
-(* ---- disaggregated serving is bit-identical to solo decoding ---- *)
+(* ---- disaggregated serving is bit-identical to solo decoding ----
 
-let test_disaggregated_bit_identity () =
-  clean ();
+   Each test drives a disaggregated fleet (prefill tier + KV handoff)
+   over its requests under a fault plan, then checks that every request
+   finished, bit for bit equal to its solo replay, with the handoff and
+   every pool drained. *)
+
+let serve_disaggregated ?(plan = { Fault.seed = 1; rules = [] }) ~rcfg reqs =
   let llm = make_llm () in
-  let rcfg =
-    { Cluster.Router.default_config with
-      Cluster.Router.replicas = 2;
-      disaggregate = true;
-      scheduler =
-        { Serve.Scheduler.default_config with
-          Serve.Scheduler.max_batch = 2; nthreads = Some 1 } }
-  in
   let router =
-    match Cluster.Router.create ~config:rcfg llm with
+    match
+      Cluster.Router.create
+        ~config:{ rcfg with Cluster.Router.disaggregate = true }
+        llm
+    with
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
   checkb "prefiller present" true (Cluster.Router.prefiller router <> None);
-  for id = 0 to 5 do
-    checkb "accepted" true
-      (Cluster.Router.submit router ~now:0.0
-         (mk_req ~prompt_len:(2 + id) ~new_tokens:3 id))
-  done;
-  Cluster.Router.drain router ~now:frozen_now;
-  let reqs = Cluster.Router.requests router in
-  checki "all requests tracked" 6 (List.length reqs);
+  Fault.with_plan plan (fun () ->
+      List.iter
+        (fun r ->
+          checkb "accepted" true (Cluster.Router.submit router ~now:0.0 r))
+        reqs;
+      Cluster.Router.drain router ~now:frozen_now);
+  let ledger = Cluster.Router.requests router in
+  checki "all requests tracked" (List.length reqs) (List.length ledger);
   List.iter
     (fun (r : Serve.Request.t) ->
       checkb "finished" true (r.Serve.Request.state = Serve.Request.Finished);
@@ -587,11 +588,68 @@ let test_disaggregated_bit_identity () =
       List.iter2
         (fun a b -> checkb "bit-identical" true (bits_equal a b))
         alone got)
-    reqs;
+    ledger;
   checki "handoff drained" 0 (Cluster.Router.handoff_depth router);
   List.iter
     (fun p -> checki "pool drained" 0 (Serve.Kv_pool.in_use p))
     (Cluster.Router.pools router)
+
+(* a [paged] template gets a two-block arena *)
+let fleet ?(replicas = 2) ?(max_batch = 2) ?(handoff_cap = 16)
+    ?(paged = false) () =
+  { Cluster.Router.default_config with
+    Cluster.Router.replicas;
+    handoff_cap;
+    scheduler =
+      { Serve.Scheduler.default_config with
+        Serve.Scheduler.max_batch; nthreads = Some 1; paged; num_blocks = 2 } }
+
+let test_disaggregated_bit_identity () =
+  clean ();
+  serve_disaggregated ~rcfg:(fleet ())
+    (List.init 6 (fun id -> mk_req ~prompt_len:(2 + id) ~new_tokens:3 id))
+
+(* the prefill tier fires serve.prefill and retries it with rewind:
+   every other prefill attempt fails, and every request still finishes *)
+let test_prefill_fault_retried () =
+  clean ();
+  let retries () =
+    Telemetry.Counter.value Telemetry.Registry.fault_retries_name
+  in
+  let before = retries () in
+  serve_disaggregated
+    ~plan:
+      { Fault.seed = 1;
+        rules =
+          [ { Fault.rsite = "serve.prefill"; rkind = Fault.Exn;
+              rtrigger = Fault.Nth { first = 1; period = Some 2 } } ] }
+    ~rcfg:(fleet ())
+    (List.init 6 (fun id -> mk_req ~prompt_len:(2 + id) ~new_tokens:3 id));
+  checkb "prefills retried" true (retries () > before)
+
+(* a one-entry handoff in front of a one-slot decode replica: the tier
+   admits nothing while the handoff is full, so requests wait in its
+   queue instead of failing on a refused push — held back by that gate,
+   not by KV denials *)
+let test_full_handoff_holds_queue () =
+  clean ();
+  let denied () = Telemetry.Counter.value Serve.Metrics.kv_denied_name in
+  let before = denied () in
+  serve_disaggregated
+    ~rcfg:(fleet ~replicas:1 ~max_batch:1 ~handoff_cap:1 ())
+    (List.init 6 (fun id -> mk_req ~prompt_len:3 ~new_tokens:3 id));
+  checki "no KV denial" before (denied ())
+
+(* a two-block paged arena and one-block requests: while the decode
+   replicas hold both of the tier's blocks, its KV acquire is denied,
+   and the request waits at the queue head instead of failing *)
+let test_paged_denials_requeue () =
+  clean ();
+  let denied () = Telemetry.Counter.value Serve.Metrics.kv_denied_name in
+  let before = denied () in
+  serve_disaggregated ~rcfg:(fleet ~paged:true ())
+    (List.init 8 (fun id -> mk_req ~prompt_len:4 ~new_tokens:8 id));
+  checkb "the tier saw KV denials" true (denied () > before)
 
 (* ---- placement parsing round-trips ---- *)
 
@@ -651,5 +709,11 @@ let () =
             test_handoff_exactly_once;
           Alcotest.test_case "disaggregated bit-identity" `Quick
             test_disaggregated_bit_identity;
+          Alcotest.test_case "prefill faults retried" `Quick
+            test_prefill_fault_retried;
+          Alcotest.test_case "full handoff holds the queue" `Quick
+            test_full_handoff_holds_queue;
+          Alcotest.test_case "paged denials requeue" `Quick
+            test_paged_denials_requeue;
         ] );
     ]
