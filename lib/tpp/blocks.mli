@@ -2,7 +2,12 @@
     views. These are the fused-operator building blocks the paper composes
     after contractions (bias + dropout + residual + layernorm in
     Bert-Output, scale + softmax in attention, batchnorm after ResNet
-    convolutions). *)
+    convolutions).
+
+    [softmax_rows], [swiglu] and both layernorms run in the native
+    element-wise evaluator ([eltwise_stubs.c]), bit for bit the OCaml
+    formulas they replaced. Each raises [Invalid_argument] before it
+    stores anything if a view reaches past its buffer. *)
 
 (** Row-wise numerically-stabilized softmax of [scale * inp]: out may
     alias inp.

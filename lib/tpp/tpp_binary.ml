@@ -12,18 +12,17 @@ let op_to_string = function
   | Max -> "max"
   | Min -> "min"
 
-(* Of two NaN operands, [apply]'s [Add] and [Mul] return the first, as a
-   call through the closures [( +. )] and [( *. )] does: which NaN an x86
-   instruction returns depends on the operand order the compiler picks
-   for an inline [+.] or [*.]. [-.] and [/.] keep their order. *)
-let[@inline] apply op x y =
-  match op with
-  | Add -> if Float.is_nan x then x else x +. y
-  | Sub -> x -. y
-  | Mul -> if Float.is_nan x then x else x *. y
-  | Div -> x /. y
-  | Max -> Float.max x y
-  | Min -> Float.min x y
+(* codes in the native evaluator (eltwise_stubs.c's [enum binary] and
+   [enum bcast]) *)
+let op_code = function
+  | Add -> 0
+  | Sub -> 1
+  | Mul -> 2
+  | Div -> 3
+  | Max -> 4
+  | Min -> 5
+
+let bcast_code = function Full -> 0 | Row -> 1 | Col -> 2 | Scalar -> 3
 
 let exec op ~bcast ~a ~b ~out =
   assert (a.View.rows = out.View.rows && a.View.cols = out.View.cols);
@@ -32,18 +31,10 @@ let exec op ~bcast ~a ~b ~out =
   | Row -> assert (b.View.rows = 1 && b.View.cols = out.View.cols)
   | Col -> assert (b.View.cols = 1 && b.View.rows = out.View.rows)
   | Scalar -> assert (b.View.rows = 1 && b.View.cols = 1));
-  for i = 0 to out.View.rows - 1 do
-    for j = 0 to out.View.cols - 1 do
-      let y =
-        match bcast with
-        | Full -> View.get b i j
-        | Row -> View.get b 0 j
-        | Col -> View.get b i 0
-        | Scalar -> View.get b 0 0
-      in
-      View.set out i j (apply op (View.get a i j) y)
-    done
-  done
+  Eltwise.check_view "Tpp_binary.exec: a" a;
+  Eltwise.check_view "Tpp_binary.exec: b" b;
+  Eltwise.check_view "Tpp_binary.exec: out" out;
+  Eltwise.binary (op_code op) (bcast_code bcast) a b out
 
 let muladd ~a ~b ~c ~out =
   assert (

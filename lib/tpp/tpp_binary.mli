@@ -14,7 +14,11 @@ val op_to_string : op -> string
 (** [exec op ~bcast ~a ~b ~out] — out := a (op) broadcast(b). [a] and
     [out] must have identical shapes; [b]'s shape must match [bcast]
     ([Full] for an elementwise op). [out] may alias [a] (in-place
-    accumulate patterns). *)
+    accumulate patterns). It runs in the native element-wise evaluator
+    ([eltwise_stubs.c]): of two NaN operands, [Add] and [Mul] return
+    [a]'s, and [Max] and [Min] are [Float.max] and [Float.min]. A view
+    reaching past its buffer raises [Invalid_argument] before anything
+    is stored. *)
 val exec :
   op ->
   bcast:broadcast ->

@@ -39,29 +39,9 @@ let op_to_string = function
 let inv_sqrt2 = 1.0 /. Float.sqrt 2.0
 let inv_sqrt2pi = 1.0 /. Float.sqrt (2.0 *. Float.pi)
 
-let gelu x = 0.5 *. x *. (1.0 +. Float.erf (x *. inv_sqrt2))
-
 let gelu_grad x =
   let cdf = 0.5 *. (1.0 +. Float.erf (x *. inv_sqrt2)) in
   cdf +. (x *. inv_sqrt2pi *. exp (-0.5 *. x *. x))
-
-let scalar_fn = function
-  | Zero -> fun _ -> 0.0
-  | Copy -> fun x -> x
-  | Relu -> fun x -> if x > 0.0 then x else 0.0
-  | Gelu -> gelu
-  | Sigmoid -> fun x -> 1.0 /. (1.0 +. exp (-.x))
-  | Tanh -> tanh
-  | Exp -> exp
-  | Sqrt -> sqrt
-  | Square -> fun x -> x *. x
-  | Reciprocal -> fun x -> 1.0 /. x
-  | Negate -> fun x -> -.x
-  | Abs -> Float.abs
-  | Scale a -> fun x -> a *. x
-  | Shift a -> fun x -> a +. x
-  | Relu_backward | Gelu_backward ->
-    invalid_arg "Tpp_unary: backward ops need exec2"
 
 let check_same_shape (a : View.t) (b : View.t) =
   assert (a.rows = b.rows && a.cols = b.cols)
@@ -74,23 +54,35 @@ let copy_view ?(transpose = false) (inp : View.t) (out : View.t) =
     ~src_strides:[| inp.View.ld; 1 |] ~dst:out.View.data ~dst_off:out.View.off
     ~dst_strides:(if transpose then [| 1; out.View.ld |] else [| out.View.ld; 1 |])
 
+(* a pointwise op's code in the native evaluator (eltwise_stubs.c's
+   [enum unary]) *)
+let native_code = function
+  | Zero -> 0
+  | Relu -> 1
+  | Gelu -> 2
+  | Sigmoid -> 3
+  | Tanh -> 4
+  | Exp -> 5
+  | Sqrt -> 6
+  | Square -> 7
+  | Reciprocal -> 8
+  | Negate -> 9
+  | Abs -> 10
+  | Scale _ -> 11
+  | Shift _ -> 12
+  | Copy | Relu_backward | Gelu_backward -> assert false
+
 let exec op ~inp ~out =
   check_same_shape inp out;
   match op with
   | Copy -> copy_view inp out
-  | Zero ->
-    for i = 0 to out.View.rows - 1 do
-      for j = 0 to out.View.cols - 1 do
-        View.set out i j 0.0
-      done
-    done
+  | Relu_backward | Gelu_backward ->
+    invalid_arg "Tpp_unary: backward ops need exec2"
   | _ ->
-    let f = scalar_fn op in
-    for i = 0 to out.View.rows - 1 do
-      for j = 0 to out.View.cols - 1 do
-        View.set out i j (f (View.get inp i j))
-      done
-    done
+    Eltwise.check_view "Tpp_unary.exec: inp" inp;
+    Eltwise.check_view "Tpp_unary.exec: out" out;
+    let a = match op with Scale a | Shift a -> a | _ -> 0.0 in
+    Eltwise.unary (native_code op) a inp out
 
 let exec2 op ~inp ~aux ~out =
   check_same_shape inp out;

@@ -25,7 +25,10 @@ type op =
 val op_to_string : op -> string
 
 (** [exec op ~inp ~out] — elementwise map; shapes must match. [Zero] ignores
-    [inp] (pass [out]). *)
+    [inp] (pass [out]). [Copy] is a strided copy; every other op runs in
+    the native element-wise evaluator ([eltwise_stubs.c]), which raises
+    [Invalid_argument] before it stores anything if a view reaches past
+    its buffer. *)
 val exec : op -> inp:Tensor.View.t -> out:Tensor.View.t -> unit
 
 (** Two-input unary variants: [exec2 op ~inp ~aux ~out].

@@ -680,11 +680,15 @@ let test_softmax_backward () =
     Alcotest.(check (float 1e-3)) "softmax bwd" !fd (Tensor.get dx [| 0; j |])
   done
 
+(* NaNs of both signs, two of them with payload bits below BF16's 16 *)
+let nans =
+  [| Float.nan; -.Float.nan; Int32.float_of_bits 0x7fc12345l;
+     Int32.float_of_bits 0xffd5a5a5l |]
+
 (* A score: uniform, a large magnitude, or one of +-NaN, +-inf, +-0. *)
 let score_value rng =
   let u = Prng.float rng in
-  if u < 0.015 then Float.nan
-  else if u < 0.03 then -.Float.nan
+  if u < 0.03 then nans.(int_of_float (u /. 0.0075))
   else if u < 0.06 then Float.infinity
   else if u < 0.09 then Float.neg_infinity
   else if u < 0.12 then -0.0
@@ -700,14 +704,99 @@ let check_same_bits what expect got =
       Alcotest.failf "%s: element %d is %08lx, expected %08lx" what i g e
   done
 
-(* Attention's score passes before they became one, kept as the oracle:
-   scale, then the causal mask store, then the softmax as
-   [Blocks.softmax_rows] computed it, all through [View.get] and
+(* ---- the native evaluator against the OCaml formulas it replaced ----
+   Each oracle is the formula a native op replaced, as a plain loop over
+   [View.get] and [View.set]. Of two NaN operands an inline [x +. y] or
+   [x *. y] returns the one the compiler puts first; [add1] and [mul1]
+   pin the first, as the evaluator does. *)
+
+let add1 x y = if Float.is_nan x then x else x +. y
+let mul1 x y = if Float.is_nan x then x else x *. y
+
+(* The layouts of a [rows x cols] case: (off, ld - cols, in place), the
+   output over the input or in a buffer of its own, dense or strided *)
+let layouts = [ (0, 0, true); (3, 5, true); (0, 0, false); (2, 7, false) ]
+
+(* For each layout and each output dtype, [op ~inp ~out] runs on fresh
+   buffers of [value ()]s and [oracle ~inp ~out] on copies of them; every
+   element of both must match bit for bit, the gaps between rows too. An
+   input in place is in the output's dtype, any other is FP32. [prepare]
+   edits the input view first. *)
+let check_layouts what ?(prepare = ignore) ~value ~rows ~cols op oracle =
+  List.iter
+    (fun dtype ->
+      List.iteri
+        (fun n (off, pad, inplace) ->
+          let ld = cols + pad in
+          let buf dt =
+            Tensor.init dt
+              [| off + ((rows - 1) * ld) + cols + 2 |]
+              (fun _ -> value ())
+          in
+          let view t = Tensor.view_flat t ~off ~rows ~cols ~ld in
+          let a = buf (if inplace then dtype else Datatype.F32) in
+          prepare (view a);
+          let o = if inplace then a else buf dtype in
+          let a' = Tensor.copy a in
+          let o' = if inplace then a' else Tensor.copy o in
+          op ~inp:(view a) ~out:(view o);
+          oracle ~inp:(view a') ~out:(view o');
+          let what =
+            Printf.sprintf "%s, %s out, layout %d" what
+              (Datatype.to_string dtype) n
+          in
+          check_same_bits (what ^ ", input") a' a;
+          check_same_bits what o' o)
+        layouts)
+    [ Datatype.F32; Datatype.BF16 ]
+
+(* [Blocks.softmax_rows] as it was *)
+let softmax_formula ~scale ~causal ~inp ~out =
+  let module View = Tensor.View in
+  let masked = Int32.float_of_bits (Int32.bits_of_float (-1e30)) in
+  let cols = inp.View.cols in
+  for i = 0 to inp.View.rows - 1 do
+    let live =
+      match causal with
+      | None -> cols
+      | Some offset -> Int.max 0 (Int.min cols (i + offset + 1))
+    in
+    let mx = ref neg_infinity in
+    for j = 0 to live - 1 do
+      View.set out i j (mul1 scale (View.get inp i j));
+      mx := Float.max !mx (View.get out i j)
+    done;
+    if live < cols then mx := Float.max !mx masked;
+    let sum = ref 0.0 in
+    for j = 0 to live - 1 do
+      let e = exp (View.get out i j -. !mx) in
+      View.set out i j e;
+      sum := add1 !sum e
+    done;
+    if live < cols then begin
+      let e = exp (masked -. !mx) in
+      for j = live to cols - 1 do
+        View.set out i j e;
+        sum := add1 !sum e
+      done
+    end;
+    let inv = 1.0 /. !sum in
+    for j = 0 to cols - 1 do
+      View.set out i j (mul1 (View.get out i j) inv)
+    done
+  done
+
+(* Attention's score passes before they became one: scale, then the
+   causal mask store, then the softmax, all through [View.get] and
    [View.set]. *)
 let scores_in_three_passes ~scale ~causal s =
   let module View = Tensor.View in
   let v = Tensor.view2d s in
-  Tpp_unary.exec (Tpp_unary.Scale scale) ~inp:v ~out:v;
+  for i = 0 to v.View.rows - 1 do
+    for j = 0 to v.View.cols - 1 do
+      View.set v i j (mul1 scale (View.get v i j))
+    done
+  done;
   (match causal with
   | None -> ()
   | Some offset ->
@@ -740,27 +829,32 @@ let test_softmax_scores_one_pass () =
   List.iter
     (fun (nq, past, causal) ->
       let nk = nq + past in
-      let s = Tensor.init Datatype.F32 [| nq; nk |] (fun _ -> score_value rng) in
-      (* one row whose unmasked scores are all -inf *)
       let r = nq / 2 in
       let live = if causal then r + past + 1 else nk in
-      for j = 0 to live - 1 do
-        Tensor.set s [| r; j |] Float.neg_infinity
-      done;
-      (* and, where there are 4 columns, a first row holding NaNs of both
-         signs: the max, the sum and each output then carry different
-         NaNs, so the operand order of every step shows *)
-      if nk >= 4 && r > 0 then
-        List.iteri
-          (fun j x -> Tensor.set s [| 0; j |] x)
-          [ 1.0; -.Float.nan; Float.nan; 2.0 ];
+      let prepare v =
+        (* one row whose unmasked scores are all -inf *)
+        for j = 0 to live - 1 do
+          Tensor.View.set v r j Float.neg_infinity
+        done;
+        (* and, where there are 4 columns, a first row holding NaNs of
+           both signs: the max, the sum and each output then carry
+           different NaNs, so the operand order of every step shows *)
+        if nk >= 4 && r > 0 then
+          List.iteri
+            (fun j x -> Tensor.View.set v 0 j x)
+            [ 1.0; -.Float.nan; Float.nan; 2.0 ]
+      in
       let causal = if causal then Some past else None in
-      let expect = Tensor.copy s in
-      scores_in_three_passes ~scale ~causal expect;
       let what =
         Printf.sprintf "nq %d, nk %d, %s" nq nk
           (if causal = None then "full" else "causal")
       in
+      let s =
+        Tensor.init Datatype.F32 [| nq; nk |] (fun _ -> score_value rng)
+      in
+      prepare (Tensor.view2d s);
+      let expect = Tensor.copy s in
+      scores_in_three_passes ~scale ~causal expect;
       (* in place, as attention runs it, and into another tensor *)
       let inplace = Tensor.copy s in
       Blocks.softmax_rows ~scale ?causal ~inp:(Tensor.view2d inplace)
@@ -769,7 +863,15 @@ let test_softmax_scores_one_pass () =
       let out = Tensor.create Datatype.F32 [| nq; nk |] in
       Blocks.softmax_rows ~scale ?causal ~inp:(Tensor.view2d s)
         ~out:(Tensor.view2d out) ();
-      check_same_bits what expect out)
+      check_same_bits what expect out;
+      (* and in every layout and output dtype, against the one-pass
+         formula: a masked score is -1e30 rounded to FP32 even in a BF16
+         row, which no separate mask store into that row holds *)
+      check_layouts what ~prepare
+        ~value:(fun () -> score_value rng)
+        ~rows:nq ~cols:nk
+        (fun ~inp ~out -> Blocks.softmax_rows ~scale ?causal ~inp ~out ())
+        (softmax_formula ~scale ~causal))
     (List.concat_map
        (fun nq ->
          List.concat_map
@@ -777,28 +879,52 @@ let test_softmax_scores_one_pass () =
            [ 0; 9 ])
        [ 1; 3; 24 ])
 
+(* SwiGLU's three unfused TPP calls, as plain loops: a sigmoid of the
+   gate and its product with the gate, each stored into an FP32 tensor,
+   then the input times that product *)
+let swiglu_in_three_passes ~gate ~inp ~out =
+  let module View = Tensor.View in
+  let rows = out.View.rows and cols = out.View.cols in
+  let s = Tensor.create Datatype.F32 [| rows; cols |] in
+  let g = Tensor.create Datatype.F32 [| rows; cols |] in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      Tensor.set s [| i; j |] (1.0 /. (1.0 +. exp (-.View.get gate i j)))
+    done
+  done;
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      Tensor.set g [| i; j |]
+        (mul1 (View.get gate i j) (Tensor.get s [| i; j |]))
+    done
+  done;
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      View.set out i j (mul1 (View.get inp i j) (Tensor.get g [| i; j |]))
+    done
+  done
+
 let test_swiglu_one_pass () =
   let rng = Prng.create 62 in
   let rows = 9 and cols = 37 in
-  let mk () =
-    Tensor.init Datatype.F32 [| rows; cols |] (fun _ -> score_value rng)
-  in
-  let gate = mk () and u = mk () in
-  let v = Tensor.view2d in
-  (* the three TPP calls SwiGLU ran before *)
-  let expect = Tensor.copy u and g = Tensor.copy gate in
-  let s = Tensor.create Datatype.F32 [| rows; cols |] in
-  Tpp_unary.exec Tpp_unary.Sigmoid ~inp:(v g) ~out:(v s);
-  Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full ~a:(v g) ~b:(v s)
-    ~out:(v g);
-  Tpp_binary.exec Tpp_binary.Mul ~bcast:Tpp_binary.Full ~a:(v expect) ~b:(v g)
-    ~out:(v expect);
-  let got = Tensor.copy u in
-  Blocks.swiglu ~gate:(v gate) ~inp:(v got) ~out:(v got);
-  check_same_bits "swiglu" expect got
+  List.iter
+    (fun dtype ->
+      (* a strided gate, in either dtype *)
+      let gbuf =
+        Tensor.init dtype
+          [| 4 + (rows * (cols + 3)) |]
+          (fun _ -> score_value rng)
+      in
+      let gate = Tensor.view_flat gbuf ~off:2 ~rows ~cols ~ld:(cols + 3) in
+      check_layouts
+        ("swiglu, " ^ Datatype.to_string dtype ^ " gate")
+        ~value:(fun () -> score_value rng)
+        ~rows ~cols (Blocks.swiglu ~gate)
+        (swiglu_in_three_passes ~gate))
+    [ Datatype.F32; Datatype.BF16 ]
 
-(* [Tpp_binary.exec] as it was, through closures and [View.get] /
-   [View.set], kept as the oracle of the inlined loop *)
+(* [Tpp_binary.exec] as it was before its loop was inlined, through
+   closures and [View.get] / [View.set], kept as the evaluator's oracle *)
 let binary_exec_with_closures op bcast ~a ~b ~out =
   let module View = Tensor.View in
   let f =
@@ -833,30 +959,178 @@ let test_binary_matches_closures () =
     | 1 -> -.Float.nan
     | _ -> score_value rng
   in
+  let k = ref 0 in
+  let next () =
+    incr k;
+    value !k
+  in
   List.iter
     (fun (bcast, br, bc) ->
       List.iter
         (fun op ->
-          List.iter
-            (fun dtype ->
-              let a =
-                Tensor.init dtype [| rows; cols |] (fun i ->
-                    value (i.(0) + (i.(1) / 2)))
-              in
-              let b = Tensor.init dtype [| br; bc |] (fun i -> value i.(1)) in
-              let v = Tensor.view2d in
-              let expect = Tensor.copy a and got = Tensor.copy a in
-              binary_exec_with_closures op bcast ~a:(v expect) ~b:(v b)
-                ~out:(v expect);
-              Tpp_binary.exec op ~bcast ~a:(v got) ~b:(v b) ~out:(v got);
-              check_same_bits
-                (Printf.sprintf "%s %s" (Tpp_binary.op_to_string op)
-                   (Datatype.to_string dtype))
-                expect got)
-            [ Datatype.F32; Datatype.BF16 ])
+          let b =
+            Tensor.view2d
+              (Tensor.init Datatype.F32 [| br; bc |] (fun i -> value i.(1)))
+          in
+          check_layouts
+            (Printf.sprintf "%s, b %dx%d" (Tpp_binary.op_to_string op) br bc)
+            ~value:next ~rows ~cols
+            (fun ~inp ~out -> Tpp_binary.exec op ~bcast ~a:inp ~b ~out)
+            (fun ~inp ~out ->
+              binary_exec_with_closures op bcast ~a:inp ~b ~out))
         Tpp_binary.[ Add; Sub; Mul; Div; Max; Min ])
     Tpp_binary.
       [ (Full, rows, cols); (Row, 1, cols); (Col, rows, 1); (Scalar, 1, 1) ]
+
+let inv_sqrt2 = 1.0 /. Float.sqrt 2.0
+
+(* [Tpp_unary.exec]'s pointwise formulas as they were *)
+let unary_formula op x =
+  match (op : Tpp_unary.op) with
+  | Zero -> 0.0
+  | Relu -> if x > 0.0 then x else 0.0
+  | Gelu -> 0.5 *. x *. (1.0 +. Float.erf (x *. inv_sqrt2))
+  | Sigmoid -> 1.0 /. (1.0 +. exp (-.x))
+  | Tanh -> tanh x
+  | Exp -> exp x
+  | Sqrt -> sqrt x
+  | Square -> x *. x
+  | Reciprocal -> 1.0 /. x
+  | Negate -> -.x
+  | Abs -> Float.abs x
+  | Scale a -> mul1 a x
+  | Shift a -> add1 a x
+  | Copy | Relu_backward | Gelu_backward -> invalid_arg "unary_formula"
+
+let unary_oracle op ~inp ~out =
+  let module View = Tensor.View in
+  for i = 0 to out.View.rows - 1 do
+    for j = 0 to out.View.cols - 1 do
+      View.set out i j (unary_formula op (View.get inp i j))
+    done
+  done
+
+let test_unary_bits () =
+  let rng = Prng.create 64 in
+  List.iter
+    (fun op ->
+      check_layouts (Tpp_unary.op_to_string op)
+        ~value:(fun () -> score_value rng)
+        ~rows:7 ~cols:19 (Tpp_unary.exec op) (unary_oracle op))
+    Tpp_unary.
+      [ Zero; Relu; Gelu; Sigmoid; Tanh; Exp; Sqrt; Square; Reciprocal;
+        Negate; Abs; Scale 0.125; Scale Float.nan; Shift (-1.5);
+        Shift (-.Float.nan) ]
+
+(* [Blocks.layernorm_core] as it was; [stats] receives each row's mean
+   and rstd *)
+let layernorm_formula ~eps ~gamma ~beta ~stats ~inp ~out =
+  let module View = Tensor.View in
+  let rows = inp.View.rows and cols = inp.View.cols in
+  let fcols = float_of_int cols in
+  for i = 0 to rows - 1 do
+    let m = ref 0.0 in
+    for j = 0 to cols - 1 do
+      m := add1 !m (View.get inp i j)
+    done;
+    let mean = !m /. fcols in
+    let v = ref 0.0 in
+    for j = 0 to cols - 1 do
+      let d = View.get inp i j -. mean in
+      v := add1 !v (d *. d)
+    done;
+    let rstd = 1.0 /. sqrt (add1 (!v /. fcols) eps) in
+    (match stats with
+    | Some (ms, rs) ->
+      ms.(i) <- mean;
+      rs.(i) <- rstd
+    | None -> ());
+    for j = 0 to cols - 1 do
+      let nx = mul1 (View.get inp i j -. mean) rstd in
+      View.set out i j (add1 (mul1 nx (View.get gamma 0 j)) (View.get beta 0 j))
+    done
+  done
+
+let test_layernorm_bits () =
+  let rng = Prng.create 65 in
+  let rows = 9 and cols = 21 in
+  let value () = score_value rng in
+  (* a third of the rows finite, a third with a NaN of each kind in
+     every fourth column, a third of score values; gamma and beta hold
+     NaNs of different kinds in different columns, and an infinity *)
+  let prepare v =
+    for i = 0 to rows - 1 do
+      for j = 0 to cols - 1 do
+        Tensor.View.set v i j
+          (match i mod 3 with
+          | 0 -> Prng.uniform rng ~scale:4.0
+          | 1 when j mod 4 = 0 -> nans.(j / 4 mod 4)
+          | 1 -> Prng.uniform rng ~scale:4.0
+          | _ -> score_value rng)
+      done
+    done
+  in
+  let row special =
+    Tensor.view2d
+      (Tensor.init Datatype.F32 [| 1; cols |] (fun i ->
+           match special i.(1) with
+           | Some x -> x
+           | None -> Prng.uniform rng ~scale:2.0))
+  in
+  let gamma =
+    row (fun j -> if j mod 5 = 2 then Some nans.(j mod 4) else None)
+  and beta =
+    row (fun j ->
+        if j mod 5 = 2 || j mod 7 = 3 then Some nans.((j + 1) mod 4)
+        else if j = 1 then Some Float.infinity
+        else None)
+  in
+  let same_stats what expect got =
+    Array.iteri
+      (fun i e ->
+        if Int64.bits_of_float e <> Int64.bits_of_float got.(i) then
+          Alcotest.failf "%s: row %d is %h, expected %h" what i got.(i) e)
+      expect
+  in
+  let native = ref None in
+  check_layouts "layernorm" ~prepare ~value ~rows ~cols
+    (Blocks.layernorm_rows_nostats ~eps:1e-5 ~gamma ~beta)
+    (layernorm_formula ~eps:1e-5 ~gamma ~beta ~stats:None);
+  check_layouts "layernorm with stats" ~prepare ~value ~rows ~cols
+    (fun ~inp ~out ->
+      native := Some (Blocks.layernorm_rows ~eps:1e-5 ~inp ~gamma ~beta ~out))
+    (fun ~inp ~out ->
+      let mean = Array.make rows 0.0 and rstd = Array.make rows 0.0 in
+      layernorm_formula ~eps:1e-5 ~gamma ~beta ~stats:(Some (mean, rstd)) ~inp
+        ~out;
+      let s = Option.get !native in
+      same_stats "mean" mean s.Blocks.mean;
+      same_stats "rstd" rstd s.Blocks.rstd)
+
+(* A view reaching past its buffer is refused before anything runs *)
+let test_eltwise_bounds_checked () =
+  let t = Tensor.create Datatype.F32 [| 4; 8 |] in
+  let ok = Tensor.view2d t in
+  let past = { ok with Tensor.View.off = 1 } in
+  let row = Tensor.view t [| 0; 0 |] ~rows:1 ~cols:8 in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: a view past its buffer ran" what)
+    [ ("unary", fun () -> Tpp_unary.exec Tpp_unary.Exp ~inp:ok ~out:past);
+      ( "binary",
+        fun () ->
+          Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Full ~a:past ~b:ok
+            ~out:ok );
+      ( "softmax",
+        fun () -> Blocks.softmax_rows ~scale:1.0 ~inp:past ~out:ok () );
+      ("swiglu", fun () -> Blocks.swiglu ~gate:past ~inp:ok ~out:ok);
+      ( "layernorm",
+        fun () ->
+          Blocks.layernorm_rows_nostats ~eps:1e-5 ~inp:ok
+            ~gamma:{ row with Tensor.View.off = 25 }
+            ~beta:row ~out:ok ) ]
 
 let test_layernorm_matches_reference () =
   let rng = Prng.create 10 in
@@ -1052,9 +1326,8 @@ let test_layernorm_nostats_matches_stats () =
     ~out:(Tensor.view2d y2);
   checkb "nostats == stats" true (Tensor.max_abs_diff y1 y2 = 0.0)
 
-(* Blocks and Tpp_binary read and write through [Tensor.View.get] and
-   [set]. Those inline only in a build without -opaque; each call that
-   does not boxes a float, 2 words an element. *)
+(* Each op of the native evaluator, and its wrapper's checks, allocate
+   nothing per element; a boxed float would cost 2 words an element. *)
 let test_view_loops_unboxed () =
   let words name limit f =
     f ();
@@ -1072,11 +1345,19 @@ let test_view_loops_unboxed () =
   let y = Tensor.view2d (Tensor.create Datatype.F32 [| 200; 32 |]) in
   words "200x32 layernorm" 100.0 (fun () ->
       Blocks.layernorm_rows_nostats ~eps:1e-5 ~inp:x ~gamma ~beta ~out:y);
+  (* beside the record of two 200-float arrays it returns *)
+  words "200x32 layernorm with stats"
+    (100.0 +. float_of_int (3 + (2 * 201)))
+    (fun () ->
+      ignore (Blocks.layernorm_rows ~eps:1e-5 ~inp:x ~gamma ~beta ~out:y));
   let a = Tensor.view2d (random_tensor rng 200 128) in
   let b = Tensor.view2d (random_tensor rng 200 128) in
   let c = Tensor.view2d (Tensor.create Datatype.F32 [| 200; 128 |]) in
   words "200x128 add" 100.0 (fun () ->
       Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Full ~a ~b ~out:c);
+  words "200x128 gelu" 100.0 (fun () ->
+      Tpp_unary.exec Tpp_unary.Gelu ~inp:a ~out:c);
+  words "200x128 swiglu" 100.0 (fun () -> Blocks.swiglu ~gate:a ~inp:b ~out:c);
   let s = Tensor.view2d (random_tensor rng 64 64) in
   let p = Tensor.view2d (Tensor.create Datatype.F32 [| 64; 64 |]) in
   words "64x64 softmax" 100.0 (fun () ->
@@ -1172,6 +1453,8 @@ let () =
       ( "unary",
         [
           Alcotest.test_case "pointwise ops" `Quick test_unary_pointwise;
+          Alcotest.test_case "pointwise ops, bit for bit" `Quick
+            test_unary_bits;
           Alcotest.test_case "zero" `Quick test_unary_zero;
           Alcotest.test_case "relu backward" `Quick test_relu_backward;
           Alcotest.test_case "gelu backward" `Quick
@@ -1226,6 +1509,10 @@ let () =
             `Quick test_softmax_scores_one_pass;
           Alcotest.test_case "swiglu in one pass, bit for bit" `Quick
             test_swiglu_one_pass;
+          Alcotest.test_case "layernorm, bit for bit" `Quick
+            test_layernorm_bits;
+          Alcotest.test_case "evaluator bounds checked" `Quick
+            test_eltwise_bounds_checked;
         ] );
       ( "arena",
         [
