@@ -334,7 +334,7 @@ let bert_layer_bench ~name =
   Tensor.fill_random x rng ~scale:1.0;
   let layer = bert.Bert.encoder.(0) in
   Test.make ~name
-    (Staged.stage (fun () -> ignore (Bert.encoder_layer bert layer x)))
+    (Staged.stage (fun () -> ignore (Bert.encoder_layer layer x)))
 
 let micro_tests () =
   [

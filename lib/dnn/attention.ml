@@ -125,9 +125,3 @@ let reference_forward ?(causal = false) t x =
         Tensor.get y i +. Tensor.get t.wo.Fc.bias [| i.(1) |])
   in
   proj_o
-
-let flops t ~n ~nk =
-  let proj = 4.0 *. 2.0 *. float_of_int n *. float_of_int t.hidden *. float_of_int t.hidden in
-  let scores = 2.0 *. float_of_int n *. float_of_int nk *. float_of_int t.hidden in
-  let ctx = 2.0 *. float_of_int n *. float_of_int nk *. float_of_int t.hidden in
-  proj +. scores +. ctx

@@ -1,5 +1,5 @@
 (** Multi-head self-attention built from TPP blocks: blocked tensor
-    contractions fused with scale, mask, softmax and dropout TPPs — the
+    contractions fused with scale, mask and softmax TPPs — the
     computational pattern of Bert-Self-Attention (§IV-A) and of the
     decoder-attention in the LLM pipelines (with a KV cache and causal
     masking). *)
@@ -61,6 +61,3 @@ val forward : ?nthreads:int -> ?causal:bool -> t -> Tensor.t -> Tensor.t
 
 (** Naive float reference of the whole block (tests). *)
 val reference_forward : ?causal:bool -> t -> Tensor.t -> Tensor.t
-
-(** Forward FLOPs for a [n]-token sequence attending [nk] keys. *)
-val flops : t -> n:int -> nk:int -> float

@@ -37,7 +37,6 @@ type t = {
   emb_gamma : Tensor.t;
   emb_beta : Tensor.t;
   encoder : layer array;
-  dropout_p : float;
 }
 
 let ln_params rng hidden =
@@ -49,7 +48,7 @@ let ln_params rng hidden =
   (gamma, beta)
 
 let create ~rng ?(dtype = Datatype.F32) ?(block = 32) ?(spec = Gemm.default_spec)
-    ?(dropout_p = 0.1) cfg =
+    cfg =
   let mk_layer () =
     let attention =
       Attention.create ~rng ~dtype ~block ~spec ~hidden:cfg.hidden
@@ -81,10 +80,9 @@ let create ~rng ?(dtype = Datatype.F32) ?(block = 32) ?(spec = Gemm.default_spec
     emb_gamma;
     emb_beta;
     encoder = Array.init cfg.layers (fun _ -> mk_layer ());
-    dropout_p;
   }
 
-let embed ?(training = false) ~rng t ids =
+let embed t ids =
   let seq = Array.length ids in
   assert (seq <= t.cfg.max_seq);
   let x =
@@ -96,11 +94,6 @@ let embed ?(training = false) ~rng t ids =
   Blocks.layernorm_rows_nostats ~eps:1e-12 ~inp:(Tensor.view2d x)
     ~gamma:(Tensor.view2d t.emb_gamma) ~beta:(Tensor.view2d t.emb_beta)
     ~out:(Tensor.view2d y);
-  if training && t.dropout_p > 0.0 then begin
-    let mask = Tensor.create Datatype.F32 [| seq; t.cfg.hidden |] in
-    Blocks.dropout ~rng ~p:t.dropout_p ~inp:(Tensor.view2d y)
-      ~mask:(Tensor.view2d mask) ~out:(Tensor.view2d y)
-  end;
   y
 
 (* dense + residual add + layernorm: the Listing 6 fusion (inference mode,
@@ -116,8 +109,7 @@ let output_block ?nthreads fc gamma beta ~residual x =
     ~out:(Tensor.view2d y);
   y
 
-let encoder_layer ?nthreads t layer x =
-  ignore t;
+let encoder_layer ?nthreads layer x =
   (* Bert-Self-Attention *)
   let att = Attention.forward ?nthreads layer.attention x in
   (* Bert-SelfOutput: dense + residual + layernorm *)
@@ -131,13 +123,12 @@ let encoder_layer ?nthreads t layer x =
   output_block ?nthreads layer.out_fc layer.out_gamma layer.out_beta
     ~residual:x1 inter
 
-let forward ?nthreads ~rng t ids =
-  let x = embed ~rng t ids in
-  Array.fold_left (fun x l -> encoder_layer ?nthreads t l x) x t.encoder
+let forward ?nthreads t ids =
+  Array.fold_left (fun x l -> encoder_layer ?nthreads l x) (embed t ids)
+    t.encoder
 
 (* naive reference for one layer *)
-let reference_encoder_layer t layer x =
-  ignore t;
+let reference_encoder_layer layer x =
   let ln x gamma beta =
     let cols = (Tensor.dims x).(1) in
     let g = Array.init cols (fun j -> Tensor.get gamma [| 0; j |]) in

@@ -1,15 +1,16 @@
 (** BERT encoder built from the four fused PARLOOPER/TPP modules of §IV-A:
 
-    - {b Embeddings}: token + position + segment lookups, layernorm, dropout
+    - {b Embeddings}: token + position lookups, layernorm
     - {b Self-Attention}: blocked contractions fused with scale/softmax
-    - {b Output / Self-Output}: BRGEMM fused with bias, dropout, residual
-      add and layernorm TPPs on 2D-block granularity (Listing 6)
+    - {b Output / Self-Output}: BRGEMM fused with bias, residual add and
+      layernorm TPPs on 2D-block granularity (Listing 6)
     - {b Intermediate}: BRGEMM cascaded with bias add and GELU
 
-    The implementation is exact (verified against naive references at small
-    shapes); the paper-scale BERT-Base/Large shapes are exposed via
-    {!base_config} / {!large_config} and consumed by the benchmark
-    harness's analytic workload models. *)
+    Every pass is inference: dropout is the identity. The implementation
+    is exact (verified against naive references at small shapes); the
+    paper-scale BERT-Base/Large shapes are exposed via {!base_config} /
+    {!large_config} and consumed by the benchmark harness's analytic
+    workload models. *)
 
 type config = {
   hidden : int;
@@ -48,26 +49,22 @@ type t = {
   emb_gamma : Tensor.t;
   emb_beta : Tensor.t;
   encoder : layer array;
-  dropout_p : float;
 }
 
 val create :
-  rng:Prng.t -> ?dtype:Datatype.t -> ?block:int -> ?spec:string ->
-  ?dropout_p:float -> config -> t
+  rng:Prng.t -> ?dtype:Datatype.t -> ?block:int -> ?spec:string -> config -> t
 
-(** Bert-Embeddings: token ids -> [seq x hidden] (layernormed; dropout is
-    applied only when [training]). *)
-val embed : ?training:bool -> rng:Prng.t -> t -> int array -> Tensor.t
+(** Bert-Embeddings: token ids -> [seq x hidden], layernormed. *)
+val embed : t -> int array -> Tensor.t
 
-(** One encoder layer forward on [seq x hidden]. Inference mode (dropout
-    off). *)
-val encoder_layer : ?nthreads:int -> t -> layer -> Tensor.t -> Tensor.t
+(** One encoder layer forward on [seq x hidden]. *)
+val encoder_layer : ?nthreads:int -> layer -> Tensor.t -> Tensor.t
 
 (** Full forward: token ids -> final hidden states. *)
-val forward : ?nthreads:int -> rng:Prng.t -> t -> int array -> Tensor.t
+val forward : ?nthreads:int -> t -> int array -> Tensor.t
 
 (** Naive reference of one encoder layer (tests). *)
-val reference_encoder_layer : t -> layer -> Tensor.t -> Tensor.t
+val reference_encoder_layer : layer -> Tensor.t -> Tensor.t
 
 (** FLOPs of one encoder layer forward at sequence length [seq]. *)
 val layer_flops : config -> seq:int -> float

@@ -1,41 +1,31 @@
 (** Fully-connected layer on logical [tokens x features] activations, built
-    on the PARLOOPER GEMM kernel, with a training-grade backward pass.
+    on the PARLOOPER GEMM kernel.
 
     Convention (matching BERT-style layers): activations are row-major
     [N x in_features]; weights are [out_features x in_features];
     [forward] computes Y = X W^T + b. The GEMM takes the activations as
     its A operand, read in place as row-major token rows ({!Gemm.Rows}),
-    and W^T as its B operand, packed once per weight tensor, as the
+    and W^T as its B operand, packed once when the layer is built, as the
     paper's and TPP's layers block their weights once and hand every
     call to BRGEMM. Y is written in place. *)
 
 type activation = Linear | Relu_act | Gelu_act
 
-(** W^T in the GEMM's B layout, and the weight tensor it was packed
-    from. *)
-type packed
-
-type t = {
+(** A layer is built by {!create}, {!slice} or {!with_weights}, which
+    pack W^T at once. *)
+type t = private {
   in_features : int;
   out_features : int;
   weights : Tensor.t;
       (** logical [out x in]. {!forward} reads the W^T copy in
-          [packed], which is keyed on this tensor's physical identity,
-          not on its contents: write it in place only through
-          {!sgd_update}, which repacks. Any other in-place write is not
-          seen by [forward]; to change the weights otherwise, make a
-          layer with [{ fc with weights = w }] and a fresh tensor [w]. *)
+          [packed]: an in-place write to this tensor is not seen. To run
+          other weights, build a layer with {!with_weights}. *)
   bias : Tensor.t;  (** [out] *)
   act : activation;
   block : int;
   dtype : Datatype.t;
   spec : string;
-  packed : packed option Atomic.t;
-      (** W^T packed from [weights]. {!create}, {!slice} and
-          {!sgd_update} pack at once. A layer made by
-          [{ fc with weights }] shares the cell with [fc] and packs its
-          own weights on its first forward; the two repack whenever
-          calls alternate between them. *)
+  packed : Tensor.t;  (** W^T in the GEMM's B layout, rounded to [dtype] *)
 }
 
 val create :
@@ -54,6 +44,11 @@ val create :
     and dtype, so it tiles and reduces each output exactly as the whole
     layer does. The whole range is the layer itself. *)
 val slice : t -> r0:int -> r1:int -> t
+
+(** [with_weights t w] is [t] running the weights [w] (logical
+    [out x in]): the same bias, activation, block, dtype and spec, with
+    W^T packed from [w]. [t] keeps its own weights. *)
+val with_weights : t -> Tensor.t -> t
 
 (** [forward t x] with [x : N x in] returns [N x out]. Any token count
     works: tokens are the GEMM's M, in blocks of [block] rows with a
@@ -74,20 +69,3 @@ val forward : ?nthreads:int -> t -> Tensor.t -> Tensor.t
     place. *)
 val forward_into :
   ?nthreads:int -> t -> Tensor.t -> out:Tensor.t -> col0:int -> unit
-
-(** Saved context from a forward pass used by backward. *)
-type ctx
-
-val forward_ctx : ?nthreads:int -> t -> Tensor.t -> Tensor.t * ctx
-
-type grads = { d_input : Tensor.t; d_weights : Tensor.t; d_bias : Tensor.t }
-
-(** [backward t ctx ~dy] — gradients for input, weights and bias given the
-    upstream gradient [N x out]. *)
-val backward : ?nthreads:int -> t -> ctx -> dy:Tensor.t -> grads
-
-(** Apply SGD update in place: w -= lr * dw; repacks W^T. *)
-val sgd_update : t -> grads -> lr:float -> unit
-
-(** Forward FLOPs for [n] tokens: 2 * n * in * out. *)
-val flops : t -> n:int -> float

@@ -142,8 +142,7 @@ let create ~rng ?(dtype = Datatype.F32) ?(spec = Conv.default_spec)
   in
   { channels; classes; stem; blocks; fc; dtype }
 
-let run_conv ?nthreads t (layer : conv_layer) x =
-  ignore t;
+let run_conv ?nthreads (layer : conv_layer) x =
   let cfg = Conv.config layer.conv in
   let packed = Conv.pack_input cfg x in
   let out = Conv.alloc_output cfg in
@@ -159,12 +158,12 @@ let relu_inplace x =
   Tpp_unary.exec Tpp_unary.Relu ~inp:v ~out:v
 
 let forward ?nthreads t images =
-  let x = run_conv ?nthreads t t.stem images in
+  let x = run_conv ?nthreads t.stem images in
   let x =
     Array.fold_left
       (fun x (c1, c2) ->
-        let y = run_conv ?nthreads t c1 x in
-        let y = run_conv ?nthreads t c2 y in
+        let y = run_conv ?nthreads c1 x in
+        let y = run_conv ?nthreads c2 y in
         (* residual add + relu *)
         let flat a =
           Tensor.view_flat a ~off:0 ~rows:1 ~cols:(Tensor.numel a)
@@ -179,8 +178,7 @@ let forward ?nthreads t images =
   let pooled = Reference.global_avgpool x in
   Fc.forward ?nthreads t.fc pooled
 
-let reference_conv t (layer : conv_layer) x =
-  ignore t;
+let reference_conv (layer : conv_layer) x =
   let cfg = Conv.config layer.conv in
   let w =
     Tensor.init Datatype.F32
@@ -206,12 +204,12 @@ let reference_conv t (layer : conv_layer) x =
       if layer.relu then Reference.relu v else v)
 
 let reference_forward t images =
-  let x = reference_conv t t.stem images in
+  let x = reference_conv t.stem images in
   let x =
     Array.fold_left
       (fun x (c1, c2) ->
-        let y = reference_conv t c1 x in
-        let y = reference_conv t c2 y in
+        let y = reference_conv c1 x in
+        let y = reference_conv c2 y in
         Tensor.init Datatype.F32 (Tensor.dims y) (fun i ->
             Reference.relu (Tensor.get y i +. Tensor.get x i)))
       x t.blocks

@@ -1,7 +1,7 @@
 (** ResNet-50 (§IV-C): topology table, the standalone convolution shapes of
     Fig. 7, and an executable residual CNN built from the PARLOOPER
-    convolution kernel with fused batchnorm + ReLU post-ops, max/avg
-    pooling and a final FC layer.
+    convolution kernel with fused batchnorm + ReLU post-ops, global
+    average pooling and a final FC layer.
 
     The full 224x224 ResNet-50 shapes feed the benchmark harness; the
     executable network is exercised at reduced sizes in tests/examples. *)

@@ -27,8 +27,6 @@ type t = {
   bert : Bert.t;
   layers : slayer array;
   dense_layers : Bert.layer array;  (** same pruned weights, dense kernels *)
-  bm : int;
-  bk : int;
 }
 
 let sparsify_fc ~bm ~bk ~sparsity (fc : Fc.t) =
@@ -40,7 +38,7 @@ let sparsify_fc ~bm ~bk ~sparsity (fc : Fc.t) =
       in_features = fc.Fc.in_features;
       out_features = fc.Fc.out_features;
     },
-    { fc with Fc.weights = Bcsc.to_dense a } )
+    Fc.with_weights fc (Bcsc.to_dense a) )
 
 let sparsify ~bm ~bk ~sparsity (bert : Bert.t) =
   let layers, dense_layers =
@@ -82,10 +80,9 @@ let sparsify ~bm ~bk ~sparsity (bert : Bert.t) =
       bert.Bert.encoder
     |> fun arr -> (Array.map fst arr, Array.map snd arr)
   in
-  { bert; layers; dense_layers; bm; bk }
+  { bert; layers; dense_layers }
 
 let bert t = t.bert
-let blocking t = (t.bm, t.bk)
 
 let achieved_sparsity t =
   let sfcs l = [ l.q; l.k; l.v; l.o; l.att_output; l.intermediate; l.out ] in

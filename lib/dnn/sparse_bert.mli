@@ -12,9 +12,6 @@ type t
 (** The dense model this sparse model was pruned from. *)
 val bert : t -> Bert.t
 
-(** The (bm, bk) BCSC block shape used for pruning. *)
-val blocking : t -> int * int
-
 (** [sparsify ~bm ~bk ~sparsity bert] prunes every encoder FC weight
     (QKV/out projections, intermediate, output) of a dense {!Bert.t}. *)
 val sparsify : bm:int -> bk:int -> sparsity:float -> Bert.t -> t

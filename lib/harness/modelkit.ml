@@ -1,8 +1,6 @@
 let section title =
   Printf.printf "\n== %s ==\n%!" title
 
-let rowf fmt = Printf.printf fmt
-
 let geomean = function
   | [] -> 0.0
   | xs ->

@@ -43,6 +43,5 @@ val effective_cores : Platform.t -> Datatype.t -> float
 
 val geomean : float list -> float
 
-(** Formatting helpers: a titled section and aligned rows. *)
+(** Formatting helper: a titled section. *)
 val section : string -> unit
-val rowf : ('a, out_channel, unit) format -> 'a

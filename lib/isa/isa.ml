@@ -18,11 +18,6 @@ let to_string = function
 
 let equal a b = a = b
 
-let vector_bits = function
-  | AVX2 -> 256
-  | AVX512F | AVX512_BF16 | AMX_BF16 -> 512
-  | SVE256 | BF16_MMLA | BF16_DOT -> 256
-
 let native_dtype = function
   | AVX2 | AVX512F | SVE256 -> Datatype.F32
   | AVX512_BF16 | AMX_BF16 | BF16_MMLA | BF16_DOT -> Datatype.BF16

@@ -20,9 +20,6 @@ type t =
 val to_string : t -> string
 val equal : t -> t -> bool
 
-(** Vector register width in bits (AMX reported as tile row width, 512). *)
-val vector_bits : t -> int
-
 (** Datatype the ISA's contraction path computes with. *)
 val native_dtype : t -> Datatype.t
 

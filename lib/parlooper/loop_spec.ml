@@ -13,8 +13,6 @@ let make ?(start = 0) ?(block_steps = []) ~bound ~step () =
     block_steps;
   { start; bound; step; block_steps }
 
-let trip_count t = (t.bound - t.start + t.step - 1) / t.step
-
 let step_at t ~occ ~total =
   if occ < 0 || occ >= total then invalid_arg "Loop_spec.step_at: bad occ";
   if total - 1 > List.length t.block_steps then

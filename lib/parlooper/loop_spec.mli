@@ -17,9 +17,6 @@ type t = {
     [start <= bound]. *)
 val make : ?start:int -> ?block_steps:int list -> bound:int -> step:int -> unit -> t
 
-(** Logical trip count: number of innermost-step iterations. *)
-val trip_count : t -> int
-
 (** The step used by the [occ]-th (0-based, outer-to-inner) of [total]
     occurrences of this loop in a spec string: blocking steps first, the
     declared [step] last. Raises [Invalid_argument] if the declaration does

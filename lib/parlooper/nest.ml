@@ -26,8 +26,6 @@ type t = {
   has_parallel : bool;
 }
 
-let num_loops t = Array.length t.specs
-
 (* ---- validation + level construction ---- *)
 
 let compile specs parsed =

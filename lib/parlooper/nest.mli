@@ -47,8 +47,5 @@ val exec :
 val exec_sequential :
   t -> nthreads:int -> body:(tid:int -> int array -> unit) -> unit
 
-(** Number of logical loops (= length of the spec array). *)
-val num_loops : t -> int
-
 (** Total number of innermost body invocations across all threads. *)
 val body_invocations : t -> int

@@ -289,7 +289,6 @@ let pool t = t.pool
 let queue_depth t = List.length t.queue
 let active_count t = List.length t.active
 let tokens_emitted t = t.tokens
-let effective_batch t = t.eff_batch
 let busy t = t.queue <> [] || t.active <> []
 
 (* submission ledger, oldest first *)

@@ -131,9 +131,6 @@ val queue_depth : t -> int
 val active_count : t -> int
 val tokens_emitted : t -> int
 
-(** Current load-shedding admission window, in [1, max_batch]. *)
-val effective_batch : t -> int
-
 (** Submission ledger, oldest first (includes rejected and in-flight). *)
 val requests : t -> Request.t list
 

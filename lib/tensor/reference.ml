@@ -103,32 +103,6 @@ let layernorm_rows ~eps x gamma beta =
   done;
   y
 
-let maxpool2d ~window ~stride x =
-  let d = Tensor.dims x in
-  let n = d.(0) and c = d.(1) and h = d.(2) and w = d.(3) in
-  let p = ((h - window) / stride) + 1 in
-  let q = ((w - window) / stride) + 1 in
-  let y = Tensor.create Datatype.F32 [| n; c; p; q |] in
-  for in_ = 0 to n - 1 do
-    for ic = 0 to c - 1 do
-      for ip = 0 to p - 1 do
-        for iq = 0 to q - 1 do
-          let mx = ref neg_infinity in
-          for dy = 0 to window - 1 do
-            for dx = 0 to window - 1 do
-              mx :=
-                Float.max !mx
-                  (Tensor.get x
-                     [| in_; ic; (ip * stride) + dy; (iq * stride) + dx |])
-            done
-          done;
-          Tensor.set y [| in_; ic; ip; iq |] !mx
-        done
-      done
-    done
-  done;
-  y
-
 let global_avgpool x =
   let d = Tensor.dims x in
   let n = d.(0) and c = d.(1) and h = d.(2) and w = d.(3) in

@@ -31,8 +31,5 @@ val softmax_rows : Tensor.t -> Tensor.t
 val layernorm_rows :
   eps:float -> Tensor.t -> float array -> float array -> Tensor.t
 
-(** Max pooling on [N; C; H; W] with square window/stride. *)
-val maxpool2d : window:int -> stride:int -> Tensor.t -> Tensor.t
-
 (** Global average pooling: [N; C; H; W] -> [N; C]. *)
 val global_avgpool : Tensor.t -> Tensor.t

@@ -1,13 +1,12 @@
-(** Composite TPP blocks: softmax, layernorm, batchnorm and dropout on 2D
-    views. These are the fused-operator building blocks the paper composes
-    after contractions (bias + dropout + residual + layernorm in
-    Bert-Output, scale + softmax in attention, batchnorm after ResNet
-    convolutions).
+(** Composite TPP blocks: softmax, SwiGLU and layernorm on 2D views.
+    These are the fused-operator building blocks the paper composes after
+    contractions (residual + layernorm in Bert-Output, scale + softmax in
+    attention, the gating of a SwiGLU FFN).
 
-    [softmax_rows], [swiglu] and both layernorms run in the native
-    element-wise evaluator ([eltwise_stubs.c]), bit for bit the OCaml
-    formulas they replaced. Each raises [Invalid_argument] before it
-    stores anything if a view reaches past its buffer. *)
+    All three run in the native element-wise evaluator
+    ([eltwise_stubs.c]), bit for bit the OCaml formulas they replaced.
+    Each raises [Invalid_argument] before it stores anything if a view
+    reaches past its buffer. *)
 
 (** Row-wise numerically-stabilized softmax of [scale * inp]: out may
     alias inp.
@@ -38,73 +37,13 @@ val softmax_rows :
 val swiglu :
   gate:Tensor.View.t -> inp:Tensor.View.t -> out:Tensor.View.t -> unit
 
-(** Backward of row softmax: given saved output [y] and upstream grad [dy],
-    dx := y * (dy - rowsum(dy * y)). *)
-val softmax_rows_backward :
-  y:Tensor.View.t -> dy:Tensor.View.t -> dx:Tensor.View.t -> unit
-
-type layernorm_stats = { mean : float array; rstd : float array }
-
-(** Row-wise layernorm with per-column gamma/beta ([1 x cols] views).
-    Returns per-row statistics for the backward pass. Out may alias inp. *)
-val layernorm_rows :
-  eps:float ->
-  inp:Tensor.View.t ->
-  gamma:Tensor.View.t ->
-  beta:Tensor.View.t ->
-  out:Tensor.View.t ->
-  layernorm_stats
-
-(** Inference-path layernorm: identical numerics to {!layernorm_rows} but
-    records no statistics and allocates nothing — the variant DNN forward
-    passes use on the serving hot path. *)
+(** Row-wise layernorm with per-column [gamma] and [beta] ([1 x cols]
+    views). It records no statistics and allocates nothing. Out may alias
+    inp. *)
 val layernorm_rows_nostats :
   eps:float ->
   inp:Tensor.View.t ->
   gamma:Tensor.View.t ->
   beta:Tensor.View.t ->
-  out:Tensor.View.t ->
-  unit
-
-(** Backward of row layernorm. [x] is the saved input. Accumulates
-    dgamma/dbeta ([1 x cols] views, caller zeroes them first). *)
-val layernorm_rows_backward :
-  stats:layernorm_stats ->
-  x:Tensor.View.t ->
-  gamma:Tensor.View.t ->
-  dy:Tensor.View.t ->
-  dx:Tensor.View.t ->
-  dgamma:Tensor.View.t ->
-  dbeta:Tensor.View.t ->
-  unit
-
-(** Inverted dropout: out := inp * mask / (1-p), mask recorded as 0/1 in
-    [mask]. Deterministic given [rng]. p = 0 degenerates to copy. *)
-val dropout :
-  rng:Prng.t ->
-  p:float ->
-  inp:Tensor.View.t ->
-  mask:Tensor.View.t ->
-  out:Tensor.View.t ->
-  unit
-
-(** Backward: dx := dy * mask / (1-p). *)
-val dropout_backward :
-  p:float ->
-  dy:Tensor.View.t ->
-  mask:Tensor.View.t ->
-  dx:Tensor.View.t ->
-  unit
-
-(** Inference-mode batchnorm on a 2D view whose rows share one channel:
-    out := (inp - mean) * gamma / sqrt(var+eps) + beta, scalars per call
-    (convolution layers apply it per feature-map block). *)
-val batchnorm_apply :
-  eps:float ->
-  mean:float ->
-  var:float ->
-  gamma:float ->
-  beta:float ->
-  inp:Tensor.View.t ->
   out:Tensor.View.t ->
   unit

@@ -45,8 +45,6 @@ let compile cfg =
       [| cfg.m; cfg.n; cfg.k; vnni_of cfg; (if cfg.beta = 0.0 then 0 else 1) |]
   }
 
-let config_of k = k.cfg
-
 (* ---- the native microkernel (brgemm_stubs.c) ----
    [@@noalloc]: the stubs never allocate, raise or release the runtime
    lock. They read the views' fields directly and trust the caller to

@@ -70,8 +70,6 @@ type kernel
 (** Build a kernel for a configuration (the "JIT" step). *)
 val compile : config -> kernel
 
-val config_of : kernel -> config
-
 (** Every exec form raises [Invalid_argument] before touching memory if
     any element the call would reach — through [count x stride],
     the offsets, or the list's views — lies outside its buffer. *)

@@ -1,7 +1,8 @@
 (* The native element-wise evaluator (eltwise_stubs.c): Tpp_unary.exec's
    pointwise ops, Tpp_binary.exec, Blocks.softmax_rows, Blocks.swiglu and
-   Blocks' layernorm, one whole view per call, bit for bit the OCaml
-   formulas they replaced (the contract is at the top of the C file).
+   Blocks.layernorm_rows_nostats, one whole view per call, bit for bit the
+   OCaml formulas they replaced (the contract is at the top of the C
+   file).
 
    [@@noalloc]: the stubs never allocate, raise or release the runtime
    lock. They read the views' fields directly and trust the caller to
@@ -51,15 +52,9 @@ external softmax :
 external swiglu : View.t -> View.t -> View.t -> unit = "tpp_eltwise_swiglu"
 [@@noalloc]
 
-(* [layernorm eps inp gamma beta out mean rstd]: row i's statistics go
-   into [mean.(i)] and [rstd.(i)] unless [mean] is empty *)
+(* [layernorm eps inp gamma beta out]: each row normalised, then scaled
+   by [gamma] and shifted by [beta] *)
 external layernorm :
-  (float[@unboxed]) ->
-  View.t ->
-  View.t ->
-  View.t ->
-  View.t ->
-  float array ->
-  float array ->
-  unit = "tpp_eltwise_layernorm_byte" "tpp_eltwise_layernorm"
+  (float[@unboxed]) -> View.t -> View.t -> View.t -> View.t -> unit
+  = "tpp_eltwise_layernorm_byte" "tpp_eltwise_layernorm"
 [@@noalloc]

@@ -31,10 +31,6 @@
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 
-#ifndef FLAT_FLOAT_ARRAY
-#error "layernorm's statistics are stored into flat float arrays"
-#endif
-
 #define INLINE static inline __attribute__((always_inline))
 
 /* Float.erf's native code, in the OCaml runtime */
@@ -260,19 +256,15 @@ CAMLprim value tpp_eltwise_swiglu(value vgate, value vin, value vout)
   return Val_unit;
 }
 
-/* ---- Blocks.layernorm_core ---- */
+/* ---- Blocks.layernorm_rows_nostats ---- */
 
-/* Each row of inp normalised into out, with gamma and beta [1 x cols].
-   Each row's mean and rstd go into the float arrays vmean and vrstd,
-   unless they are empty (the no-stats variant). */
+/* Each row of inp normalised into out, with gamma and beta [1 x cols] */
 CAMLprim value tpp_eltwise_layernorm(double eps, value vin, value vgamma,
-                                     value vbeta, value vout, value vmean,
-                                     value vrstd)
+                                     value vbeta, value vout)
 {
   struct view in = view_of(vin), gamma = view_of(vgamma);
   struct view beta = view_of(vbeta), out = view_of(vout);
   double fcols = (double)in.cols;
-  int stats = Wosize_val(vmean) > 0;
   for (intnat i = 0; i < in.rows; i++) {
     double m = 0.0;
     for (intnat j = 0; j < in.cols; j++) m = add1(m, get(in, i, j));
@@ -283,10 +275,6 @@ CAMLprim value tpp_eltwise_layernorm(double eps, value vin, value vgamma,
       v = add1(v, d * d);
     }
     double rstd = 1.0 / sqrt(add1(v / fcols, eps));
-    if (stats) {
-      Store_double_flat_field(vmean, i, mean);
-      Store_double_flat_field(vrstd, i, rstd);
-    }
     for (intnat j = 0; j < in.cols; j++) {
       double nx = mul1(get(in, i, j) - mean, rstd);
       set(out, i, j, add1(mul1(nx, get(gamma, 0, j)), get(beta, 0, j)));
@@ -295,9 +283,9 @@ CAMLprim value tpp_eltwise_layernorm(double eps, value vin, value vgamma,
   return Val_unit;
 }
 
-CAMLprim value tpp_eltwise_layernorm_byte(value *argv, int argn)
+CAMLprim value tpp_eltwise_layernorm_byte(value eps, value vin,
+                                          value vgamma, value vbeta,
+                                          value vout)
 {
-  (void)argn;
-  return tpp_eltwise_layernorm(Double_val(argv[0]), argv[1], argv[2],
-                               argv[3], argv[4], argv[5], argv[6]);
+  return tpp_eltwise_layernorm(Double_val(eps), vin, vgamma, vbeta, vout);
 }

@@ -30,8 +30,6 @@ let compile cfg =
         (Brgemm.make_config ~dtype:cfg.dtype ~b_layout ~beta:cfg.beta
            ~m:cfg.bm ~n:cfg.n ~k:cfg.bk ()) }
 
-let config_of k = k.cfg
-
 (* A's origin is stored block 0 and B's is row 0, column [col] of the
    VNNI-packed B; the offsets pick each stored block and its B rows. *)
 let exec ker ~a ~block_row ~b ~col ~c =

@@ -26,7 +26,6 @@ val config_to_string : config -> string
 type kernel
 
 val compile : config -> kernel
-val config_of : kernel -> config
 
 (** [exec k ~a ~block_row ~b ~col ~c]:
     C_block = beta * C_block + (block row [block_row] of A) x

@@ -35,24 +35,3 @@ let exec op ~bcast ~a ~b ~out =
   Eltwise.check_view "Tpp_binary.exec: b" b;
   Eltwise.check_view "Tpp_binary.exec: out" out;
   Eltwise.binary (op_code op) (bcast_code bcast) a b out
-
-let muladd ~a ~b ~c ~out =
-  assert (
-    a.View.rows = out.View.rows && a.View.cols = out.View.cols
-    && b.View.rows = out.View.rows
-    && b.View.cols = out.View.cols
-    && c.View.rows = out.View.rows
-    && c.View.cols = out.View.cols);
-  for i = 0 to out.View.rows - 1 do
-    for j = 0 to out.View.cols - 1 do
-      View.set out i j ((View.get a i j *. View.get b i j) +. View.get c i j)
-    done
-  done
-
-let axpy ~alpha ~a ~out =
-  assert (a.View.rows = out.View.rows && a.View.cols = out.View.cols);
-  for i = 0 to out.View.rows - 1 do
-    for j = 0 to out.View.cols - 1 do
-      View.set out i j (View.get out i j +. (alpha *. View.get a i j))
-    done
-  done

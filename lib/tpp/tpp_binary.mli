@@ -1,4 +1,4 @@
-(** Binary (and ternary-FMA) Tensor Processing Primitives over 2D views. *)
+(** Binary Tensor Processing Primitives over 2D views. *)
 
 type op = Add | Sub | Mul | Div | Max | Min
 
@@ -26,11 +26,3 @@ val exec :
   b:Tensor.View.t ->
   out:Tensor.View.t ->
   unit
-
-(** Fused multiply-add: out := a * b + c (elementwise, all same shape;
-    [out] may alias [c]). *)
-val muladd :
-  a:Tensor.View.t -> b:Tensor.View.t -> c:Tensor.View.t -> out:Tensor.View.t -> unit
-
-(** out := out + alpha * a (axpy on 2D blocks). *)
-val axpy : alpha:float -> a:Tensor.View.t -> out:Tensor.View.t -> unit

@@ -46,55 +46,11 @@ let test_unary_zero () =
   Tpp_unary.exec Tpp_unary.Zero ~inp:(Tensor.view2d y) ~out:(Tensor.view2d y);
   checkb "zeroed" true (List.for_all (( = ) 0.0) (Tensor.to_list y))
 
-let test_relu_backward () =
-  let g = tensor_of 2 2 (fun i j -> float_of_int ((i * 2) + j + 1)) in
-  let x = tensor_of 2 2 (fun i j -> if (i + j) mod 2 = 0 then 1.0 else -1.0) in
-  let dx = Tensor.create Datatype.F32 [| 2; 2 |] in
-  Tpp_unary.exec2 Tpp_unary.Relu_backward ~inp:(Tensor.view2d g)
-    ~aux:(Tensor.view2d x) ~out:(Tensor.view2d dx);
-  checkf "passes where x>0" 1.0 (Tensor.get dx [| 0; 0 |]);
-  checkf "blocks where x<=0" 0.0 (Tensor.get dx [| 0; 1 |])
-
-let test_gelu_backward_finite_diff () =
-  let xs = [ -2.0; -0.5; 0.0; 0.7; 1.9 ] in
-  List.iter
-    (fun x ->
-      let g = tensor_of 1 1 (fun _ _ -> 1.0) in
-      let xv = tensor_of 1 1 (fun _ _ -> x) in
-      let dx = Tensor.create Datatype.F32 [| 1; 1 |] in
-      Tpp_unary.exec2 Tpp_unary.Gelu_backward ~inp:(Tensor.view2d g)
-        ~aux:(Tensor.view2d xv) ~out:(Tensor.view2d dx);
-      let h = 1e-4 in
-      let fd = (Reference.gelu (x +. h) -. Reference.gelu (x -. h)) /. (2. *. h) in
-      Alcotest.(check (float 1e-3)) "gelu grad" fd (Tensor.get_flat dx 0))
-    xs
-
-let test_reduce () =
-  let x = tensor_of 2 3 (fun i j -> float_of_int ((i * 3) + j)) in
-  let rs = Tensor.create Datatype.F32 [| 2; 1 |] in
-  Tpp_unary.reduce Tpp_unary.Sum Tpp_unary.Rows ~inp:(Tensor.view2d x)
-    ~out:(Tensor.view2d rs);
-  checkf "row sum 0" 3.0 (Tensor.get rs [| 0; 0 |]);
-  checkf "row sum 1" 12.0 (Tensor.get rs [| 1; 0 |]);
-  let cs = Tensor.create Datatype.F32 [| 1; 3 |] in
-  Tpp_unary.reduce Tpp_unary.Max Tpp_unary.Cols ~inp:(Tensor.view2d x)
-    ~out:(Tensor.view2d cs);
-  checkf "col max" 5.0 (Tensor.get cs [| 0; 2 |])
-
 let test_transpose () =
   let x = tensor_of 2 3 (fun i j -> float_of_int ((i * 3) + j)) in
   let y = Tensor.create Datatype.F32 [| 3; 2 |] in
   Tpp_unary.transpose ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y);
   checkf "transposed" (Tensor.get x [| 1; 2 |]) (Tensor.get y [| 2; 1 |])
-
-let test_broadcasts () =
-  let row = tensor_of 1 3 (fun _ j -> float_of_int j) in
-  let out = Tensor.create Datatype.F32 [| 2; 3 |] in
-  Tpp_unary.broadcast_row ~inp:(Tensor.view2d row) ~out:(Tensor.view2d out);
-  checkf "row bcast" 2.0 (Tensor.get out [| 1; 2 |]);
-  let col = tensor_of 2 1 (fun i _ -> float_of_int (10 * i)) in
-  Tpp_unary.broadcast_col ~inp:(Tensor.view2d col) ~out:(Tensor.view2d out);
-  checkf "col bcast" 10.0 (Tensor.get out [| 1; 2 |])
 
 (* ---- binary ---- *)
 
@@ -119,7 +75,7 @@ let test_binary_full () =
   run Tpp_binary.Min;
   checkf "min" 2.0 (Tensor.get out [| 1; 1 |])
 
-let test_binary_broadcast_row_col () =
+let test_binary_broadcast_modes () =
   let a = tensor_of 2 3 (fun _ _ -> 0.0) in
   let out = Tensor.create Datatype.F32 [| 2; 3 |] in
   let row = tensor_of 1 3 (fun _ j -> float_of_int j) in
@@ -134,17 +90,6 @@ let test_binary_broadcast_row_col () =
   Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Scalar ~a:(Tensor.view2d a)
     ~b:(Tensor.view2d s) ~out:(Tensor.view2d out);
   checkf "scalar" 9.0 (Tensor.get out [| 0; 0 |])
-
-let test_muladd_axpy () =
-  let a = tensor_of 2 2 (fun _ _ -> 2.0) in
-  let b = tensor_of 2 2 (fun _ _ -> 3.0) in
-  let c = tensor_of 2 2 (fun _ _ -> 1.0) in
-  let out = Tensor.create Datatype.F32 [| 2; 2 |] in
-  Tpp_binary.muladd ~a:(Tensor.view2d a) ~b:(Tensor.view2d b)
-    ~c:(Tensor.view2d c) ~out:(Tensor.view2d out);
-  checkf "muladd" 7.0 (Tensor.get out [| 0; 0 |]);
-  Tpp_binary.axpy ~alpha:0.5 ~a:(Tensor.view2d a) ~out:(Tensor.view2d out);
-  checkf "axpy" 8.0 (Tensor.get out [| 0; 0 |])
 
 (* ---- brgemm ---- *)
 
@@ -653,33 +598,6 @@ let prop_softmax_rows_sum_to_one =
       done;
       !ok)
 
-let test_softmax_backward () =
-  (* numeric check of the Jacobian-vector product *)
-  let x = tensor_of 1 3 (fun _ j -> float_of_int j *. 0.5) in
-  let y = Tensor.create Datatype.F32 [| 1; 3 |] in
-  Blocks.softmax_rows ~scale:1.0 ~inp:(Tensor.view2d x)
-    ~out:(Tensor.view2d y) ();
-  let dy = tensor_of 1 3 (fun _ j -> float_of_int (j + 1)) in
-  let dx = Tensor.create Datatype.F32 [| 1; 3 |] in
-  Blocks.softmax_rows_backward ~y:(Tensor.view2d y) ~dy:(Tensor.view2d dy)
-    ~dx:(Tensor.view2d dx);
-  let h = 1e-4 in
-  for j = 0 to 2 do
-    let xp = Tensor.copy x and xm = Tensor.copy x in
-    Tensor.set xp [| 0; j |] (Tensor.get x [| 0; j |] +. h);
-    Tensor.set xm [| 0; j |] (Tensor.get x [| 0; j |] -. h);
-    let fp = Reference.softmax_rows xp and fm = Reference.softmax_rows xm in
-    let fd = ref 0.0 in
-    for l = 0 to 2 do
-      fd :=
-        !fd
-        +. (Tensor.get dy [| 0; l |]
-            *. (Tensor.get fp [| 0; l |] -. Tensor.get fm [| 0; l |])
-            /. (2.0 *. h))
-    done;
-    Alcotest.(check (float 1e-3)) "softmax bwd" !fd (Tensor.get dx [| 0; j |])
-  done
-
 (* NaNs of both signs, two of them with payload bits below BF16's 16 *)
 let nans =
   [| Float.nan; -.Float.nan; Int32.float_of_bits 0x7fc12345l;
@@ -1000,7 +918,7 @@ let unary_formula op x =
   | Abs -> Float.abs x
   | Scale a -> mul1 a x
   | Shift a -> add1 a x
-  | Copy | Relu_backward | Gelu_backward -> invalid_arg "unary_formula"
+  | Copy -> invalid_arg "unary_formula"
 
 let unary_oracle op ~inp ~out =
   let module View = Tensor.View in
@@ -1022,9 +940,8 @@ let test_unary_bits () =
         Negate; Abs; Scale 0.125; Scale Float.nan; Shift (-1.5);
         Shift (-.Float.nan) ]
 
-(* [Blocks.layernorm_core] as it was; [stats] receives each row's mean
-   and rstd *)
-let layernorm_formula ~eps ~gamma ~beta ~stats ~inp ~out =
+(* [Blocks.layernorm_rows_nostats] as it was *)
+let layernorm_formula ~eps ~gamma ~beta ~inp ~out =
   let module View = Tensor.View in
   let rows = inp.View.rows and cols = inp.View.cols in
   let fcols = float_of_int cols in
@@ -1040,11 +957,6 @@ let layernorm_formula ~eps ~gamma ~beta ~stats ~inp ~out =
       v := add1 !v (d *. d)
     done;
     let rstd = 1.0 /. sqrt (add1 (!v /. fcols) eps) in
-    (match stats with
-    | Some (ms, rs) ->
-      ms.(i) <- mean;
-      rs.(i) <- rstd
-    | None -> ());
     for j = 0 to cols - 1 do
       let nx = mul1 (View.get inp i j -. mean) rstd in
       View.set out i j (add1 (mul1 nx (View.get gamma 0 j)) (View.get beta 0 j))
@@ -1085,27 +997,9 @@ let test_layernorm_bits () =
         else if j = 1 then Some Float.infinity
         else None)
   in
-  let same_stats what expect got =
-    Array.iteri
-      (fun i e ->
-        if Int64.bits_of_float e <> Int64.bits_of_float got.(i) then
-          Alcotest.failf "%s: row %d is %h, expected %h" what i got.(i) e)
-      expect
-  in
-  let native = ref None in
   check_layouts "layernorm" ~prepare ~value ~rows ~cols
     (Blocks.layernorm_rows_nostats ~eps:1e-5 ~gamma ~beta)
-    (layernorm_formula ~eps:1e-5 ~gamma ~beta ~stats:None);
-  check_layouts "layernorm with stats" ~prepare ~value ~rows ~cols
-    (fun ~inp ~out ->
-      native := Some (Blocks.layernorm_rows ~eps:1e-5 ~inp ~gamma ~beta ~out))
-    (fun ~inp ~out ->
-      let mean = Array.make rows 0.0 and rstd = Array.make rows 0.0 in
-      layernorm_formula ~eps:1e-5 ~gamma ~beta ~stats:(Some (mean, rstd)) ~inp
-        ~out;
-      let s = Option.get !native in
-      same_stats "mean" mean s.Blocks.mean;
-      same_stats "rstd" rstd s.Blocks.rstd)
+    (layernorm_formula ~eps:1e-5 ~gamma ~beta)
 
 (* A view reaching past its buffer is refused before anything runs *)
 let test_eltwise_bounds_checked () =
@@ -1138,11 +1032,9 @@ let test_layernorm_matches_reference () =
   let gamma = tensor_of 1 8 (fun _ j -> 1.0 +. (0.1 *. float_of_int j)) in
   let beta = tensor_of 1 8 (fun _ j -> 0.05 *. float_of_int j) in
   let y = Tensor.create Datatype.F32 [| 4; 8 |] in
-  let _ =
-    Blocks.layernorm_rows ~eps:1e-5 ~inp:(Tensor.view2d x)
-      ~gamma:(Tensor.view2d gamma) ~beta:(Tensor.view2d beta)
-      ~out:(Tensor.view2d y)
-  in
+  Blocks.layernorm_rows_nostats ~eps:1e-5 ~inp:(Tensor.view2d x)
+    ~gamma:(Tensor.view2d gamma) ~beta:(Tensor.view2d beta)
+    ~out:(Tensor.view2d y);
   let g = Array.init 8 (fun j -> Tensor.get gamma [| 0; j |]) in
   let b = Array.init 8 (fun j -> Tensor.get beta [| 0; j |]) in
   checkb "layernorm" true
@@ -1158,11 +1050,9 @@ let prop_layernorm_normalizes =
       let gamma = tensor_of 1 c (fun _ _ -> 1.0) in
       let beta = tensor_of 1 c (fun _ _ -> 0.0) in
       let y = Tensor.create Datatype.F32 [| r; c |] in
-      let _ =
-        Blocks.layernorm_rows ~eps:1e-9 ~inp:(Tensor.view2d x)
-          ~gamma:(Tensor.view2d gamma) ~beta:(Tensor.view2d beta)
-          ~out:(Tensor.view2d y)
-      in
+      Blocks.layernorm_rows_nostats ~eps:1e-9 ~inp:(Tensor.view2d x)
+        ~gamma:(Tensor.view2d gamma) ~beta:(Tensor.view2d beta)
+        ~out:(Tensor.view2d y);
       let ok = ref true in
       for i = 0 to r - 1 do
         let s = ref 0.0 and sq = ref 0.0 in
@@ -1177,91 +1067,6 @@ let prop_layernorm_normalizes =
         if c > 1 && Float.abs (var -. 1.0) > 1e-2 then ok := false
       done;
       !ok)
-
-let test_layernorm_backward_finite_diff () =
-  let rng = Prng.create 11 in
-  let r, c = (2, 6) in
-  let x = random_tensor rng r c in
-  let gamma = tensor_of 1 c (fun _ j -> 1.0 +. (0.05 *. float_of_int j)) in
-  let beta = tensor_of 1 c (fun _ _ -> 0.0) in
-  let dy = random_tensor rng r c in
-  let y = Tensor.create Datatype.F32 [| r; c |] in
-  let stats =
-    Blocks.layernorm_rows ~eps:1e-6 ~inp:(Tensor.view2d x)
-      ~gamma:(Tensor.view2d gamma) ~beta:(Tensor.view2d beta)
-      ~out:(Tensor.view2d y)
-  in
-  let dx = Tensor.create Datatype.F32 [| r; c |] in
-  let dgamma = Tensor.create Datatype.F32 [| 1; c |] in
-  let dbeta = Tensor.create Datatype.F32 [| 1; c |] in
-  Blocks.layernorm_rows_backward ~stats ~x:(Tensor.view2d x)
-    ~gamma:(Tensor.view2d gamma) ~dy:(Tensor.view2d dy) ~dx:(Tensor.view2d dx)
-    ~dgamma:(Tensor.view2d dgamma) ~dbeta:(Tensor.view2d dbeta);
-  (* finite differences on a few coordinates *)
-  let loss xt =
-    let g = Array.init c (fun j -> Tensor.get gamma [| 0; j |]) in
-    let b = Array.init c (fun j -> Tensor.get beta [| 0; j |]) in
-    let yt = Reference.layernorm_rows ~eps:1e-6 xt g b in
-    let s = ref 0.0 in
-    for i = 0 to r - 1 do
-      for j = 0 to c - 1 do
-        s := !s +. (Tensor.get dy [| i; j |] *. Tensor.get yt [| i; j |])
-      done
-    done;
-    !s
-  in
-  let h = 1e-3 in
-  List.iter
-    (fun (i, j) ->
-      let xp = Tensor.copy x and xm = Tensor.copy x in
-      Tensor.set xp [| i; j |] (Tensor.get x [| i; j |] +. h);
-      Tensor.set xm [| i; j |] (Tensor.get x [| i; j |] -. h);
-      let fd = (loss xp -. loss xm) /. (2.0 *. h) in
-      Alcotest.(check (float 5e-3)) "ln dx" fd (Tensor.get dx [| i; j |]))
-    [ (0, 0); (1, 3); (0, 5) ]
-
-let test_dropout_p0_identity () =
-  let rng = Prng.create 12 in
-  let x = random_tensor rng 3 4 in
-  let y = Tensor.create Datatype.F32 [| 3; 4 |] in
-  let m = Tensor.create Datatype.F32 [| 3; 4 |] in
-  Blocks.dropout ~rng ~p:0.0 ~inp:(Tensor.view2d x) ~mask:(Tensor.view2d m)
-    ~out:(Tensor.view2d y);
-  checkb "identity" true (Tensor.max_abs_diff x y = 0.0)
-
-let test_dropout_mask_consistency () =
-  let rng = Prng.create 13 in
-  let x = tensor_of 10 10 (fun _ _ -> 1.0) in
-  let y = Tensor.create Datatype.F32 [| 10; 10 |] in
-  let m = Tensor.create Datatype.F32 [| 10; 10 |] in
-  Blocks.dropout ~rng ~p:0.4 ~inp:(Tensor.view2d x) ~mask:(Tensor.view2d m)
-    ~out:(Tensor.view2d y);
-  (* output = mask/(1-p) for unit inputs, and mask is 0/1 *)
-  for i = 0 to 99 do
-    let mv = Tensor.get_flat m i and yv = Tensor.get_flat y i in
-    checkb "mask binary" true (mv = 0.0 || mv = 1.0);
-    Alcotest.(check (float 1e-6)) "scaled" (mv /. 0.6) yv
-  done;
-  (* backward uses the same mask *)
-  let dy = tensor_of 10 10 (fun _ _ -> 0.6) in
-  let dx = Tensor.create Datatype.F32 [| 10; 10 |] in
-  Blocks.dropout_backward ~p:0.4 ~dy:(Tensor.view2d dy) ~mask:(Tensor.view2d m)
-    ~dx:(Tensor.view2d dx);
-  for i = 0 to 99 do
-    Alcotest.(check (float 1e-6)) "bwd mask" (Tensor.get_flat m i)
-      (Tensor.get_flat dx i)
-  done
-
-let test_batchnorm_apply () =
-  let x = tensor_of 2 2 (fun i j -> float_of_int ((i * 2) + j)) in
-  let y = Tensor.create Datatype.F32 [| 2; 2 |] in
-  Blocks.batchnorm_apply ~eps:0.0 ~mean:1.5 ~var:1.25 ~gamma:2.0 ~beta:0.5
-    ~inp:(Tensor.view2d x) ~out:(Tensor.view2d y);
-  (* (x - 1.5) * 2/sqrt(1.25) + 0.5 *)
-  Alcotest.(check (float 1e-5))
-    "bn value"
-    (((3.0 -. 1.5) *. (2.0 /. sqrt 1.25)) +. 0.5)
-    (Tensor.get y [| 1; 1 |])
 
 (* ---- allocation-free hot paths ---- *)
 
@@ -1309,23 +1114,6 @@ let test_brgemm_list_empty_beta0_zero_fills () =
   checkb "beta=1 empty batch leaves C" true
     (List.for_all (( = ) 7.0) (Tensor.to_list c1))
 
-let test_layernorm_nostats_matches_stats () =
-  let rng = Prng.create 12 in
-  let x = random_tensor rng 4 16 in
-  let gamma = tensor_of 1 16 (fun _ j -> 1.0 +. (0.01 *. float_of_int j)) in
-  let beta = tensor_of 1 16 (fun _ j -> 0.02 *. float_of_int j) in
-  let y1 = Tensor.create Datatype.F32 [| 4; 16 |] in
-  let y2 = Tensor.create Datatype.F32 [| 4; 16 |] in
-  let _stats =
-    Blocks.layernorm_rows ~eps:1e-5 ~inp:(Tensor.view2d x)
-      ~gamma:(Tensor.view2d gamma) ~beta:(Tensor.view2d beta)
-      ~out:(Tensor.view2d y1)
-  in
-  Blocks.layernorm_rows_nostats ~eps:1e-5 ~inp:(Tensor.view2d x)
-    ~gamma:(Tensor.view2d gamma) ~beta:(Tensor.view2d beta)
-    ~out:(Tensor.view2d y2);
-  checkb "nostats == stats" true (Tensor.max_abs_diff y1 y2 = 0.0)
-
 (* Each op of the native evaluator, and its wrapper's checks, allocate
    nothing per element; a boxed float would cost 2 words an element. *)
 let test_view_loops_unboxed () =
@@ -1345,11 +1133,6 @@ let test_view_loops_unboxed () =
   let y = Tensor.view2d (Tensor.create Datatype.F32 [| 200; 32 |]) in
   words "200x32 layernorm" 100.0 (fun () ->
       Blocks.layernorm_rows_nostats ~eps:1e-5 ~inp:x ~gamma ~beta ~out:y);
-  (* beside the record of two 200-float arrays it returns *)
-  words "200x32 layernorm with stats"
-    (100.0 +. float_of_int (3 + (2 * 201)))
-    (fun () ->
-      ignore (Blocks.layernorm_rows ~eps:1e-5 ~inp:x ~gamma ~beta ~out:y));
   let a = Tensor.view2d (random_tensor rng 200 128) in
   let b = Tensor.view2d (random_tensor rng 200 128) in
   let c = Tensor.view2d (Tensor.create Datatype.F32 [| 200; 128 |]) in
@@ -1456,19 +1239,13 @@ let () =
           Alcotest.test_case "pointwise ops, bit for bit" `Quick
             test_unary_bits;
           Alcotest.test_case "zero" `Quick test_unary_zero;
-          Alcotest.test_case "relu backward" `Quick test_relu_backward;
-          Alcotest.test_case "gelu backward" `Quick
-            test_gelu_backward_finite_diff;
-          Alcotest.test_case "reduce" `Quick test_reduce;
           Alcotest.test_case "transpose" `Quick test_transpose;
-          Alcotest.test_case "broadcasts" `Quick test_broadcasts;
         ] );
       ( "binary",
         [
           Alcotest.test_case "elementwise" `Quick test_binary_full;
           Alcotest.test_case "broadcast modes" `Quick
-            test_binary_broadcast_row_col;
-          Alcotest.test_case "muladd/axpy" `Quick test_muladd_axpy;
+            test_binary_broadcast_modes;
           Alcotest.test_case "inlined loop == closures, bit for bit" `Quick
             test_binary_matches_closures;
         ] );
@@ -1497,16 +1274,10 @@ let () =
         [
           Alcotest.test_case "softmax" `Quick test_softmax_matches_reference;
           qt prop_softmax_rows_sum_to_one;
-          Alcotest.test_case "softmax backward" `Quick test_softmax_backward;
-          Alcotest.test_case "layernorm" `Quick test_layernorm_matches_reference;
-          qt prop_layernorm_normalizes;
-          Alcotest.test_case "layernorm backward" `Quick
-            test_layernorm_backward_finite_diff;
-          Alcotest.test_case "dropout p=0" `Quick test_dropout_p0_identity;
-          Alcotest.test_case "dropout mask" `Quick test_dropout_mask_consistency;
-          Alcotest.test_case "batchnorm" `Quick test_batchnorm_apply;
           Alcotest.test_case "scale+mask+softmax in one pass, bit for bit"
             `Quick test_softmax_scores_one_pass;
+          Alcotest.test_case "layernorm" `Quick test_layernorm_matches_reference;
+          qt prop_layernorm_normalizes;
           Alcotest.test_case "swiglu in one pass, bit for bit" `Quick
             test_swiglu_one_pass;
           Alcotest.test_case "layernorm, bit for bit" `Quick
@@ -1520,8 +1291,6 @@ let () =
             test_brgemm_hot_loop_allocates_nothing;
           Alcotest.test_case "empty batch beta=0" `Quick
             test_brgemm_list_empty_beta0_zero_fills;
-          Alcotest.test_case "layernorm nostats" `Quick
-            test_layernorm_nostats_matches_stats;
           Alcotest.test_case "view loops unboxed" `Quick
             test_view_loops_unboxed;
         ] );
