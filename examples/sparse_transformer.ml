@@ -1,9 +1,10 @@
 (* Block-sparse transformer inference (§IV-B / Fig. 10): magnitude-prune a
-   dense BERT's FC weights block-wise to 80% sparsity, replace the dense
-   contractions with Block-SpMM PARLOOPER kernels, and verify the sparse
-   pipeline is exact w.r.t. the dense kernels on the same pruned weights.
-   Then measure the real kernel-level speedup of SpMM vs dense GEMM on
-   this host.
+   dense BERT's FC weights block-wise to 80% sparsity, so that each FC
+   runs the Block-SpMM PARLOOPER kernel instead of the dense GEMM, and
+   verify the sparse model is exact w.r.t. the dense kernels on the same
+   pruned weights. Then measure the real kernel-level speedup of SpMM vs
+   dense GEMM on this host. Exits 1 if the sparse and dense models
+   disagree.
 
      dune exec examples/sparse_transformer.exe
 *)
@@ -11,22 +12,21 @@
 let () =
   let rng = Prng.create 11 in
   let bert = Bert.create ~rng ~block:16 Bert.tiny_config in
-  let sparse = Sparse_bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.8 bert in
+  let sparse, dense = Bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.8 bert in
   Printf.printf "pruned BERT-tiny to %.0f%% block sparsity (8x8 blocks)\n"
-    (100.0 *. Sparse_bert.achieved_sparsity sparse);
+    (100.0 *. Bert.achieved_sparsity sparse);
 
   let x = Tensor.create Datatype.F32 [| 32; Bert.tiny_config.Bert.hidden |] in
   Tensor.fill_random x rng ~scale:1.0;
-  let ys = Sparse_bert.forward sparse x in
-  let yd = Sparse_bert.dense_equivalent_forward sparse x in
+  let ys = Bert.encode sparse x in
+  let yd = Bert.encode dense x in
+  let exact = Tensor.approx_equal ~tol:1e-3 ys yd in
   Printf.printf "sparse forward == dense kernels on pruned weights: %b\n"
-    (Tensor.approx_equal ~tol:1e-3 ys yd);
+    exact;
   Printf.printf "effective layer FLOPs at seq 64: %.1f%% of dense\n"
     (100.0
-    *. Sparse_bert.layer_effective_flops sparse ~seq:64
-    /. Sparse_bert.layer_effective_flops
-         (Sparse_bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.0 bert)
-         ~seq:64);
+    *. Bert.layer_effective_flops sparse ~seq:64
+    /. Bert.layer_effective_flops bert ~seq:64);
 
   (* real kernel-level speedup on this host *)
   let dim = 512 in
@@ -52,4 +52,5 @@ let () =
   Printf.printf
     "real Block-SpMM 512^3 on this host: dense %.1f ms, 80%% sparse %.1f ms \
      -> %.2fx\n"
-    (dense_t *. 1e3) (sparse_t *. 1e3) (dense_t /. sparse_t)
+    (dense_t *. 1e3) (sparse_t *. 1e3) (dense_t /. sparse_t);
+  if not exact then exit 1

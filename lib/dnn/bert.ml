@@ -123,9 +123,54 @@ let encoder_layer ?nthreads layer x =
   output_block ?nthreads layer.out_fc layer.out_gamma layer.out_beta
     ~residual:x1 inter
 
-let forward ?nthreads t ids =
-  Array.fold_left (fun x l -> encoder_layer ?nthreads l x) (embed t ids)
-    t.encoder
+let encode ?nthreads t x =
+  Array.fold_left (fun x l -> encoder_layer ?nthreads l x) x t.encoder
+
+let forward ?nthreads t ids = encode ?nthreads t (embed t ids)
+
+(* a layer's FCs, and the layer with [f] applied to each *)
+let fcs l =
+  let a = l.attention in
+  [ a.Attention.wq; a.wk; a.wv; a.wo; l.att_output; l.intermediate_fc;
+    l.out_fc ]
+
+let map_fcs f l =
+  let a = l.attention in
+  { l with
+    attention =
+      { a with Attention.wq = f a.Attention.wq; wk = f a.wk; wv = f a.wv;
+        wo = f a.wo };
+    att_output = f l.att_output;
+    intermediate_fc = f l.intermediate_fc;
+    out_fc = f l.out_fc }
+
+let sparsify ~bm ~bk ~sparsity t =
+  let map f m = { m with encoder = Array.map (map_fcs f) m.encoder } in
+  let sparse = map (Fc.sparsify ~bm ~bk ~sparsity) t in
+  (sparse, map (fun (fc : Fc.t) -> Fc.with_weights fc fc.Fc.weights) sparse)
+
+(* the fraction of an FC's blocks that are not stored *)
+let fc_sparsity (fc : Fc.t) =
+  match fc.Fc.kernel with
+  | Fc.Dense _ -> 0.0
+  | Fc.Block_sparse w -> Bcsc.sparsity w
+
+let achieved_sparsity t =
+  let all = Array.to_list t.encoder |> List.concat_map fcs in
+  List.fold_left (fun acc fc -> acc +. fc_sparsity fc) 0.0 all
+  /. float_of_int (List.length all)
+
+let layer_effective_flops t ~seq =
+  let s = float_of_int seq in
+  let fc_flops acc (fc : Fc.t) =
+    acc
+    +. 2.0 *. s
+       *. float_of_int fc.Fc.in_features
+       *. float_of_int fc.Fc.out_features
+       *. (1.0 -. fc_sparsity fc)
+  in
+  List.fold_left fc_flops 0.0 (fcs t.encoder.(0))
+  +. (2.0 *. 2.0 *. s *. s *. float_of_int t.cfg.hidden)
 
 (* naive reference for one layer *)
 let reference_encoder_layer layer x =

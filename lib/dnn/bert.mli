@@ -60,8 +60,29 @@ val embed : t -> int array -> Tensor.t
 (** One encoder layer forward on [seq x hidden]. *)
 val encoder_layer : ?nthreads:int -> layer -> Tensor.t -> Tensor.t
 
-(** Full forward: token ids -> final hidden states. *)
+(** The encoder stack on embeddings [seq x hidden]. *)
+val encode : ?nthreads:int -> t -> Tensor.t -> Tensor.t
+
+(** Full forward: token ids -> final hidden states, {!encode} after
+    {!embed}. *)
 val forward : ?nthreads:int -> t -> int array -> Tensor.t
+
+(** Block-sparse BERT (§IV-B / Fig. 10). [sparsify ~bm ~bk ~sparsity t]
+    magnitude-prunes the weights of every encoder FC ({!Fc.sparsify}) and
+    returns two models on the pruned weights: the block-sparse one, whose
+    FCs run Block-SpMM, and its dense equivalent, whose FCs run the dense
+    GEMM. The attention score and context contractions and the
+    element-wise blocks stay dense in both, as in the paper's roofline
+    construction. *)
+val sparsify : bm:int -> bk:int -> sparsity:float -> t -> t * t
+
+(** The fraction of blocks not stored, averaged over the encoder's FCs; a
+    dense FC stores all of them. *)
+val achieved_sparsity : t -> float
+
+(** Effective FLOPs of one encoder layer at [seq]: each FC's contraction
+    scaled by its density. *)
+val layer_effective_flops : t -> seq:int -> float
 
 (** Naive reference of one encoder layer (tests). *)
 val reference_encoder_layer : layer -> Tensor.t -> Tensor.t

@@ -1,5 +1,7 @@
 type activation = Linear | Relu_act | Gelu_act
 
+type kernel = Dense of Tensor.t | Block_sparse of Bcsc.t
+
 type t = {
   in_features : int;
   out_features : int;
@@ -9,7 +11,7 @@ type t = {
   block : int;
   dtype : Datatype.t;
   spec : string;
-  packed : Tensor.t;
+  kernel : kernel;
 }
 
 (* Tokens are the GEMM's M, read in place as row-major rows, in blocks
@@ -21,14 +23,14 @@ let gemm_cfg ~block ~dtype ~in_features ~out_features ~tokens =
   Gemm.make_config ~layout:Gemm.Rows ~bm:block ~bn:block ~bk:block ~dtype
     ~k_step:1 ~m:tokens ~n:out_features ~k:in_features ()
 
-(* a layer on the logical [out x in] [weights], W^T packed as the GEMM's
-   B operand (pack_b rounds to [dtype]) *)
+(* a dense layer on the logical [out x in] [weights], W^T packed as the
+   GEMM's B operand (pack_b rounds to [dtype]) *)
 let make ~weights ~bias ~act ~block ~dtype ~spec =
   let d = Tensor.dims weights in
   let out_features = d.(0) and in_features = d.(1) in
   let cfg = gemm_cfg ~block ~dtype ~in_features ~out_features ~tokens:1 in
   { in_features; out_features; weights; bias; act; block; dtype; spec;
-    packed = Gemm.pack_b cfg (Tensor.transpose weights) }
+    kernel = Dense (Gemm.pack_b cfg (Tensor.transpose weights)) }
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -49,7 +51,14 @@ let with_weights t weights =
   make ~weights ~bias:t.bias ~act:t.act ~block:t.block ~dtype:t.dtype
     ~spec:t.spec
 
+let sparsify ~bm ~bk ~sparsity t =
+  let a = Bcsc.prune_dense ~bm ~bk ~sparsity t.weights in
+  { t with weights = Bcsc.to_dense a; kernel = Block_sparse a }
+
 let slice t ~r0 ~r1 =
+  (match t.kernel with
+  | Block_sparse _ -> invalid_arg "Fc.slice: a block-sparse layer"
+  | Dense _ -> ());
   if r0 = 0 && r1 = t.out_features then t
   else begin
     let rows = r1 - r0 in
@@ -70,18 +79,21 @@ let act_unary = function
   | Relu_act -> Some Tpp_unary.Relu
   | Gelu_act -> Some Tpp_unary.Gelu
 
+(* c := act(c + bias_row), bias_row broadcast down c's rows *)
+let bias_act act ~bias_row c =
+  Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Row ~a:c ~b:bias_row ~out:c;
+  match act with None -> () | Some op -> Tpp_unary.exec op ~inp:c ~out:c
+
 (* act(X W^T + b) into columns [col0, col0 + out) of [out]: X is the
    GEMM's A in place (a BF16 layer rounds a copy of it once), the bias
    and the activation are fused on each finished C block *)
-let forward_into ?nthreads t x ~out ~col0 =
-  let dx = Tensor.dims x in
-  assert (Array.length dx = 2 && dx.(1) = t.in_features);
+let dense_into ?nthreads t packed x ~out ~col0 =
   (* routed through the spec-resolver hook: with online tuning enabled the
      per-shape cache may substitute a tuned (config, spec) here *)
   let g =
     Gemm.create_resolved
       (gemm_cfg ~block:t.block ~dtype:t.dtype ~in_features:t.in_features
-         ~out_features:t.out_features ~tokens:dx.(0))
+         ~out_features:t.out_features ~tokens:(Tensor.dims x).(0))
       t.spec
   in
   let a =
@@ -95,13 +107,36 @@ let forward_into ?nthreads t x ~out ~col0 =
     let bias_row =
       Tensor.view_flat bias ~off:(in_ * block) ~rows:1 ~cols:block ~ld:block
     in
-    Tpp_binary.exec Tpp_binary.Add ~bcast:Tpp_binary.Row ~a:c_block
-      ~b:bias_row ~out:c_block;
-    match act with
-    | None -> ()
-    | Some op -> Tpp_unary.exec op ~inp:c_block ~out:c_block
+    bias_act act ~bias_row c_block
   in
-  Gemm.run ?nthreads ~post ~col0 g ~a ~b:t.packed ~c:out
+  Gemm.run ?nthreads ~post ~col0 g ~a ~b:packed ~c:out
+
+(* act(X W^T + b) into the same window by Block-SpMM, in FP32: W in BCSC
+   is the sparse A and X^T the dense B; the [out x N] product is
+   transposed into the window, then the bias and the activation run over
+   all of it *)
+let block_sparse_into ?nthreads t (w : Bcsc.t) x ~out ~col0 =
+  let n = (Tensor.dims x).(0) in
+  let cfg =
+    Spmm_kernel.make_config ~m:t.out_features ~n ~k:t.in_features
+      ~bm:w.Bcsc.bm ~bk:w.Bcsc.bk ()
+  in
+  let sp = Spmm_kernel.create cfg Spmm_kernel.default_spec in
+  let ct = Spmm_kernel.run_logical ?nthreads sp ~a:w ~b:(Tensor.transpose x) in
+  let y = Tensor.view out [| 0; col0 |] ~rows:n ~cols:t.out_features in
+  Tpp_unary.transpose ~inp:(Tensor.view2d ct) ~out:y;
+  let bias_row =
+    Tensor.view_flat t.bias ~off:0 ~rows:1 ~cols:t.out_features
+      ~ld:t.out_features
+  in
+  bias_act (act_unary t.act) ~bias_row y
+
+let forward_into ?nthreads t x ~out ~col0 =
+  let dx = Tensor.dims x in
+  assert (Array.length dx = 2 && dx.(1) = t.in_features);
+  match t.kernel with
+  | Dense packed -> dense_into ?nthreads t packed x ~out ~col0
+  | Block_sparse w -> block_sparse_into ?nthreads t w x ~out ~col0
 
 let forward ?nthreads t x =
   let out = Tensor.create Datatype.F32 [| (Tensor.dims x).(0); t.out_features |] in

@@ -363,27 +363,27 @@ let test_resnet50_shape_table () =
 let test_sparse_bert_matches_dense_equivalent () =
   let rng = Prng.create 12 in
   let bert = Bert.create ~rng ~block:16 Bert.tiny_config in
-  let sp = Sparse_bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.5 bert in
+  let sp, dense_eq = Bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.5 bert in
   let x = random_tensor rng [| 16; Bert.tiny_config.Bert.hidden |] in
-  let sparse = Sparse_bert.forward sp x in
-  let dense = Sparse_bert.dense_equivalent_forward sp x in
+  let sparse = Bert.encode sp x in
+  let dense = Bert.encode dense_eq x in
   checkb "sparse == dense on pruned weights" true
     (Tensor.approx_equal ~tol:1e-3 sparse dense)
 
 let test_sparse_bert_sparsity_target () =
   let rng = Prng.create 13 in
   let bert = Bert.create ~rng ~block:16 Bert.tiny_config in
-  let sp = Sparse_bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.8 bert in
-  let s = Sparse_bert.achieved_sparsity sp in
+  let sp, _ = Bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.8 bert in
+  let s = Bert.achieved_sparsity sp in
   checkb "sparsity ~0.8" true (Float.abs (s -. 0.8) < 0.05)
 
 let test_sparse_bert_effective_flops_scale () =
   let rng = Prng.create 14 in
   let bert = Bert.create ~rng ~block:16 Bert.tiny_config in
-  let sp80 = Sparse_bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.8 bert in
-  let sp0 = Sparse_bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.0 bert in
-  let f80 = Sparse_bert.layer_effective_flops sp80 ~seq:64 in
-  let f0 = Sparse_bert.layer_effective_flops sp0 ~seq:64 in
+  let sp80, _ = Bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.8 bert in
+  let sp0, _ = Bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.0 bert in
+  let f80 = Bert.layer_effective_flops sp80 ~seq:64 in
+  let f0 = Bert.layer_effective_flops sp0 ~seq:64 in
   checkb "80% sparsity cuts flops" true (f80 < 0.45 *. f0)
 
 let () =
