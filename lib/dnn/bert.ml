@@ -21,7 +21,6 @@ let tiny_config =
 
 type layer = {
   attention : Attention.t;
-  att_output : Fc.t;
   att_gamma : Tensor.t;
   att_beta : Tensor.t;
   intermediate_fc : Fc.t;
@@ -54,10 +53,6 @@ let create ~rng ?(dtype = Datatype.F32) ?(block = 32) ?(spec = Gemm.default_spec
       Attention.create ~rng ~dtype ~block ~spec ~hidden:cfg.hidden
         ~heads:cfg.heads ()
     in
-    let att_output =
-      Fc.create ~rng ~dtype ~block ~spec ~in_features:cfg.hidden
-        ~out_features:cfg.hidden ()
-    in
     let att_gamma, att_beta = ln_params rng cfg.hidden in
     let intermediate_fc =
       Fc.create ~rng ~dtype ~block ~spec ~act:Fc.Gelu_act
@@ -68,8 +63,8 @@ let create ~rng ?(dtype = Datatype.F32) ?(block = 32) ?(spec = Gemm.default_spec
         ~out_features:cfg.hidden ()
     in
     let out_gamma, out_beta = ln_params rng cfg.hidden in
-    { attention; att_output; att_gamma; att_beta; intermediate_fc; out_fc;
-      out_gamma; out_beta }
+    { attention; att_gamma; att_beta; intermediate_fc; out_fc; out_gamma;
+      out_beta }
   in
   let emb scale rows = Tensor.random Datatype.F32 [| rows; cfg.hidden |] rng ~scale in
   let emb_gamma, emb_beta = ln_params rng cfg.hidden in
@@ -110,12 +105,14 @@ let output_block ?nthreads fc gamma beta ~residual x =
   y
 
 let encoder_layer ?nthreads layer x =
-  (* Bert-Self-Attention *)
-  let att = Attention.forward ?nthreads layer.attention x in
-  (* Bert-SelfOutput: dense + residual + layernorm *)
+  (* Bert-Self-Attention: the Q, K and V projections, then attention *)
+  let att = layer.attention in
+  let q, k, v = Attention.project ?nthreads att x in
+  let ctx = Attention.attend ~heads:att.Attention.heads q k v in
+  (* Bert-SelfOutput: the output projection + residual + layernorm *)
   let x1 =
-    output_block ?nthreads layer.att_output layer.att_gamma layer.att_beta
-      ~residual:x att
+    output_block ?nthreads att.Attention.wo layer.att_gamma layer.att_beta
+      ~residual:x ctx
   in
   (* Bert-Intermediate: dense + GELU (fused in the FC post-op) *)
   let inter = Fc.forward ?nthreads layer.intermediate_fc x1 in
@@ -131,8 +128,7 @@ let forward ?nthreads t ids = encode ?nthreads t (embed t ids)
 (* a layer's FCs, and the layer with [f] applied to each *)
 let fcs l =
   let a = l.attention in
-  [ a.Attention.wq; a.wk; a.wv; a.wo; l.att_output; l.intermediate_fc;
-    l.out_fc ]
+  [ a.Attention.wq; a.wk; a.wv; a.wo; l.intermediate_fc; l.out_fc ]
 
 let map_fcs f l =
   let a = l.attention in
@@ -140,7 +136,6 @@ let map_fcs f l =
     attention =
       { a with Attention.wq = f a.Attention.wq; wk = f a.wk; wv = f a.wv;
         wo = f a.wo };
-    att_output = f l.att_output;
     intermediate_fc = f l.intermediate_fc;
     out_fc = f l.out_fc }
 
@@ -194,7 +189,7 @@ let reference_encoder_layer layer x =
         Tensor.get a i +. Tensor.get b i)
   in
   let att = Attention.reference_forward layer.attention x in
-  let x1 = ln (add (fc_ref layer.att_output Fun.id att) x) layer.att_gamma layer.att_beta in
+  let x1 = ln (add att x) layer.att_gamma layer.att_beta in
   let inter = fc_ref layer.intermediate_fc Reference.gelu x1 in
   ln (add (fc_ref layer.out_fc Fun.id inter) x1) layer.out_gamma layer.out_beta
 

@@ -3,8 +3,13 @@
     - {b Embeddings}: token + position lookups, layernorm
     - {b Self-Attention}: blocked contractions fused with scale/softmax
     - {b Output / Self-Output}: BRGEMM fused with bias, residual add and
-      layernorm TPPs on 2D-block granularity (Listing 6)
+      layernorm TPPs on 2D-block granularity (Listing 6); Self-Output's
+      dense is the attention block's output projection [wo]
     - {b Intermediate}: BRGEMM cascaded with bias add and GELU
+
+    The block-sparse BERT of §IV-B is the same model with block-sparse
+    FCs ({!sparsify}): each FC's contraction runs Block-SpMM instead of
+    the GEMM, and the encoder layer is the same.
 
     Every pass is inference: dropout is the identity. The implementation
     is exact (verified against naive references at small shapes); the
@@ -33,7 +38,7 @@ val tiny_config : config
 (** One encoder layer's parameters. *)
 type layer = {
   attention : Attention.t;
-  att_output : Fc.t;  (** hidden -> hidden (Bert-SelfOutput dense) *)
+      (** Q, K and V, and [wo], the Bert-SelfOutput dense *)
   att_gamma : Tensor.t;
   att_beta : Tensor.t;
   intermediate_fc : Fc.t;  (** hidden -> intermediate, fused GELU *)
@@ -57,7 +62,7 @@ val create :
 (** Bert-Embeddings: token ids -> [seq x hidden], layernormed. *)
 val embed : t -> int array -> Tensor.t
 
-(** One encoder layer forward on [seq x hidden]. *)
+(** One encoder layer forward on [seq x hidden], dense or block-sparse. *)
 val encoder_layer : ?nthreads:int -> layer -> Tensor.t -> Tensor.t
 
 (** The encoder stack on embeddings [seq x hidden]. *)

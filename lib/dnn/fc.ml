@@ -87,13 +87,13 @@ let bias_act act ~bias_row c =
 (* act(X W^T + b) into columns [col0, col0 + out) of [out]: X is the
    GEMM's A in place (a BF16 layer rounds a copy of it once), the bias
    and the activation are fused on each finished C block *)
-let dense_into ?nthreads t packed x ~out ~col0 =
+let dense_into ?nthreads t packed x ~tokens ~out ~col0 =
   (* routed through the spec-resolver hook: with online tuning enabled the
      per-shape cache may substitute a tuned (config, spec) here *)
   let g =
     Gemm.create_resolved
       (gemm_cfg ~block:t.block ~dtype:t.dtype ~in_features:t.in_features
-         ~out_features:t.out_features ~tokens:(Tensor.dims x).(0))
+         ~out_features:t.out_features ~tokens)
       t.spec
   in
   let a =
@@ -115,15 +115,14 @@ let dense_into ?nthreads t packed x ~out ~col0 =
    is the sparse A and X^T the dense B; the [out x N] product is
    transposed into the window, then the bias and the activation run over
    all of it *)
-let block_sparse_into ?nthreads t (w : Bcsc.t) x ~out ~col0 =
-  let n = (Tensor.dims x).(0) in
+let block_sparse_into ?nthreads t (w : Bcsc.t) x ~tokens ~out ~col0 =
   let cfg =
-    Spmm_kernel.make_config ~m:t.out_features ~n ~k:t.in_features
+    Spmm_kernel.make_config ~m:t.out_features ~n:tokens ~k:t.in_features
       ~bm:w.Bcsc.bm ~bk:w.Bcsc.bk ()
   in
   let sp = Spmm_kernel.create cfg Spmm_kernel.default_spec in
   let ct = Spmm_kernel.run_logical ?nthreads sp ~a:w ~b:(Tensor.transpose x) in
-  let y = Tensor.view out [| 0; col0 |] ~rows:n ~cols:t.out_features in
+  let y = Tensor.view out [| 0; col0 |] ~rows:tokens ~cols:t.out_features in
   Tpp_unary.transpose ~inp:(Tensor.view2d ct) ~out:y;
   let bias_row =
     Tensor.view_flat t.bias ~off:0 ~rows:1 ~cols:t.out_features
@@ -134,9 +133,10 @@ let block_sparse_into ?nthreads t (w : Bcsc.t) x ~out ~col0 =
 let forward_into ?nthreads t x ~out ~col0 =
   let dx = Tensor.dims x in
   assert (Array.length dx = 2 && dx.(1) = t.in_features);
+  let tokens = dx.(0) in
   match t.kernel with
-  | Dense packed -> dense_into ?nthreads t packed x ~out ~col0
-  | Block_sparse w -> block_sparse_into ?nthreads t w x ~out ~col0
+  | Dense packed -> dense_into ?nthreads t packed x ~tokens ~out ~col0
+  | Block_sparse w -> block_sparse_into ?nthreads t w x ~tokens ~out ~col0
 
 let forward ?nthreads t x =
   let out = Tensor.create Datatype.F32 [| (Tensor.dims x).(0); t.out_features |] in

@@ -1,5 +1,5 @@
 (* Tests for the DNN workload library: FC, attention, BERT encoder, LLM
-   decoding with KV cache, ResNet and sparse BERT. *)
+   decoding with KV cache, ResNet and block-sparse BERT. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -134,6 +134,58 @@ let test_fc_forward_follows_new_weights () =
   check_bits "with_weights, oracle" (fc_forward_w_as_a fc' x)
     (Fc.forward fc' x);
   check_bits "original after the copy ran" before (Fc.forward fc x)
+
+(* a block-sparse layer runs Block-SpMM; with_weights on it builds the
+   dense layer on the same (pruned) weights, and nothing slices it *)
+let test_fc_block_sparse_with_weights_dense () =
+  let rng = Prng.create 43 in
+  let fc = Fc.create ~rng ~block:8 ~in_features:16 ~out_features:24 () in
+  let sp = Fc.sparsify ~bm:8 ~bk:4 ~sparsity:0.5 fc in
+  let is_dense (fc : Fc.t) =
+    match fc.Fc.kernel with Fc.Dense _ -> true | Fc.Block_sparse _ -> false
+  in
+  checkb "sparsify builds Block_sparse" false (is_dense sp);
+  let d = Fc.with_weights sp sp.Fc.weights in
+  checkb "with_weights builds Dense" true (is_dense d);
+  let x = random_tensor rng [| 5; 16 |] in
+  check_bits "dense equivalent, oracle" (fc_forward_w_as_a d x)
+    (Fc.forward d x);
+  checkb "dense equivalent == block-sparse" true
+    (Tensor.approx_equal ~tol:1e-4 (Fc.forward sp x) (Fc.forward d x))
+
+let test_fc_block_sparse_slice_rejected () =
+  let rng = Prng.create 44 in
+  let fc = Fc.create ~rng ~block:8 ~in_features:16 ~out_features:24 () in
+  let sp = Fc.sparsify ~bm:8 ~bk:8 ~sparsity:0.5 fc in
+  List.iter
+    (fun (r0, r1) ->
+      match Fc.slice sp ~r0 ~r1 with
+      | _ -> Alcotest.failf "slice [%d, %d) of a block-sparse layer" r0 r1
+      | exception Invalid_argument _ -> ())
+    [ (0, 8); (0, 24) ]
+
+(* the block-sparse branch writes its columns of a wider output and
+   leaves the others alone *)
+let test_fc_block_sparse_window () =
+  let rng = Prng.create 45 in
+  let fc =
+    Fc.create ~rng ~act:Fc.Gelu_act ~block:8 ~in_features:16 ~out_features:24
+      ()
+  in
+  let sp = Fc.sparsify ~bm:4 ~bk:8 ~sparsity:0.7 fc in
+  let x = random_tensor rng [| 3; 16 |] in
+  let out = Tensor.init Datatype.F32 [| 3; 30 |] (fun _ -> 7.0) in
+  Fc.forward_into sp x ~out ~col0:4;
+  let y = Fc.forward sp x in
+  check_bits "window" y
+    (Tensor.init Datatype.F32 [| 3; 24 |] (fun i ->
+         Tensor.get out [| i.(0); i.(1) + 4 |]));
+  for i = 0 to 2 do
+    List.iter
+      (fun j ->
+        checkb "outside the window" true (Tensor.get out [| i; j |] = 7.0))
+      [ 0; 1; 2; 3; 28; 29 ]
+  done
 
 (* ---- attention ---- *)
 
@@ -386,6 +438,46 @@ let test_sparse_bert_effective_flops_scale () =
   let f0 = Bert.layer_effective_flops sp0 ~seq:64 in
   checkb "80% sparsity cuts flops" true (f80 < 0.45 *. f0)
 
+(* the one encoder layer on block-sparse FCs against the naive
+   reference, which reads the pruned weights *)
+let test_sparse_bert_layer_matches_reference () =
+  let rng = Prng.create 15 in
+  let bert = Bert.create ~rng ~block:16 Bert.tiny_config in
+  List.iter
+    (fun sparsity ->
+      let sp, _ = Bert.sparsify ~bm:8 ~bk:8 ~sparsity bert in
+      let layer = sp.Bert.encoder.(0) in
+      checkb "block-sparse FCs" true
+        (match layer.Bert.out_fc.Fc.kernel with
+        | Fc.Block_sparse _ -> true
+        | Fc.Dense _ -> false);
+      List.iter
+        (fun n ->
+          let x = random_tensor rng [| n; Bert.tiny_config.Bert.hidden |] in
+          let got = Bert.encoder_layer ~nthreads:2 layer x in
+          let expect = Bert.reference_encoder_layer layer x in
+          checkb
+            (Printf.sprintf "%.0f%% sparse, %d tokens" (100.0 *. sparsity) n)
+            true
+            (Tensor.approx_equal ~tol:1e-3 got expect))
+        [ 1; 17 ])
+    [ 0.5; 0.9 ]
+
+(* an unpruned model's effective FLOPs are the closed form's: one
+   output projection a layer *)
+let test_sparse_bert_unpruned_flops () =
+  let rng = Prng.create 16 in
+  let cfg = Bert.tiny_config in
+  let bert = Bert.create ~rng ~block:16 cfg in
+  let sp0, _ = Bert.sparsify ~bm:8 ~bk:8 ~sparsity:0.0 bert in
+  List.iter
+    (fun (what, m) ->
+      Alcotest.(check (float 1.0))
+        what
+        (Bert.layer_flops cfg ~seq:64)
+        (Bert.layer_effective_flops m ~seq:64))
+    [ ("dense", bert); ("0% sparse", sp0) ]
+
 let () =
   Alcotest.run "dnn"
     [
@@ -397,6 +489,12 @@ let () =
             test_fc_rows_match_w_as_a;
           Alcotest.test_case "forward follows new weights" `Quick
             test_fc_forward_follows_new_weights;
+          Alcotest.test_case "block-sparse with_weights is dense" `Quick
+            test_fc_block_sparse_with_weights_dense;
+          Alcotest.test_case "block-sparse slice raises" `Quick
+            test_fc_block_sparse_slice_rejected;
+          Alcotest.test_case "block-sparse forward_into window" `Quick
+            test_fc_block_sparse_window;
         ] );
       ( "attention",
         [
@@ -439,5 +537,9 @@ let () =
             test_sparse_bert_sparsity_target;
           Alcotest.test_case "effective flops" `Quick
             test_sparse_bert_effective_flops_scale;
+          Alcotest.test_case "layer reference" `Quick
+            test_sparse_bert_layer_matches_reference;
+          Alcotest.test_case "unpruned effective flops == layer flops" `Quick
+            test_sparse_bert_unpruned_flops;
         ] );
     ]
