@@ -1,7 +1,7 @@
-(* End-of-run summaries of everything the registry collected: per-kernel
+(* End-of-run summary of everything the registry collected: per-kernel
    achieved GFLOPS with optional roofline context, JIT-cache behaviour,
-   barrier-wait totals, raw counters and perf-model error — as plain text
-   for terminals and as JSON for scripts. *)
+   barrier-wait totals, raw counters and perf-model error, as plain
+   text. *)
 
 (* emission helpers live in Json_check (shared with Recorder/Expose);
    re-exported here for existing callers *)
@@ -113,74 +113,3 @@ let summary ?peak_gflops ?mem_bw_gbs () =
 let print ?peak_gflops ?mem_bw_gbs () =
   print_string (summary ?peak_gflops ?mem_bw_gbs ());
   flush stdout
-
-let to_json ?peak_gflops ?mem_bw_gbs () =
-  let b = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pr "{";
-  (match peak_gflops with
-  | Some p -> pr "\"peak_gflops\":%s," (json_float p)
-  | None -> ());
-  (match mem_bw_gbs with
-  | Some bw -> pr "\"mem_bw_gbs\":%s," (json_float bw)
-  | None -> ());
-  pr "\"kernels\":[";
-  List.iteri
-    (fun i (s : Registry.kernel_stat) ->
-      if i > 0 then pr ",";
-      pr
-        "{\"kind\":\"%s\",\"instance\":\"%s\",\"invocations\":%d,\
-         \"flops\":%s,\"bytes\":%s,\"seconds\":%s,\"gflops\":%s,\
-         \"arithmetic_intensity\":%s}"
-        (json_escape s.Registry.kind)
-        (json_escape s.Registry.instance)
-        s.Registry.invocations (json_float s.Registry.flops)
-        (json_float s.Registry.bytes)
-        (json_float s.Registry.seconds)
-        (json_float (Registry.gflops s))
-        (json_float (Registry.arithmetic_intensity s)))
-    (Registry.kernel_stats ());
-  pr "],\"predictions\":[";
-  List.iteri
-    (fun i (p : Registry.prediction) ->
-      if i > 0 then pr ",";
-      pr
-        "{\"name\":\"%s\",\"predicted_gflops\":%s,\"measured_gflops\":%s,\
-         \"deviation\":%s}"
-        (json_escape p.Registry.pname)
-        (json_float p.Registry.predicted_gflops)
-        (json_float p.Registry.measured_gflops)
-        (json_float (Registry.deviation p)))
-    (Registry.predictions ());
-  pr "],\"histograms\":[";
-  List.iteri
-    (fun i h ->
-      if i > 0 then pr ",";
-      pr
-        "{\"name\":\"%s\",\"count\":%d,\"sum\":%s,\"mean\":%s,\"min\":%s,\
-         \"max\":%s,\"p50\":%s,\"p90\":%s,\"p95\":%s,\"p99\":%s}"
-        (json_escape (Histogram.name h))
-        (Histogram.count h)
-        (json_float (Histogram.sum h))
-        (json_float (Histogram.mean h))
-        (json_float (Histogram.min_value h))
-        (json_float (Histogram.max_value h))
-        (json_float (Histogram.quantile h 0.50))
-        (json_float (Histogram.quantile h 0.90))
-        (json_float (Histogram.quantile h 0.95))
-        (json_float (Histogram.quantile h 0.99)))
-    (List.filter (fun h -> Histogram.count h > 0) (Histogram.all ()));
-  pr "],\"counters\":{";
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then pr ",";
-      pr "\"%s\":%d" (json_escape n) v)
-    (Counter.all ());
-  pr "},\"gauges\":{";
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then pr ",";
-      pr "\"%s\":%d" (json_escape n) v)
-    (Gauge.all ());
-  pr "},\"spans\":%d}" (Span.count ());
-  Buffer.contents b

@@ -1,10 +1,9 @@
-(** Text and JSON summaries of everything the registry collected. Pass
+(** A text summary of everything the registry collected. Pass
     [peak_gflops] / [mem_bw_gbs] (e.g. from a {!Platform.t}) to add
     roofline context to the per-kernel achieved-GFLOPS lines. *)
 
 val summary : ?peak_gflops:float -> ?mem_bw_gbs:float -> unit -> string
 val print : ?peak_gflops:float -> ?mem_bw_gbs:float -> unit -> unit
-val to_json : ?peak_gflops:float -> ?mem_bw_gbs:float -> unit -> string
 
 (** Attainable GFLOPS at arithmetic intensity [ai] (flops/byte). *)
 val roofline : peak_gflops:float -> mem_bw_gbs:float -> float -> float
