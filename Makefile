@@ -1,4 +1,4 @@
-.PHONY: all build test fmt smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-tune smoke-migrate smoke-regress smoke-trace ci clean
+.PHONY: all build test fmt smoke-examples smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-tune smoke-migrate smoke-regress smoke-trace ci clean
 
 all: build
 
@@ -10,6 +10,22 @@ test:
 
 fmt:
 	dune build @fmt
+
+# Examples smoke (~3 s): run the six examples. Four of them check their
+# own result and exit 1 when it is wrong: quickstart's GEMM instantiations
+# against the naive reference, bert_inference's fused encoder layer
+# against its reference, sparse_transformer's 80%-sparse BERT against
+# the dense kernels on the same pruned weights, and llm_pipeline's
+# KV-cached decode against the full forward. Their timings are printed,
+# not gated.
+smoke-examples: build
+	dune exec examples/quickstart.exe
+	dune exec examples/autotune_gemm.exe
+	dune exec examples/bert_inference.exe
+	dune exec examples/resnet_convs.exe
+	dune exec examples/sparse_transformer.exe
+	dune exec examples/llm_pipeline.exe
+	@echo "smoke-examples: all six examples ran and passed their checks"
 
 # Short serving smoke: 2 s of synthetic load through the continuous-
 # batching scheduler, then the bench JSON is parsed back (the bench
@@ -165,8 +181,9 @@ smoke-trace: build
 
 # Single gate run by CI and before every commit: formatting must be
 # canonical (dune files; ocamlformat is not in the pinned toolchain),
-# everything must build, the full tier-1 suite must pass, the serving
-# and pooled-dispatch paths must produce valid machine-readable output,
+# everything must build, the full tier-1 suite must pass, the examples
+# must run and pass their own checks, the serving and pooled-dispatch
+# paths must produce valid machine-readable output,
 # a multi-replica chaos run with a quarantined replica must hold the
 # router conservation invariants, a chaos run with the recorder
 # armed must produce a validating post-mortem flight dump, and the
@@ -179,7 +196,7 @@ smoke-trace: build
 # per-metric tolerances, and a tail-sampled serve run must yield a
 # complete causal timeline for its worst retained TTFT exemplar and a
 # decode-reaching one for its worst retained TPOT exemplar.
-ci: fmt build test smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-migrate smoke-tune smoke-regress smoke-trace
+ci: fmt build test smoke-examples smoke-serve smoke-pool smoke-chaos smoke-cluster smoke-flight smoke-paged smoke-migrate smoke-tune smoke-regress smoke-trace
 
 clean:
 	dune clean

@@ -4,6 +4,8 @@
    against a naive reference.
 
      dune exec examples/bert_inference.exe
+
+   Exits 1 if the fused layer does not match the reference.
 *)
 
 let () =
@@ -28,11 +30,13 @@ let () =
   let layer = bert.Bert.encoder.(0) in
   let fused = Bert.encoder_layer layer x in
   let reference = Bert.reference_encoder_layer layer x in
+  let matches = Tensor.approx_equal ~tol:1e-3 fused reference in
   Printf.printf "  fused layer matches reference: %b (max diff %.2e)\n"
-    (Tensor.approx_equal ~tol:1e-3 fused reference)
+    matches
     (Tensor.max_abs_diff fused reference);
 
   (* paper-scale shapes drive the Fig. 9 throughput model *)
   Printf.printf
     "BERT-Large training step at seq 384: %.1f GFLOPs (x3 for fwd+bwd)\n"
-    (Bert.train_step_flops Bert.large_config ~seq:384 ~batch:1 /. 1e9)
+    (Bert.train_step_flops Bert.large_config ~seq:384 ~batch:1 /. 1e9);
+  if not matches then exit 1

@@ -4,6 +4,8 @@
    Llama2-13B.
 
      dune exec examples/llm_pipeline.exe
+
+   Exits 1 if the cached decode differs from the full forward.
 *)
 
 let () =
@@ -41,11 +43,11 @@ let () =
     Tensor.init Datatype.F32 [| 1; Llm.tiny.Llm.hidden |] (fun i ->
         Tensor.get full [| n_in + n_out - 1; i.(1) |])
   in
+  let exact = Tensor.approx_equal ~tol:1e-3 (Option.get !last) expect in
   Printf.printf
     "tiny decoder: prefill(%d tokens) %.2f ms, decode %.2f ms/token, \
      KV-cache exact: %b\n"
-    n_in (t_first *. 1e3) (t_next *. 1e3)
-    (Tensor.approx_equal ~tol:1e-3 (Option.get !last) expect);
+    n_in (t_first *. 1e3) (t_next *. 1e3) exact;
 
   (* paper-scale latency structure (compute-bound prefill vs
      bandwidth-bound decode) *)
@@ -58,4 +60,5 @@ let () =
         (Llm.prefill_flops cfg ~n_in:1024 /. 1e12)
         (Llm.decode_flops cfg ~past:1024 /. 1e9)
         (Llm.param_bytes cfg Datatype.BF16 /. 1e9))
-    [ Llm.gptj_6b; Llm.llama2_13b ]
+    [ Llm.gptj_6b; Llm.llama2_13b ];
+  if not exact then exit 1

@@ -7,6 +7,8 @@
    thread grid — and any precision.
 
      dune exec examples/quickstart.exe
+
+   Exits 1 if an instantiation's result differs from the reference.
 *)
 
 let () =
@@ -26,22 +28,27 @@ let () =
   in
 
   (* the SAME user code, three very different loop instantiations *)
-  List.iter
-    (fun spec_string ->
-      let gemm = Gemm.create cfg spec_string in
-      let t0 = Unix.gettimeofday () in
-      let c = Gemm.run_logical ~nthreads:4 gemm ~a ~b in
-      let dt = Unix.gettimeofday () -. t0 in
-      let expect = Reference.matmul a b in
-      Printf.printf "%-28s %8.2f GFLOPS  correct=%b\n" spec_string
-        (Gemm.flops cfg /. dt /. 1e9)
-        (Tensor.approx_equal ~tol:1e-4 c expect))
-    [
-      "BCa" (* M,N collapsed parallel, K inner *);
-      "bcaBCb" (* two-level blocked, inner pair parallel *);
-      "BCa @ schedule(dynamic,1)" (* OpenMP-style dynamic scheduling *);
-    ];
+  let correct =
+    List.map
+      (fun spec_string ->
+        let gemm = Gemm.create cfg spec_string in
+        let t0 = Unix.gettimeofday () in
+        let c = Gemm.run_logical ~nthreads:4 gemm ~a ~b in
+        let dt = Unix.gettimeofday () -. t0 in
+        let expect = Reference.matmul a b in
+        let correct = Tensor.approx_equal ~tol:1e-4 c expect in
+        Printf.printf "%-28s %8.2f GFLOPS  correct=%b\n" spec_string
+          (Gemm.flops cfg /. dt /. 1e9)
+          correct;
+        correct)
+      [
+        "BCa" (* M,N collapsed parallel, K inner *);
+        "bcaBCb" (* two-level blocked, inner pair parallel *);
+        "BCa @ schedule(dynamic,1)" (* OpenMP-style dynamic scheduling *);
+      ]
+  in
 
   (* the JIT cache makes re-creating a known instantiation free *)
   let hits, misses = Threaded_loop.cache_stats () in
-  Printf.printf "loop-nest JIT cache: %d hits, %d misses\n" hits misses
+  Printf.printf "loop-nest JIT cache: %d hits, %d misses\n" hits misses;
+  if not (List.for_all Fun.id correct) then exit 1
