@@ -28,7 +28,7 @@ let () =
   in
 
   (* the SAME user code, three very different loop instantiations *)
-  let correct =
+  let checks =
     List.map
       (fun spec_string ->
         let gemm = Gemm.create cfg spec_string in
@@ -51,4 +51,4 @@ let () =
   (* the JIT cache makes re-creating a known instantiation free *)
   let hits, misses = Threaded_loop.cache_stats () in
   Printf.printf "loop-nest JIT cache: %d hits, %d misses\n" hits misses;
-  if not (List.for_all Fun.id correct) then exit 1
+  if not (List.for_all Fun.id checks) then exit 1
