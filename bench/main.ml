@@ -585,9 +585,11 @@ let run_gemm_points () =
 
 (* ---- serving speed: Llm.tiny prefill and decode (smoke-regress) ----
 
-   The model every serving path runs, at a fixed seed: a 128-token
-   prefill into an empty cache and one decode step at context 32, on 1
-   and 2 threads, the four taking turns; each time is its fastest run.
+   The model every serving path runs, at a fixed seed, on 1 and 2
+   threads: cold prefills of 128 and 170 tokens into an empty cache, a
+   24-token prefill over 112 cached tokens (a prefix-trie hit: perfbench
+   rag's mean suffix over its mean shared context) and one decode step
+   at context 32, all taking turns; each time is its fastest run.
    decode_minor_words is what one decode step allocates on the calling
    domain (all of it on 1 thread; the team's workers are not counted on
    2). *)
@@ -596,43 +598,56 @@ let run_llm () =
   Modelkit.section "serving speed (Llm.tiny, this host)";
   let llm = Llm.create ~rng:(Prng.create 2024) Llm.tiny in
   let vocab = Llm.tiny.Llm.vocab in
-  let prompt = Llm.embed llm (Array.init 128 (fun i -> ((7 * i) + 3) mod vocab)) in
-  let past = Llm.embed llm (Array.init 32 (fun i -> ((5 * i) + 1) mod vocab)) in
+  let tokens n a b =
+    Llm.embed llm (Array.init n (fun i -> ((a * i) + b) mod vocab))
+  in
+  let prompt = tokens 128 7 3 and long = tokens 170 11 5 in
+  let shared = tokens 112 3 2 and suffix = tokens 24 13 7 in
+  let past = tokens 32 5 1 in
   let next = Llm.embed llm [| 9 |] in
   let point nthreads =
     let pc = Llm.new_cache llm and dc = Llm.new_cache llm in
+    let sc = Llm.new_cache llm in
     ignore (Llm.extend ~nthreads llm dc past);
-    let prefill () =
+    ignore (Llm.extend ~nthreads llm sc shared);
+    let prefill x () =
       Llm.reset_cache pc;
-      ignore (Llm.extend ~nthreads llm pc prompt)
+      ignore (Llm.extend ~nthreads llm pc x)
+    in
+    let extend () =
+      ignore (Llm.extend ~nthreads llm sc suffix);
+      Llm.truncate_cache sc 112
     in
     let decode () =
       ignore (Llm.extend ~nthreads llm dc next);
       Llm.truncate_cache dc 32
     in
-    (nthreads, prefill, decode)
+    (nthreads, [ prefill prompt; prefill long; extend; decode ])
   in
   let points = List.map point [ 1; 2 ] in
   let times =
-    rounds ~secs:0.5
-      (Array.of_list (List.concat_map (fun (_, p, d) -> [ p; d ]) points))
+    rounds ~secs:0.5 (Array.of_list (List.concat_map snd points))
   in
   List.iteri
-    (fun i (nthreads, _, decode) ->
-      let prefill_s = fastest times.(2 * i)
-      and decode_s = fastest times.((2 * i) + 1) in
+    (fun i (nthreads, fs) ->
+      let t j = fastest times.((4 * i) + j) in
+      let prefill_s = t 0 and prefill_170_s = t 1 in
+      let prefill_24_at_112_s = t 2 and decode_s = t 3 in
+      let decode = List.nth fs 3 in
       let w0 = Gc.minor_words () in
       decode ();
       let words = Gc.minor_words () -. w0 in
       Printf.printf
-        "  llm tiny %d thr: prefill 128 %8.3f ms  decode @32 %8.1f us  %8.0f \
-         minor words/decode\n%!"
-        nthreads (1e3 *. prefill_s) (1e6 *. decode_s) words;
+        "  llm tiny %d thr: prefill 128 %8.3f ms  170 %8.3f ms  24@112 %8.3f \
+         ms  decode @32 %8.1f us  %8.0f minor words/decode\n%!"
+        nthreads (1e3 *. prefill_s) (1e3 *. prefill_170_s)
+        (1e3 *. prefill_24_at_112_s) (1e6 *. decode_s) words;
       record_bench ~name:"llm"
         ~config:[ ("model", "tiny"); ("nthreads", string_of_int nthreads) ]
         ~metrics:
-          [ ("prefill_s", prefill_s); ("decode_s", decode_s);
-            ("decode_minor_words", words) ]
+          [ ("prefill_s", prefill_s); ("prefill_170_s", prefill_170_s);
+            ("prefill_24_at_112_s", prefill_24_at_112_s);
+            ("decode_s", decode_s); ("decode_minor_words", words) ]
         ())
     points
 

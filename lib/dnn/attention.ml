@@ -26,56 +26,129 @@ let project ?nthreads t x =
 
 (* head h occupies columns [h*d, (h+1)*d) of a [tokens x hidden] tensor *)
 let head_view x ~heads ~h =
-  let dims = Tensor.dims x in
-  let n = dims.(0) and hidden = dims.(1) in
+  let n = Tensor.dim x 0 and hidden = Tensor.dim x 1 in
   let d = hidden / heads in
   Tensor.view_flat x ~off:(h * d) ~rows:n ~cols:d ~ld:hidden
 
-let attend_range ?(causal = false) ~heads ~h0 ~h1 ~out q k v =
-  let dq = Tensor.dims q and dk = Tensor.dims k in
-  let nq = dq.(0) and nk = dk.(0) and hidden = dq.(1) in
-  assert (dk.(1) = hidden && (Tensor.dims v).(1) = hidden);
-  assert (0 <= h0 && h0 <= h1 && h1 <= heads);
-  let od = Tensor.dims out in
-  assert (od.(0) = nq && od.(1) = hidden);
-  let d = hidden / heads in
-  let scale = 1.0 /. sqrt (float_of_int d) in
-  let scores = Tensor.create Datatype.F32 [| nq; nk |] in
-  let kt = Tensor.create Datatype.F32 [| d; nk |] in
-  let score_ker =
-    Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:nq ~n:nk ~k:d ())
-  in
-  let ctx_ker =
-    Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:nq ~n:d ~k:nk ())
-  in
-  for h = h0 to h1 - 1 do
-    let qh = head_view q ~heads ~h in
-    let kh = head_view k ~heads ~h in
-    let vh = head_view v ~heads ~h in
-    (* S = Q_h x K_h^T; scale, causal mask and softmax in one pass a row *)
-    Tpp_unary.transpose ~inp:kh ~out:(Tensor.view2d kt);
-    Brgemm.exec score_ker ~a:qh ~b:(Tensor.view2d kt) ~c:(Tensor.view2d scores);
-    Blocks.softmax_rows ~scale
-      ?causal:(if causal then Some (nk - nq) else None)
-      ~inp:(Tensor.view2d scores) ~out:(Tensor.view2d scores) ();
-    (* C_h = S x V_h *)
-    let oh = head_view out ~heads ~h in
-    Brgemm.exec ctx_ker ~a:(Tensor.view2d scores) ~b:vh ~c:oh
-  done
+(* ---- attention over row blocks of live keys ---- *)
 
-let attend ?causal ~heads q k v =
-  let dq = Tensor.dims q in
-  let out = Tensor.create Datatype.F32 [| dq.(0); dq.(1) |] in
-  attend_range ?causal ~heads ~h0:0 ~h1:heads ~out q k v;
+(* query rows of one work item *)
+let row_block = 32
+
+(* a call with fewer scores than this (about 25 us of softmax and
+   products on this size of model) runs inline: a parallel region would
+   cost a good part of what it saves *)
+let inline_scores = 4096
+
+(* uninitialised: every element a call reads, it stored first *)
+let buffer n = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n
+
+let window (data : Tensor.buffer) ~off ~rows ~cols ~ld =
+  { Tensor.View.data; off; rows; cols; ld; dtype = Datatype.F32 }
+
+let attend_range ?nthreads ?(causal = false) ~heads ~h0 ~h1 ~out q k v =
+  let nq = Tensor.dim q 0 and nk = Tensor.dim k 0 in
+  let hidden = Tensor.dim q 1 in
+  assert (Tensor.dim k 1 = hidden && Tensor.dim v 1 = hidden);
+  assert (0 <= h0 && h0 <= h1 && h1 <= heads);
+  assert (Tensor.dim out 0 = nq && Tensor.dim out 1 = hidden);
+  let d = hidden / heads and nh = h1 - h0 in
+  let scale = 1.0 /. sqrt (float_of_int d) in
+  let nb = (nq + row_block - 1) / row_block in
+  (* scores over w keys, context over the first n *)
+  let kernels ~rows ~w ~n =
+    ( Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:rows ~n:w ~k:d ()),
+      Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:rows ~n:d ~k:n ()) )
+  in
+  (* Row block b covers query rows [r0, r0 + rows); blocks are aligned to
+     the last row, so only the first may be short. With [causal], row r
+     attends keys [0, r + nk - nq], so the block's n live keys are those
+     of its last row; at least one, so that a block whose rows have none
+     still runs, and redoes itself at full width. Where n < nk the scores
+     span w = n + 1 keys, so that every row, the last included, has a
+     masked column in which the softmax sees whether its tail is +0.
+     Each block keeps its kernels. *)
+  let blocks =
+    Array.init nb (fun b ->
+        let r1 = nq - ((nb - 1 - b) * row_block) in
+        let r0 = Int.max 0 (r1 - row_block) in
+        let n =
+          if causal then Int.max 1 (Int.min nk (r1 + nk - nq)) else nk
+        in
+        let w = Int.min nk (n + 1) in
+        (r0, r1 - r0, n, w, kernels ~rows:(r1 - r0) ~w ~n))
+  in
+  let scores =
+    Array.fold_left (fun acc (_, rows, _, w, _) -> acc + (nh * rows * w)) 0 blocks
+  in
+  (* K_h^T of every head, [d x nk] each, one after another *)
+  let kt = buffer (nh * d * nk) in
+  for h = h0 to h1 - 1 do
+    Tpp_unary.transpose ~inp:(head_view k ~heads ~h)
+      ~out:(window kt ~off:((h - h0) * d * nk) ~rows:d ~cols:nk ~ld:nk)
+  done;
+  (* Rows [r0, r0 + rows) of head h against keys [0, w), in the score
+     scratch [s]: S = Q K^T, then scale, mask and softmax in one pass a
+     row, then C = S V over the n live keys. Every key past a row's
+     causal limit holds +0 after the softmax, and BRGEMM adds or skips
+     a +0 without changing a bit, so stopping at n is exact. A row whose
+     masked tail is not +0 makes the block redo itself over all nk keys,
+     as one full-width call computes it. *)
+  let rec block s ~h ~r0 ~rows ~n ~w (score_ker, ctx_ker) =
+    let sv = window s ~off:0 ~rows ~cols:w ~ld:w in
+    Brgemm.exec score_ker
+      ~a:(Tensor.view_flat q ~off:((r0 * hidden) + (h * d)) ~rows ~cols:d
+            ~ld:hidden)
+      ~b:(window kt ~off:((h - h0) * d * nk) ~rows:d ~cols:w ~ld:nk)
+      ~c:sv;
+    let causal = if causal then Some (r0 + nk - nq) else None in
+    let tails = Blocks.softmax_rows_tails ~scale ?causal ~inp:sv ~out:sv () in
+    if tails > 0 && n < nk then
+      block s ~h ~r0 ~rows ~n:nk ~w:nk (kernels ~rows ~w:nk ~n:nk)
+    else
+      Brgemm.exec ctx_ker
+        ~a:(window s ~off:0 ~rows ~cols:n ~ld:w)
+        ~b:(Tensor.view_flat v ~off:(h * d) ~rows:n ~cols:d ~ld:hidden)
+        ~c:(Tensor.view_flat out ~off:((r0 * hidden) + (h * d)) ~rows
+              ~cols:d ~ld:hidden)
+  in
+  (* item i: the last row blocks first, as they hold the most live keys *)
+  let items = nh * nb in
+  let item s i =
+    let r0, rows, n, w, kers = blocks.(nb - 1 - (i / nh)) in
+    block s ~h:(h0 + (i mod nh)) ~r0 ~rows ~n ~w kers
+  in
+  let scratch = Int.min row_block nq * nk in
+  let nthreads =
+    match nthreads with
+    | Some n -> n
+    | None -> Threaded_loop.default_threads ()
+  in
+  if nthreads <= 1 || items <= 1 || nq = 1 || scores < inline_scores then begin
+    let s = buffer scratch in
+    for i = 0 to items - 1 do
+      item s i
+    done
+  end
+  else
+    Team.run ~nthreads (fun ctx ->
+        let s = buffer scratch in
+        let rec loop () =
+          let i = ctx.Team.fetch_chunk ~instance:0 ~chunk:1 in
+          if i < items then begin
+            item s i;
+            loop ()
+          end
+        in
+        loop ())
+
+let attend ?nthreads ?causal ~heads q k v =
+  let out = Tensor.create Datatype.F32 [| Tensor.dim q 0; Tensor.dim q 1 |] in
+  attend_range ?nthreads ?causal ~heads ~h0:0 ~h1:heads ~out q k v;
   out
 
-let forward ?nthreads ?causal t x =
-  let q, k, v = project ?nthreads t x in
-  let ctx = attend ?causal ~heads:t.heads q k v in
-  Fc.forward ?nthreads t.wo ctx
-
 let reference_forward ?(causal = false) t x =
-  let n = (Tensor.dims x).(0) in
+  let n = Tensor.dim x 0 in
   let proj (fc : Fc.t) =
     let w = fc.Fc.weights in
     let wt =

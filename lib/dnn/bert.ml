@@ -108,7 +108,7 @@ let encoder_layer ?nthreads layer x =
   (* Bert-Self-Attention: the Q, K and V projections, then attention *)
   let att = layer.attention in
   let q, k, v = Attention.project ?nthreads att x in
-  let ctx = Attention.attend ~heads:att.Attention.heads q k v in
+  let ctx = Attention.attend ?nthreads ~heads:att.Attention.heads q k v in
   (* Bert-SelfOutput: the output projection + residual + layernorm *)
   let x1 =
     output_block ?nthreads att.Attention.wo layer.att_gamma layer.att_beta

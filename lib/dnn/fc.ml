@@ -15,19 +15,21 @@ type t = {
 }
 
 (* Tokens are the GEMM's M, read in place as row-major rows, in blocks
-   of [block] rows with a short last block; output features are its N,
-   in blocks of [block] columns. k_step = 1: one BRGEMM call per K
-   block, each rounding C to FP32, as serving has always computed; a
-   full-K reduction would change its bits *)
+   of [max block 64] rows with a short last block; output features are
+   its N, in blocks of [block] columns. k_step = 1: one BRGEMM call per
+   K block, each rounding C to FP32, as serving has always computed; a
+   full-K reduction would change its bits. Only bk orders an output's
+   reduction, so the M block is free: 64 rows make a prefill's calls
+   few and long, and a decode row is one block either way *)
 let gemm_cfg ~block ~dtype ~in_features ~out_features ~tokens =
-  Gemm.make_config ~layout:Gemm.Rows ~bm:block ~bn:block ~bk:block ~dtype
-    ~k_step:1 ~m:tokens ~n:out_features ~k:in_features ()
+  Gemm.make_config ~layout:Gemm.Rows ~bm:(max block 64) ~bn:block ~bk:block
+    ~dtype ~k_step:1 ~m:tokens ~n:out_features ~k:in_features ()
 
 (* a dense layer on the logical [out x in] [weights], W^T packed as the
    GEMM's B operand (pack_b rounds to [dtype]) *)
 let make ~weights ~bias ~act ~block ~dtype ~spec =
-  let d = Tensor.dims weights in
-  let out_features = d.(0) and in_features = d.(1) in
+  let out_features = Tensor.dim weights 0
+  and in_features = Tensor.dim weights 1 in
   let cfg = gemm_cfg ~block ~dtype ~in_features ~out_features ~tokens:1 in
   { in_features; out_features; weights; bias; act; block; dtype; spec;
     kernel = Dense (Gemm.pack_b cfg (Tensor.transpose weights)) }
@@ -131,14 +133,13 @@ let block_sparse_into ?nthreads t (w : Bcsc.t) x ~tokens ~out ~col0 =
   bias_act (act_unary t.act) ~bias_row y
 
 let forward_into ?nthreads t x ~out ~col0 =
-  let dx = Tensor.dims x in
-  assert (Array.length dx = 2 && dx.(1) = t.in_features);
-  let tokens = dx.(0) in
+  assert (Tensor.rank x = 2 && Tensor.dim x 1 = t.in_features);
+  let tokens = Tensor.dim x 0 in
   match t.kernel with
   | Dense packed -> dense_into ?nthreads t packed x ~tokens ~out ~col0
   | Block_sparse w -> block_sparse_into ?nthreads t w x ~tokens ~out ~col0
 
 let forward ?nthreads t x =
-  let out = Tensor.create Datatype.F32 [| (Tensor.dims x).(0); t.out_features |] in
+  let out = Tensor.create Datatype.F32 [| Tensor.dim x 0; t.out_features |] in
   forward_into ?nthreads t x ~out ~col0:0;
   out

@@ -70,9 +70,12 @@ val sparsify : bm:int -> bk:int -> sparsity:float -> t -> t
 
 (** [forward t x] with [x : N x in] returns [N x out]. Any token count
     works. On a dense layer, tokens are the GEMM's M, in blocks of
-    [block] rows with a short last block, and output features its N, in
-    blocks of [block] columns, so a single token runs on full vectors
-    too. The GEMM runs
+    [bm = max block 64] rows with a short last block, and output features
+    its N, in blocks of [block] columns, so a single token runs on full
+    vectors too. [bm] is not [block] because the M block orders no
+    reduction: a larger one only makes a prefill's BRGEMM calls fewer and
+    longer (a 170-row [Llm.tiny] FFN up-projection makes 24 calls instead
+    of 88), and a one-row decode is one block at any [bm]. The GEMM runs
     with [bk = block] and [k_step = 1], one BRGEMM call per K block, not
     at {!Gemm.make_config}'s full-K default: a full-K reduction rounds
     differently, and serving's outputs keep their bits (a tuned spec

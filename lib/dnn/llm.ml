@@ -271,7 +271,7 @@ let copy_rows ~hidden ~rows (src : Tensor.t) (dst : Tensor.t) ~dst_row =
 
 let append_rows cache (e : kv_entry) ~k_new ~v_new =
   let hidden = cache.hidden in
-  let n = (Tensor.dims k_new).(0) in
+  let n = Tensor.dim k_new 0 in
   if e.used + n > e.cap then begin
     let cap = max (e.used + n) (2 * e.cap) in
     let grow old =
@@ -368,7 +368,7 @@ let append_layer cache ~layer ~k_new ~v_new =
   match cache.store with
   | Contig entries -> append_rows cache entries.(layer) ~k_new ~v_new
   | Paged p ->
-    let n = (Tensor.dims k_new).(0) in
+    let n = Tensor.dim k_new 0 in
     if layer = 0 then Kv.Seq.ensure p.seq ~len:cache.len ~extra:n;
     Kv.Seq.append p.seq ~layer ~at:cache.len ~rows:n ~k_src:k_new ~v_src:v_new
 
@@ -413,12 +413,13 @@ let add_inplace a b =
    C) up/gate column slices (+SwiGLU on the slice), barrier, down column
       slice over the full intermediate.
    Every projection writes its slice's columns of the stage tensor in
-   place. LN / residual / cache glue runs on the caller between regions. One
-   shard runs inline, its kernels on the caller's [nthreads]; with more,
-   parallelism lives at the shard level and the kernels run on one
-   thread, since nested teams would fall back to spawn-per-call. *)
+   place. LN / residual / cache glue runs on the caller between regions.
+   One shard runs inline, its kernels (the FCs and attention's row
+   blocks) on the caller's [nthreads]; with more, parallelism lives at
+   the shard level and the kernels run on one thread, since nested teams
+   would fall back to spawn-per-call. *)
 let decoder_block ?nthreads cache layer_idx (layer : layer) x =
-  let n = (Tensor.dims x).(0) in
+  let n = Tensor.dim x 0 in
   let shards = Array.length layer.parts in
   let nthreads = if shards = 1 then nthreads else Some 1 in
   let stage f =
@@ -445,8 +446,8 @@ let decoder_block ?nthreads cache layer_idx (layer : layer) x =
   let k_all, v_all = layer_kv cache ~layer:layer_idx ~rows:(cache.len + n) in
   let ctx_t = buf a.Attention.wo and att = buf a.Attention.wo in
   stage (fun p barrier ->
-      Attention.attend_range ~causal:true ~heads:a.Attention.heads ~h0:p.h0
-        ~h1:p.h1 ~out:ctx_t q k_all v_all;
+      Attention.attend_range ?nthreads ~causal:true ~heads:a.Attention.heads
+        ~h0:p.h0 ~h1:p.h1 ~out:ctx_t q k_all v_all;
       barrier ();
       project p.o ctx_t ~dst:att);
   add_inplace att x;
@@ -475,7 +476,7 @@ let run_tokens ?nthreads t cache x =
   Array.iteri
     (fun i layer -> out := decoder_block ?nthreads cache i layer !out)
     t.decoder;
-  cache.len <- cache.len + (Tensor.dims x).(0);
+  cache.len <- cache.len + Tensor.dim x 0;
   !out
 
 let last_row x =
@@ -496,7 +497,7 @@ let prefill ?nthreads t cache x =
   last_row (run_tokens ?nthreads t cache x)
 
 let decode_step ?nthreads t cache x =
-  assert ((Tensor.dims x).(0) = 1);
+  assert (Tensor.dim x 0 = 1);
   run_tokens ?nthreads t cache x
 
 let forward_full ?nthreads t x =

@@ -204,7 +204,8 @@ let run ?nthreads ?post ?(col0 = 0) t ~a ~b ~c =
         cfg.bn )
     | Rows ->
       let dc = c.Tensor.dims in
-      assert (a.Tensor.dims = [| cfg.m; cfg.k |]);
+      assert (
+        Tensor.rank a = 2 && Tensor.dim a 0 = cfg.m && Tensor.dim a 1 = cfg.k);
       assert (Array.length dc = 2 && dc.(0) = cfg.m && col0 + cfg.n <= dc.(1));
       ( (fun im ik -> (im * cfg.bm * cfg.k) + (ik * cfg.bk)),
         cfg.k,

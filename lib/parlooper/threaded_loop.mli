@@ -50,6 +50,10 @@ val run :
 (** Team size [run] would use. *)
 val threads_used : ?nthreads:int -> t -> int
 
+(** The team size a parallel loop gets when no [nthreads] is given: one
+    thread per core. *)
+val default_threads : unit -> int
+
 (** Deterministic sequential execution exposing the thread id; used for
     tracing and in tests (identical iteration assignment to [run] with
     static scheduling; dynamic scheduling becomes round-robin). *)

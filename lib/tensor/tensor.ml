@@ -61,6 +61,7 @@ let create dtype dims =
 let numel t = numel_of_dims t.dims
 let rank t = Array.length t.dims
 let dims t = Array.copy t.dims
+let dim t i = t.dims.(i)
 let dtype t = t.dtype
 
 let get_flat t i = Bigarray.Array1.get t.data i

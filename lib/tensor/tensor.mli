@@ -53,7 +53,11 @@ val numel : t -> int
 (** Number of dimensions. *)
 val rank : t -> int
 
+(** A fresh copy of the dimensions. *)
 val dims : t -> int array
+
+(** [dim t i] is dimension [i], without copying the dimensions. *)
+val dim : t -> int -> int
 val dtype : t -> Datatype.t
 
 (** Flat (linear, row-major) element access. Stores quantize to dtype. *)

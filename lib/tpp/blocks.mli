@@ -21,7 +21,16 @@
     every input, NaN and [+-inf] included: each value is rounded where
     the separate passes store it, and the max, the exponentials and the
     sum run in the same order. [~scale:1.0] is the plain softmax:
-    multiplying by 1 keeps every bit, NaNs included. *)
+    multiplying by 1 keeps every bit, NaNs included.
+
+    The tail shortcut: a row's masked columns all hold one value,
+    [exp(-1e30 - max)]. Where it is +0 (every row whose max is a live
+    score above -1e30), the tail is stored as +0 and not added to the
+    sum, and when [1 / sum] is finite and positive only the live columns
+    are normalised; adding +0 to the sum and multiplying +0 by a positive
+    number keep every bit, so this is the same result, at the cost of
+    the live columns only. Any other row, whose live scores are all
+    [-inf] or at most -1e30 or whose max is NaN, runs the whole row. *)
 val softmax_rows :
   scale:float ->
   ?causal:int ->
@@ -29,6 +38,19 @@ val softmax_rows :
   out:Tensor.View.t ->
   unit ->
   unit
+
+(** {!softmax_rows}, returning the number of rows whose masked columns
+    are not +0 (none without [causal]). In every other row, each masked
+    column is +0, so a product with the result may stop at the row's
+    last live column: attention cuts a causal row block's P.V there, and
+    redoes the block at full width when this is not 0. *)
+val softmax_rows_tails :
+  scale:float ->
+  ?causal:int ->
+  inp:Tensor.View.t ->
+  out:Tensor.View.t ->
+  unit ->
+  int
 
 (** SwiGLU's gating in one pass: out := inp * (gate * sigmoid gate),
     rounding the sigmoid and [gate * sigmoid gate] to FP32 where a

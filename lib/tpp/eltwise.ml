@@ -39,14 +39,15 @@ external binary : int -> int -> View.t -> View.t -> View.t -> unit
 [@@noalloc]
 
 (* [softmax scale causal offset inp out]: with [causal] <> 0, row i keeps
-   its first i + offset + 1 scores *)
+   its first i + offset + 1 scores; the number of rows whose masked tail
+   is not +0 *)
 external softmax :
   (float[@unboxed]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   View.t ->
   View.t ->
-  unit = "tpp_eltwise_softmax_byte" "tpp_eltwise_softmax"
+  (int[@untagged]) = "tpp_eltwise_softmax_byte" "tpp_eltwise_softmax"
 [@@noalloc]
 
 external swiglu : View.t -> View.t -> View.t -> unit = "tpp_eltwise_swiglu"

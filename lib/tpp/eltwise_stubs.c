@@ -186,9 +186,17 @@ INLINE double row_max(double x, double y)
 /* One row: scale each of the [live] scores and store it, then the max
    over the row, exp and the sum in column order, then the normalisation.
    The masked tail holds -1e30 rounded to float, one value, so its max
-   and exp are taken once. */
-static void softmax_row(struct view in, struct view out, intnat i,
-                        double scale, intnat live)
+   and exp are taken once.
+
+   The tail shortcut: when that exp is +0, the tail is stored as +0 and
+   left out of the sum (a sum that starts at +0 is unchanged by adding
+   +0, and so is a NaN sum), and when 1 / sum is finite and positive the
+   normalisation stops at the live columns (+0 times it is +0). Both
+   keep every bit. The exp is +0 unless every live score is -inf or at
+   most -1e30, or the max is NaN: such a row runs the whole loop and
+   returns 1, so that a caller that cut the row short can redo it. */
+static intnat softmax_row(struct view in, struct view out, intnat i,
+                          double scale, intnat live)
 {
   const double masked = fl32(-1e30);
   intnat cols = out.cols;
@@ -202,42 +210,54 @@ static void softmax_row(struct view in, struct view out, intnat i,
     set(out, i, j, e);
     sum = add1(sum, e);
   }
+  intnat norm = cols, dirty = 0;
   if (live < cols) {
     double e = exp(masked - mx);
-    for (intnat j = live; j < cols; j++) {
-      set(out, i, j, e);
-      sum = add1(sum, e);
+    if (e == 0.0) {
+      for (intnat j = live; j < cols; j++) set(out, i, j, 0.0);
+      norm = live;
+    }
+    else {
+      dirty = 1;
+      for (intnat j = live; j < cols; j++) {
+        set(out, i, j, e);
+        sum = add1(sum, e);
+      }
     }
   }
   double inv = 1.0 / sum;
-  for (intnat j = 0; j < cols; j++)
+  if (!(isfinite(inv) && inv > 0.0)) norm = cols;
+  for (intnat j = 0; j < norm; j++)
     set(out, i, j, mul1(get(out, i, j), inv));
+  return dirty;
 }
 
-/* With [causal], row i keeps its first i + offset + 1 scores. */
-CAMLprim value tpp_eltwise_softmax(double scale, intnat causal, intnat offset,
-                                   value vin, value vout)
+/* With [causal], row i keeps its first i + offset + 1 scores. Returns
+   the number of rows whose masked tail is not +0. */
+CAMLprim intnat tpp_eltwise_softmax(double scale, intnat causal,
+                                    intnat offset, value vin, value vout)
 {
   struct view in = view_of(vin), out = view_of(vout);
   /* clamped so that i + offset + 1 cannot overflow; no row's count moves */
   if (offset > out.cols) offset = out.cols;
   if (offset < -out.rows - 1) offset = -out.rows - 1;
+  intnat dirty = 0;
   for (intnat i = 0; i < out.rows; i++) {
     intnat live = out.cols;
     if (causal) {
       intnat n = i + offset + 1;
       live = n < 0 ? 0 : n < out.cols ? n : out.cols;
     }
-    softmax_row(in, out, i, scale, live);
+    dirty += softmax_row(in, out, i, scale, live);
   }
-  return Val_unit;
+  return dirty;
 }
 
 CAMLprim value tpp_eltwise_softmax_byte(value scale, value causal,
                                         value offset, value vin, value vout)
 {
-  return tpp_eltwise_softmax(Double_val(scale), Long_val(causal),
-                             Long_val(offset), vin, vout);
+  return Val_long(tpp_eltwise_softmax(Double_val(scale), Long_val(causal),
+                                      Long_val(offset), vin, vout));
 }
 
 /* ---- Blocks.swiglu ---- */

@@ -189,21 +189,33 @@ let test_fc_block_sparse_window () =
 
 (* ---- attention ---- *)
 
+(* the attention block: projections, attention, output projection *)
+let attention_block ~nthreads ?causal (att : Attention.t) x =
+  let q, k, v = Attention.project ~nthreads att x in
+  let ctx = Attention.attend ~nthreads ?causal ~heads:att.Attention.heads q k v in
+  Fc.forward ~nthreads att.Attention.wo ctx
+
 let test_attention_matches_reference () =
   let rng = Prng.create 5 in
   let att = Attention.create ~rng ~block:8 ~hidden:32 ~heads:4 () in
   let x = random_tensor rng [| 16; 32 |] in
-  let got = Attention.forward ~nthreads:2 att x in
   let expect = Attention.reference_forward att x in
-  checkb "attention" true (Tensor.approx_equal ~tol:1e-4 got expect)
+  List.iter
+    (fun nthreads ->
+      let got = attention_block ~nthreads att x in
+      checkb "attention" true (Tensor.approx_equal ~tol:1e-4 got expect))
+    [ 1; 2 ]
 
 let test_attention_causal () =
   let rng = Prng.create 6 in
   let att = Attention.create ~rng ~block:8 ~hidden:16 ~heads:2 () in
   let x = random_tensor rng [| 8; 16 |] in
-  let got = Attention.forward ~causal:true att x in
   let expect = Attention.reference_forward ~causal:true att x in
-  checkb "causal attention" true (Tensor.approx_equal ~tol:1e-4 got expect)
+  List.iter
+    (fun nthreads ->
+      let got = attention_block ~nthreads ~causal:true att x in
+      checkb "causal attention" true (Tensor.approx_equal ~tol:1e-4 got expect))
+    [ 1; 2 ]
 
 let test_attention_causal_prefix_invariance () =
   (* with causal masking, output at position i only depends on tokens
@@ -212,12 +224,141 @@ let test_attention_causal_prefix_invariance () =
   let att = Attention.create ~rng ~block:8 ~hidden:16 ~heads:2 () in
   let x8 = random_tensor rng [| 8; 16 |] in
   let x6 = Tensor.init Datatype.F32 [| 6; 16 |] (fun i -> Tensor.get x8 i) in
-  let y8 = Attention.forward ~causal:true att x8 in
-  let y6 = Attention.forward ~causal:true att x6 in
-  let y8_prefix =
-    Tensor.init Datatype.F32 [| 6; 16 |] (fun i -> Tensor.get y8 i)
+  List.iter
+    (fun nthreads ->
+      let y8 = attention_block ~nthreads ~causal:true att x8 in
+      let y6 = attention_block ~nthreads ~causal:true att x6 in
+      let y8_prefix =
+        Tensor.init Datatype.F32 [| 6; 16 |] (fun i -> Tensor.get y8 i)
+      in
+      checkb "prefix invariant" true
+        (Tensor.approx_equal ~tol:1e-4 y8_prefix y6))
+    [ 1; 2 ]
+
+(* [Attention.attend_range] before its row blocks, kept as the oracle of
+   the blocked one: per head, one BRGEMM scores all nq rows against all
+   nk keys, one softmax runs over the whole width and one BRGEMM forms
+   the context over all nk keys *)
+let attend_range_full_width ~causal ~heads ~h0 ~h1 ~out q k v =
+  let nq = Tensor.dim q 0 and nk = Tensor.dim k 0 in
+  let hidden = Tensor.dim q 1 in
+  let d = hidden / heads in
+  let scale = 1.0 /. sqrt (float_of_int d) in
+  let scores = Tensor.create Datatype.F32 [| nq; nk |] in
+  let kt = Tensor.create Datatype.F32 [| d; nk |] in
+  let score_ker =
+    Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:nq ~n:nk ~k:d ())
   in
-  checkb "prefix invariant" true (Tensor.approx_equal ~tol:1e-4 y8_prefix y6)
+  let ctx_ker =
+    Dispatch.brgemm (Brgemm.make_config ~beta:0.0 ~m:nq ~n:d ~k:nk ())
+  in
+  let head x h =
+    Tensor.view_flat x ~off:(h * d) ~rows:(Tensor.dim x 0) ~cols:d ~ld:hidden
+  in
+  for h = h0 to h1 - 1 do
+    Tpp_unary.transpose ~inp:(head k h) ~out:(Tensor.view2d kt);
+    Brgemm.exec score_ker ~a:(head q h) ~b:(Tensor.view2d kt)
+      ~c:(Tensor.view2d scores);
+    Blocks.softmax_rows ~scale
+      ?causal:(if causal then Some (nk - nq) else None)
+      ~inp:(Tensor.view2d scores) ~out:(Tensor.view2d scores) ();
+    Brgemm.exec ctx_ker ~a:(Tensor.view2d scores) ~b:(head v h) ~c:(head out h)
+  done
+
+let same_bits what expect got =
+  for i = 0 to Tensor.numel expect - 1 do
+    let e = Int32.bits_of_float (Tensor.get_flat expect i)
+    and g = Int32.bits_of_float (Tensor.get_flat got i) in
+    if e <> g then
+      Alcotest.failf "%s: element %d is %08lx, expected %08lx" what i g e
+  done
+
+(* [attend_range ?nthreads] and the oracle on one case, into outputs
+   that start with the same marker in every column *)
+let check_attend_range what ~nthreads ~causal ~heads ~h0 ~h1 q k v =
+  let fresh () =
+    let t = Tensor.create Datatype.F32 [| Tensor.dim q 0; Tensor.dim q 1 |] in
+    Tensor.fill t 7.0;
+    t
+  in
+  let expect = fresh () and got = fresh () in
+  attend_range_full_width ~causal ~heads ~h0 ~h1 ~out:expect q k v;
+  Attention.attend_range ~nthreads ~causal ~heads ~h0 ~h1 ~out:got q k v;
+  same_bits what expect got
+
+(* a value of q, k or v: mostly uniform, sometimes NaN, +-inf or +-1e30 *)
+let qkv_value rng =
+  let u = Prng.float rng in
+  if u < 0.004 then Float.nan
+  else if u < 0.008 then Float.infinity
+  else if u < 0.012 then Float.neg_infinity
+  else if u < 0.016 then 1e30
+  else if u < 0.02 then -1e30
+  else Prng.uniform rng ~scale:2.0
+
+let test_attend_range_row_blocks () =
+  let rng = Prng.create 71 in
+  let pick lo hi = lo + int_of_float (Prng.float rng *. float_of_int (hi - lo + 1)) in
+  for case = 1 to 240 do
+    let heads = [| 1; 2; 4 |].(pick 0 2) and d = pick 1 16 in
+    let nq = pick 1 90 in
+    let nk = nq + (if Prng.float rng < 0.3 then 0 else pick 1 60) in
+    let h0 = pick 0 (heads - 1) in
+    let h1 = pick (h0 + 1) heads in
+    let causal = Prng.float rng < 0.7 and nthreads = pick 1 2 in
+    let t rows =
+      Tensor.init Datatype.F32 [| rows; heads * d |] (fun _ -> qkv_value rng)
+    in
+    let q = t nq and k = t nk and v = t nk in
+    check_attend_range
+      (Printf.sprintf "case %d: nq %d nk %d heads %d d %d h %d..%d %s %d thr"
+         case nq nk heads d h0 h1
+         (if causal then "causal" else "full")
+         nthreads)
+      ~nthreads ~causal ~heads ~h0 ~h1 q k v
+  done
+
+(* Rows whose live scores are all -inf, or all finite and at most
+   -1e30, in row blocks whose live keys stop short of nk: their masked
+   exp is not +0, so each such block must redo itself at full width.
+   With nq = 80 the blocks are rows [0, 16), [16, 48) and [48, 80); rows
+   15 and 47 are the last rows of the two cut blocks, alone there *)
+let test_attend_range_masked_rows_fall_back () =
+  let heads = 2 and d = 4 and nq = 80 and nk = 100 in
+  let hidden = heads * d in
+  List.iter
+    (fun masked ->
+      let rng = Prng.create 72 in
+      let t rows =
+        Tensor.init Datatype.F32 [| rows; hidden |] (fun _ ->
+            Prng.uniform rng ~scale:1.0)
+      in
+      let q = t nq and k = t nk and v = t nk in
+      (* every key's first column is -1e16, so a query row of 1e16
+         scores -1e32 on it (at most -1e30 after the scale) and one of
+         1e25 overflows to -inf *)
+      for j = 0 to nk - 1 do
+        for c = 0 to hidden - 1 do
+          Tensor.set k [| j; c |] (if c mod d = 0 then -1e16 else 0.0)
+        done
+      done;
+      List.iter
+        (fun (r, x) ->
+          for c = 0 to hidden - 1 do
+            Tensor.set q [| r; c |] (if c mod d = 0 then x else 0.0)
+          done)
+        masked;
+      List.iter
+        (fun nthreads ->
+          check_attend_range
+            (Printf.sprintf "masked rows %s, %d thr"
+               (String.concat " "
+                  (List.map (fun (r, x) -> Printf.sprintf "%d@%g" r x) masked))
+               nthreads)
+            ~nthreads ~causal:true ~heads ~h0:0 ~h1:heads q k v)
+        [ 1; 2 ])
+    [ [ (0, 1e16); (5, 1e25); (40, 1e16); (41, 1e25); (70, 1e16) ];
+      [ (15, 1e16) ]; [ (15, 1e25) ]; [ (47, 1e16) ]; [ (47, 1e25) ] ]
 
 (* ---- bert ---- *)
 
@@ -502,6 +643,10 @@ let () =
           Alcotest.test_case "causal" `Quick test_attention_causal;
           Alcotest.test_case "prefix invariance" `Quick
             test_attention_causal_prefix_invariance;
+          Alcotest.test_case "row blocks == full width, bit for bit" `Quick
+            test_attend_range_row_blocks;
+          Alcotest.test_case "masked rows take the full width" `Quick
+            test_attend_range_masked_rows_fall_back;
         ] );
       ( "bert",
         [

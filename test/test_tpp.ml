@@ -741,6 +741,26 @@ let scores_in_three_passes ~scale ~causal s =
     done
   done
 
+(* The rows of [s] whose masked exp, exp (-1e30 - max) over the row's
+   scaled live scores and the masked value, is not +0 *)
+let masked_exp_rows ~scale ~causal s =
+  let fl32 x = Int32.float_of_bits (Int32.bits_of_float x) in
+  let masked = fl32 (-1e30) in
+  let rows = Tensor.dim s 0 and cols = Tensor.dim s 1 in
+  match causal with
+  | None -> 0
+  | Some offset ->
+    let n = ref 0 in
+    for i = 0 to rows - 1 do
+      let live = Int.max 0 (Int.min cols (i + offset + 1)) in
+      let mx = ref masked in
+      for j = 0 to live - 1 do
+        mx := Float.max !mx (fl32 (mul1 scale (Tensor.get s [| i; j |])))
+      done;
+      if live < cols && exp (masked -. !mx) <> 0.0 then incr n
+    done;
+    !n
+
 let test_softmax_scores_one_pass () =
   let rng = Prng.create 61 in
   let scale = 1.0 /. sqrt 16.0 in
@@ -754,6 +774,15 @@ let test_softmax_scores_one_pass () =
         for j = 0 to live - 1 do
           Tensor.View.set v r j Float.neg_infinity
         done;
+        (* where there are rows enough, one whose unmasked scores are all
+           finite and at most -1e30 once scaled, and one of such scores
+           and -inf: their masked exp is not +0 either *)
+        if nq > 8 then
+          for j = 0 to nk - 1 do
+            Tensor.View.set v 5 j (-8e30 -. (1e30 *. float_of_int j));
+            Tensor.View.set v 6 j
+              (if j mod 2 = 0 then Float.neg_infinity else -4e30)
+          done;
         (* and, where there are 4 columns, a first row holding NaNs of
            both signs: the max, the sum and each output then carry
            different NaNs, so the operand order of every step shows *)
@@ -775,9 +804,14 @@ let test_softmax_scores_one_pass () =
       scores_in_three_passes ~scale ~causal expect;
       (* in place, as attention runs it, and into another tensor *)
       let inplace = Tensor.copy s in
-      Blocks.softmax_rows ~scale ?causal ~inp:(Tensor.view2d inplace)
-        ~out:(Tensor.view2d inplace) ();
+      let tails =
+        Blocks.softmax_rows_tails ~scale ?causal ~inp:(Tensor.view2d inplace)
+          ~out:(Tensor.view2d inplace) ()
+      in
       check_same_bits (what ^ ", in place") expect inplace;
+      checki (what ^ ", rows whose masked exp is not +0")
+        (masked_exp_rows ~scale ~causal s)
+        tails;
       let out = Tensor.create Datatype.F32 [| nq; nk |] in
       Blocks.softmax_rows ~scale ?causal ~inp:(Tensor.view2d s)
         ~out:(Tensor.view2d out) ();
